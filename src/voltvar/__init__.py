@@ -11,7 +11,6 @@ from .control import (
     ControlCurve,
     CurveBundle,
     DroopCurve,
-    FunctionCurve,
     Inverter,
     TableCurve,
     curve_from_spec,

@@ -1,16 +1,29 @@
 """Volt/VAR control curves, inverter capability sets and projection.
 
 A control curve maps the local voltage error ``v - v_nom`` (per unit) to a
-reactive-power command.  Curves are non-increasing, flat on a symmetric
-deadband around zero, strictly decreasing and differentiable off it, and
-carry a bound ``alpha_bar`` on the magnitude of their derivative.
+reactive-power command.  Curves are non-increasing, zero on a plateau
+``[lo, hi]`` around zero, strictly decreasing off it, and carry a bound
+``alpha_bar`` on the magnitude of their slope.
+
+Every curve is piecewise linear and stored in one hinge form.  Hinge j
+sits at knot ``k_j`` on side ``sigma_j`` of the plateau (-1 left, +1
+right) and adds the slope change ``w_j``::
+
+    u(v) = sum_j w_j max(sigma_j (v - k_j), 0)
+
+The inverse has the same form in q, with knots ``Q_j = u(k_j)`` and sides
+``tau_j = -sigma_j``, plus the plateau edge (``lo`` for q > 0, ``hi`` for
+q < 0, 0 at q = 0); the cost is its exact integral, a quadratic in
+``z_j = max(tau_j (q - Q_j), 0)``.  One kernel evaluates the form for a
+single curve and for a :class:`CurveBundle`, whose curves are padded with
+zero-weight hinges to a common count.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,33 +83,94 @@ def project_box(q, q_min, q_max):
     return np.clip(q, q_min, q_max)
 
 
-class ControlCurve(ABC):
-    """Interface shared by all Volt/VAR control curves."""
+class _Hinges(NamedTuple):
+    """Hinge form, one row per hinge: shape ``(J, 1)`` for one curve and
+    ``(J, m)`` for a bundle, whose column k holds curve k.  Inputs come laid
+    out on the same grid, or as a flat array that broadcasts against it."""
 
-    @abstractmethod
+    sv: np.ndarray  # sigma_j: -1 left of the plateau, +1 right of it
+    skv: np.ndarray  # sigma_j * k_j
+    w: np.ndarray  # slope increments in v
+    tq: np.ndarray  # tau_j = -sigma_j
+    tkq: np.ndarray  # tau_j * Q_j
+    d: np.ndarray  # the inverse gains z_j / d_j (inf adds nothing) ...
+    e: np.ndarray  # ... and e_j once z_j > 0: the plateau edge on first hinges
+    a: np.ndarray  # cost = sum_j (a_j + b_j z_j) z_j
+    b: np.ndarray
+
+
+# a hinge that contributes nothing: zero weights, finite knots
+_PAD = np.array(
+    _Hinges(sv=1.0, skv=0.0, w=0.0, tq=1.0, tkq=0.0, d=np.inf, e=0.0, a=0.0, b=0.0)
+)
+
+
+def _evaluate(h, v):
+    return np.add.reduce(h.w * np.maximum(h.sv * v - h.skv, 0.0), 0)
+
+
+def _hinge_z(h, q):
+    return np.maximum(h.tq * q - h.tkq, 0.0)
+
+
+def _inverse(h, q):
+    z = _hinge_z(h, q)
+    return np.add.reduce(z / h.d + h.e * np.sign(z), 0)
+
+
+def _cost(h, q):
+    z = _hinge_z(h, q)
+    return np.add.reduce((h.a + h.b * z) * z, 0)
+
+
+class ControlCurve:
+    """A Volt/VAR curve in hinge form; subclasses validate and build it.
+
+    ``__call__``, ``inverse`` and ``cost`` take a scalar or an array.  The
+    inverse maps 0 to 0 on the plateau by convention, and the cost is minus
+    the integral of the inverse from 0 to q, convex with cost(0) = 0.
+    """
+
+    def _set_sides(self, lo, hi, left, right):
+        """Store the hinge form of a curve with plateau ``[lo, hi]``.
+
+        ``left`` and ``right`` list ``(knot, value, slope)`` outward from the
+        plateau: a breakpoint, the curve's value there and its slope beyond
+        it.  A breakpoint where the inverse slope does not change adds no
+        hinge.
+        """
+        rows = []  # one per hinge, in _Hinges field order up to b
+        for sigma, edge, side in ((-1.0, lo, left), (1.0, hi, right)):
+            tau = -sigma
+            knot, value, prev = side[0]
+            rows.append((sigma, sigma * knot, sigma * prev, tau, tau * value,
+                         tau * prev, edge, -tau * edge))
+            for knot, value, slope in side[1:]:
+                if 1.0 / slope != 1.0 / prev:
+                    rows.append((sigma, sigma * knot, sigma * (slope - prev), tau,
+                                 tau * value, tau / (1.0 / slope - 1.0 / prev), 0.0, 0.0))
+                    prev = slope
+        table = np.array(rows).T
+        table = np.vstack([table, -table[3] / (2.0 * table[5])])
+        slopes = [s for side in (left, right) for _, _, s in side]
+        # object.__setattr__ because DroopCurve is a frozen dataclass
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "alpha_bar", -float(min(slopes)))
+        object.__setattr__(self, "deadband_edges", (float(lo), float(hi)))
+
+    def _apply(self, kernel, x):
+        x = np.asarray(x, dtype=float)
+        out = kernel(_Hinges(*self._table[:, :, None]), x.reshape(-1)).reshape(x.shape)
+        return float(out) if out.ndim == 0 else out
+
     def __call__(self, v_err):
-        """Reactive command for voltage error v_err (scalar or array)."""
+        return self._apply(_evaluate, v_err)
 
-    @abstractmethod
     def inverse(self, q):
-        """Voltage error producing command q, with inverse(0) = 0 on the
-        deadband by convention."""
+        return self._apply(_inverse, q)
 
-    @abstractmethod
     def cost(self, q):
-        """Provisioning cost: minus the integral of the inverse from 0 to q.
-
-        Convex with cost(0) = 0."""
-
-    @property
-    @abstractmethod
-    def alpha_bar(self):
-        """Upper bound on |f'| wherever the curve is differentiable."""
-
-    @property
-    @abstractmethod
-    def deadband_edges(self):
-        """(lo, hi) voltage errors bracketing the zero-output plateau."""
+        return self._apply(_cost, q)
 
     @property
     def deadband(self):
@@ -113,54 +187,37 @@ class DroopCurve(ControlCurve):
     deadband: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.deadband < 0:
+        if not (0 < self.alpha < math.inf and 0 <= self.deadband < math.inf):
             raise InvalidRecord(
-                f"droop needs alpha > 0 and deadband >= 0, "
+                f"droop needs finite alpha > 0 and deadband >= 0, "
                 f"got {self.alpha}, {self.deadband}"
             )
-
-    def __call__(self, v_err):
         h = self.deadband / 2.0
-        v = np.asarray(v_err, dtype=float)
-        u = -self.alpha * np.maximum(v - h, 0.0) + self.alpha * np.maximum(-v - h, 0.0)
-        return float(u) if u.ndim == 0 else u
-
-    def inverse(self, q):
-        h = self.deadband / 2.0
-        qa = np.asarray(q, dtype=float)
-        out = np.where(qa < 0, -qa / self.alpha + h, np.where(qa > 0, -qa / self.alpha - h, 0.0))
-        return float(out) if out.ndim == 0 else out
-
-    def cost(self, q):
-        qa = np.asarray(q, dtype=float)
-        c = qa * qa / (2.0 * self.alpha) + (self.deadband / 2.0) * np.abs(qa)
-        return float(c) if c.ndim == 0 else c
-
-    @property
-    def alpha_bar(self):
-        return self.alpha
-
-    @property
-    def deadband_edges(self):
-        h = self.deadband / 2.0
-        return -h, h
+        self._set_sides(-h, h, [(-h, 0.0, -self.alpha)], [(h, 0.0, -self.alpha)])
 
 
 class TableCurve(ControlCurve):
     """Monotone curve given as breakpoints [(v_err, q), ...].
 
-    Points must be strictly increasing in v_err and non-increasing in q;
-    the only flat stretch allowed is the zero-output deadband, and the end
-    segments extrapolate with their own slopes so the curve keeps strictly
-    decreasing toward +-infinity.
+    Points must be finite, strictly increasing in v_err and non-increasing
+    in q; the only flat stretch allowed is the zero-output deadband, and the
+    end segments extrapolate with their own slopes so the curve keeps
+    strictly decreasing toward +-infinity.
     """
 
     def __init__(self, points):
-        pts = sorted((float(v), float(u)) for v, u in points)
+        try:
+            pts = sorted((float(v), float(u)) for v, u in points)
+        except (TypeError, ValueError) as exc:
+            raise InvalidRecord(
+                f"table points must be [v_err, q] number pairs: {exc}"
+            ) from exc
         if len(pts) < 2:
             raise InvalidRecord("table curve needs at least two points")
         v = np.array([p[0] for p in pts])
         u = np.array([p[1] for p in pts])
+        if not (np.isfinite(v).all() and np.isfinite(u).all()):
+            raise InvalidRecord("table breakpoints must be finite")
         if np.any(np.diff(v) <= 0):
             raise InvalidRecord("table v_err values must be strictly increasing")
         if np.any(np.diff(u) > 1e-15):
@@ -173,151 +230,18 @@ class TableCurve(ControlCurve):
             raise InvalidRecord("end segments must be strictly decreasing")
         if abs(float(np.interp(0.0, v, u))) > 1e-12:
             raise InvalidRecord("table curve must be zero at zero voltage error")
-        self._v = v
-        self._u = u
-        self._slopes = slopes
-        # plateau edges: where the curve reaches/leaves zero output
-        pos = np.flatnonzero(u > 0)
-        neg = np.flatnonzero(u < 0)
-        lo_edge = v[pos[-1]] - u[pos[-1]] / slopes[pos[-1]] if pos.size else v[0]
-        hi_edge = v[neg[0]] - u[neg[0]] / slopes[neg[0] - 1] if neg.size else v[-1]
-        self._edges = (float(lo_edge), float(hi_edge))
-        # branch tables with ascending output, plateau edge included
-        pv = np.append(v[pos], lo_edge)
-        pu = np.append(u[pos], 0.0)
-        self._pos_q, self._pos_v = pu[::-1], pv[::-1]
-        nv = np.insert(v[neg], 0, hi_edge)
-        nu = np.insert(u[neg], 0, 0.0)
-        self._neg_q, self._neg_v = nu[::-1], nv[::-1]
-
-    def __call__(self, v_err):
-        v, u, s = self._v, self._u, self._slopes
-        va = np.asarray(v_err, dtype=float)
-        out = np.interp(va, v, u)
-        out = np.where(va < v[0], u[0] + s[0] * (va - v[0]), out)
-        out = np.where(va > v[-1], u[-1] + s[-1] * (va - v[-1]), out)
-        return float(out) if out.ndim == 0 else out
-
-    def inverse(self, q):
-        v, u, s = self._v, self._u, self._slopes
-
-        def one(qi):
-            if qi == 0.0:
-                return 0.0
-            if qi > u[0]:
-                return v[0] + (qi - u[0]) / s[0]
-            if qi < u[-1]:
-                return v[-1] + (qi - u[-1]) / s[-1]
-            if qi > 0:
-                return float(np.interp(qi, self._pos_q, self._pos_v))
-            return float(np.interp(qi, self._neg_q, self._neg_v))
-
-        qa = np.asarray(q, dtype=float)
-        if qa.ndim == 0:
-            return one(float(qa))
-        return np.array([one(float(qi)) for qi in qa])
-
-    def cost(self, q):
-        def one(qi):
-            if qi == 0.0:
-                return 0.0
-            # integrate -inverse over [0, qi] exactly: inverse is piecewise
-            # linear in q with breakpoints at the table outputs
-            brks = [b for b in self._u if (0 < b < qi) or (qi < b < 0)]
-            grid = np.array([0.0] + sorted(brks, key=abs) + [qi])
-            total = 0.0
-            for a, b in zip(grid[:-1], grid[1:]):
-                avg_height = -0.5 * (self.inverse(_off_zero(a, b)) + self.inverse(b))
-                total += avg_height * (b - a)
-            return total
-
-        qa = np.asarray(q, dtype=float)
-        if qa.ndim == 0:
-            return one(float(qa))
-        return np.array([one(float(qi)) for qi in qa])
-
-    @property
-    def alpha_bar(self):
-        return float(-self._slopes.min())
-
-    @property
-    def deadband_edges(self):
-        return self._edges
-
-
-def _off_zero(a, b):
-    """Nudge the segment start off the inverse's jump at q = 0."""
-    if a != 0.0:
-        return a
-    return math.copysign(1e-300, b - a)
-
-
-class FunctionCurve(ControlCurve):
-    """Curve from an arbitrary non-increasing callable.
-
-    The inverse is found by expanding-bracket bisection to 1e-12 and the
-    cost by composite Simpson quadrature, so analytic forms should be
-    preferred when available.
-    """
-
-    def __init__(self, func, alpha_bar, deadband=0.0):
-        self._f = func
-        self._alpha_bar = float(alpha_bar)
-        self._deadband = float(deadband)
-
-    def __call__(self, v_err):
-        va = np.asarray(v_err, dtype=float)
-        if va.ndim == 0:
-            return float(self._f(float(va)))
-        return np.array([float(self._f(float(v))) for v in va])
-
-    def inverse(self, q, tol=1e-12):
-        def one(qi):
-            if qi == 0.0:
-                return 0.0
-            lo, hi = -1.0, 1.0
-            while self._f(lo) < qi:
-                lo *= 2.0
-            while self._f(hi) > qi:
-                hi *= 2.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if hi - lo < tol:
-                    break
-                if self._f(mid) > qi:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-
-        qa = np.asarray(q, dtype=float)
-        if qa.ndim == 0:
-            return one(float(qa))
-        return np.array([one(float(qi)) for qi in qa])
-
-    def cost(self, q, samples=513):
-        def one(qi):
-            if qi == 0.0:
-                return 0.0
-            s = np.linspace(0.0, qi, samples)
-            s[0] = _off_zero(0.0, qi)
-            vals = -self.inverse(s)
-            h = qi / (samples - 1)
-            return float(h / 3.0 * (vals[0] + vals[-1] + 4 * vals[1::2].sum() + 2 * vals[2:-1:2].sum()))
-
-        qa = np.asarray(q, dtype=float)
-        if qa.ndim == 0:
-            return one(float(qa))
-        return np.array([one(float(qi)) for qi in qa])
-
-    @property
-    def alpha_bar(self):
-        return self._alpha_bar
-
-    @property
-    def deadband_edges(self):
-        h = self._deadband / 2.0
-        return -h, h
+        # the sides start where the curve leaves zero output; p - 1 is the
+        # last positive point (else the first) and n the first negative one
+        # (else the last)
+        p = max(np.count_nonzero(u > 0), 1)
+        n = int(np.argmax(u < 0)) if u[-1] < 0 else len(u) - 1
+        lo = v[p - 1] - u[p - 1] / slopes[p - 1] if u[0] > 0 else v[0]
+        hi = v[n] - u[n] / slopes[n - 1] if u[-1] < 0 else v[-1]
+        left = [(lo, 0.0, slopes[p - 1])]
+        left += [(v[i], u[i], slopes[i - 1]) for i in range(p - 1, 0, -1)]
+        right = [(hi, 0.0, slopes[n - 1])]
+        right += [(v[i], u[i], slopes[i]) for i in range(n, len(v) - 1)]
+        self._set_sides(lo, hi, left, right)
 
 
 def curve_from_spec(spec, alpha=None, deadband=None):
@@ -330,64 +254,80 @@ def curve_from_spec(spec, alpha=None, deadband=None):
     kind = spec.get("type")
     if kind == "droop":
         return DroopCurve(
-            alpha=float(alpha if alpha is not None else spec["alpha"]),
-            deadband=float(deadband if deadband is not None else spec.get("deadband", 0.0)),
+            alpha=_spec_number(spec, "alpha", alpha),
+            deadband=_spec_number(spec, "deadband", deadband, default=0.0),
         )
     if kind == "table":
         if alpha is not None or deadband is not None:
             raise InvalidRecord("alpha/deadband overrides apply to droop curves only")
+        if "points" not in spec:
+            raise InvalidRecord("table curve spec needs 'points'")
         return TableCurve(spec["points"])
     raise InvalidRecord(f"unknown curve type {kind!r}")
 
 
+def _spec_number(spec, key, override, default=None):
+    raw = override if override is not None else spec.get(key, default)
+    if raw is None:
+        raise InvalidRecord(f"droop curve spec needs {key!r}")
+    try:
+        return float(raw)
+    except (TypeError, ValueError) as exc:
+        raise InvalidRecord(f"droop curve {key} must be a number, got {raw!r}") from exc
+
+
 class CurveBundle:
-    """Vectorized view over the per-bus curves of the controllable buses.
+    """The curves of the controllable buses, stacked for vectorized use.
 
     ``positions`` are the model-space indices carrying a curve, sorted; the
-    evaluation methods act on arrays over exactly those positions.  Droop
-    curves get closed-form vector paths, anything else falls back to a
-    per-bus loop.
+    evaluation methods act on arrays over exactly those positions.
+    Column k holds the hinges of curve k, left side then right side, each
+    nearest the plateau first, padded with zero-weight hinges to a common
+    height.
     """
 
     def __init__(self, curves):
         self.curves = dict(curves)
-        self.positions = np.array(sorted(self.curves), dtype=int)
-        ordered = [self.curves[int(k)] for k in self.positions]
+        keys = sorted(self.curves)
+        self.positions = np.array(keys, dtype=int)
+        ordered = [self.curves[k] for k in keys]
         self.alpha_bar = np.array([c.alpha_bar for c in ordered])
         self.lo = np.array([c.deadband_edges[0] for c in ordered])
         self.hi = np.array([c.deadband_edges[1] for c in ordered])
-        self._all_droop = all(isinstance(c, DroopCurve) for c in ordered)
-        self._ordered = ordered
-        if self._all_droop:
-            self._alpha = np.array([c.alpha for c in ordered])
+        height = max((c._table.shape[1] for c in ordered), default=0)
+        table = np.empty((len(_PAD), height, len(ordered)))
+        table[:] = _PAD[:, None, None]
+        for k, c in enumerate(ordered):
+            table[:, :c._table.shape[1], k] = c._table
+        self._hinges = _Hinges(*table)
+        # gathers an input over the hinge grid: cheaper than broadcasting
+        self._grid = np.empty((height, len(ordered)), dtype=int)
+        self._grid[:] = np.arange(len(ordered))
+
+    @classmethod
+    def of(cls, curves):
+        """``curves`` if it is already a bundle, else the bundle of the dict."""
+        return curves if isinstance(curves, cls) else cls(curves)
 
     def __len__(self):
         return len(self.positions)
 
-    @property
-    def all_droop(self):
-        return self._all_droop
+    def end_slopes(self):
+        """Slope magnitudes (left, right) of the segments next to each
+        plateau, or None unless every curve has one segment per side."""
+        w = self._hinges.w
+        if w.shape[0] != 2:
+            return None
+        return w[0], -w[1]
 
     def evaluate(self, v_err):
-        if self._all_droop:
-            return -self._alpha * np.maximum(v_err - self.hi, 0.0) + self._alpha * np.maximum(
-                self.lo - v_err, 0.0
-            )
-        return np.array([c(v) for c, v in zip(self._ordered, v_err)])
+        return _evaluate(self._hinges, np.asarray(v_err)[self._grid])
 
     def inverse(self, q):
-        if self._all_droop:
-            return np.where(
-                q < 0,
-                -q / self._alpha + self.hi,
-                np.where(q > 0, -q / self._alpha + self.lo, 0.0),
-            )
-        return np.array([c.inverse(v) for c, v in zip(self._ordered, q)])
+        return _inverse(self._hinges, np.asarray(q)[self._grid])
 
     def cost(self, q):
-        if self._all_droop:
-            return q * q / (2.0 * self._alpha) + self.hi * np.abs(q)
-        return np.array([c.cost(v) for c, v in zip(self._ordered, q)])
+        return _cost(self._hinges, np.asarray(q)[self._grid])
 
 
 def lipschitz_constant(curves, X):
@@ -397,7 +337,7 @@ def lipschitz_constant(curves, X):
     that actually carry a curve: buses with a singleton feasible set neither
     move nor respond, so they drop out of the feedback loop.
     """
-    bundle = curves if isinstance(curves, CurveBundle) else CurveBundle(curves)
+    bundle = CurveBundle.of(curves)
     if len(bundle) == 0:
         return 0.0
     sub = np.asarray(X)[np.ix_(bundle.positions, bundle.positions)]

@@ -117,18 +117,31 @@ class Trajectory:
         return self.v[-1]
 
 
-def _active_update(kind, qa, u, finv_err, verr, lo, hi, gamma2, gamma3, lo_box, hi_box):
-    """One update of the active coordinates; ``u`` is the curve output."""
-    if kind == "d1":
-        return np.clip(u, lo_box, hi_box)
-    if kind == "d3":
-        return np.clip((1.0 - gamma3) * qa + gamma3 * u, lo_box, hi_box)
-    grad = np.where(
+def _d2_subgradient(qa, verr, bundle):
+    """The d2 law's subgradient of the objective on the active coordinates.
+
+    ``verr - inverse(qa)`` off zero; at a zero injection, the voltage error
+    less the deadband edge it lies beyond, or the error itself inside.
+    """
+    lo, hi = bundle.lo, bundle.hi
+    return verr - np.where(
         qa != 0.0,
-        -finv_err + verr,
-        np.where(verr > hi, verr - hi, np.where(verr < lo, verr - lo, verr)),
+        bundle.inverse(qa),
+        np.where(verr > hi, hi, np.where(verr < lo, lo, 0.0)),
     )
-    return np.clip(qa - gamma2 * grad, lo_box, hi_box)
+
+
+def _active_update(kind, qa, u, verr, bundle, lo_box, hi_box, gamma2=None, gamma3=None):
+    """One update of the active coordinates; ``u`` is the curve output.
+
+    ``ndarray.clip`` is what ``np.clip`` calls, without its wrapper's
+    per-call overhead.
+    """
+    if kind == "d1":
+        return u.clip(lo_box, hi_box)
+    if kind == "d3":
+        return ((1.0 - gamma3) * qa + gamma3 * u).clip(lo_box, hi_box)
+    return (qa - gamma2 * _d2_subgradient(qa, verr, bundle)).clip(lo_box, hi_box)
 
 
 def _apply_step(kind, q, v, config, v_nom):
@@ -136,12 +149,10 @@ def _apply_step(kind, q, v, config, v_nom):
     act = bundle.positions
     verr = (np.asarray(v, float) - v_nom)[act]
     qa = np.asarray(q, float)[act]
-    u = bundle.evaluate(verr)
-    finv = bundle.inverse(qa) if kind == "d2" else None
     nxt = project_box(q, config.q_min, config.q_max)
     nxt[act] = _active_update(
-        kind, qa, u, finv, verr, bundle.lo, bundle.hi,
-        config.gamma2, config.gamma3, config.q_min[act], config.q_max[act],
+        kind, qa, bundle.evaluate(verr), verr, bundle, config.q_min[act],
+        config.q_max[act], config.gamma2, config.gamma3,
     )
     return nxt
 
@@ -260,18 +271,17 @@ def _loop_array(kind, verr_of, qa, bundle, lo_box, hi_box, tol, max_iter,
             cum_objective += f_val
         qa_sum += qa
         qa_prev = qa
-        u = bundle.evaluate(verr_a)
-        finv = bundle.inverse(qa) if kind == "d2" else None
-        qa = _active_update(kind, qa, u, finv, verr_a, bundle.lo, bundle.hi,
-                            gamma2, gamma3, lo_box, hi_box)
+        qa = _active_update(kind, qa, bundle.evaluate(verr_a), verr_a, bundle,
+                            lo_box, hi_box, gamma2, gamma3)
         rec.steps = t + 1
     rec.qa_sum = qa_sum
     return rec
 
 
-def _loop_scalar(kind, x_aa, base_err, bundle, qa0, lo_box, hi_box, tol,
+def _loop_scalar(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi_box, tol,
                  max_iter, record_every, window, gamma2, gamma3):
-    """Plain-float loop for small all-droop systems on the linear plant.
+    """Plain-float loop for small systems of one-segment-per-side curves on
+    the linear plant; ``slopes`` are the (left, right) slope magnitudes.
 
     Mirrors ``_loop_array`` step for step; numpy's per-call overhead
     dominates on five-dimensional arrays, and million-step subgradient runs
@@ -280,7 +290,8 @@ def _loop_scalar(kind, x_aa, base_err, bundle, qa0, lo_box, hi_box, tol,
     m = qa0.size
     rows = [tuple(float(v) for v in x_aa[i]) for i in range(m)]
     base = [float(v) for v in base_err]
-    alpha = [float(v) for v in bundle.alpha_bar]
+    a_lo = [float(v) for v in slopes[0]]
+    a_hi = [float(v) for v in slopes[1]]
     lo = [float(v) for v in bundle.lo]
     hi = [float(v) for v in bundle.hi]
     lob = [float(v) for v in lo_box]
@@ -339,17 +350,18 @@ def _loop_scalar(kind, x_aa, base_err, bundle, qa0, lo_box, hi_box, tol,
             verr = base[i]
             for j in rng:
                 verr += row[j] * q[j]
-            a, qi = alpha[i], q[i]
+            qi = q[i]
             d_hi = verr - hi[i]
             d_lo = lo[i] - verr
-            u = (-a * d_hi if d_hi > 0.0 else 0.0) + (a * d_lo if d_lo > 0.0 else 0.0)
+            u = ((-a_hi[i] * d_hi if d_hi > 0.0 else 0.0)
+                 + (a_lo[i] * d_lo if d_lo > 0.0 else 0.0))
             if kind == "d1":
                 val = u
             elif kind == "d3":
                 val = (1.0 - gamma3) * qi + gamma3 * u
             else:
                 if qi != 0.0:
-                    finv = -qi / a + (hi[i] if qi < 0.0 else lo[i])
+                    finv = -qi / a_hi[i] + hi[i] if qi < 0.0 else -qi / a_lo[i] + lo[i]
                     grad = -finv + verr
                 elif d_hi > 0.0:
                     grad = d_hi
@@ -391,8 +403,9 @@ def simulate(
     ``oscillation_window=None`` disables the detector.
 
     Linear-plant runs iterate on the controllable coordinates only, and
-    small all-droop systems drop to a plain-float inner loop, so long runs
-    on feeders with few inverters stay cheap.
+    small systems whose curves have one segment per side of the plateau
+    (droops) drop to a plain-float inner loop, so long runs on feeders with
+    few inverters stay cheap.
     """
     if record_every < 1 or max_iter < 1:
         raise InvalidRecord("record_every and max_iter must be at least 1")
@@ -410,38 +423,41 @@ def simulate(
     q = np.zeros(n) if q0 is None else np.asarray(q0, dtype=float).copy()
     if q.shape != (n,):
         raise DimensionMismatch(f"expected q0 of shape ({n},), got {q.shape}")
+    if not np.isfinite(q).all():
+        raise InvalidRecord("q0 must be finite")
     q = project_box(q, config.q_min, config.q_max)
     qa = q[act].copy()
     lo_box, hi_box = config.q_min[act], config.q_max[act]
 
     linear = plant.kind == "linear"
     if linear:
-        X = plant.mats.X
+        mats = plant.mats
+    elif track_objective and mats is None:
+        mats = sensitivity_matrices(feeder)
+    if linear or track_objective:
+        # the linear model restricted to the active coordinates:
+        # v_err = x_aa @ qa + base_err
+        X = mats.X
         others = np.setdiff1d(np.arange(n), act)
         x_aa = X[np.ix_(act, act)]
-        base_full = X[:, others] @ q[others] + plant.mats.vtilde
+        base_full = X[:, others] @ q[others] + mats.vtilde
         base_err = base_full[act] - v_nom[act]
-        x_full = X[:, act]
 
     f_active = None
     if track_objective:
-        if mats is None:
-            mats = plant.mats if linear else sensitivity_matrices(feeder)
-        others_all = np.setdiff1d(np.arange(n), act)
-        dv_a = (mats.vtilde - v_nom)[act] + mats.X[np.ix_(act, others_all)] @ q[others_all]
-        x_aa_obj = mats.X[np.ix_(act, act)]
-        q_o = q[others_all]
-        const_obj = 0.5 * q_o @ (mats.X[np.ix_(others_all, others_all)] @ q_o) + q_o @ (
+        q_o = q[others]
+        const_obj = 0.5 * q_o @ (X[np.ix_(others, others)] @ q_o) + q_o @ (
             mats.vtilde - v_nom
-        )[others_all]
+        )[others]
 
         def f_active(qa):
             return float(
-                bundle.cost(qa).sum() + 0.5 * qa @ (x_aa_obj @ qa) + qa @ dv_a + const_obj
+                bundle.cost(qa).sum() + 0.5 * qa @ (x_aa @ qa) + qa @ base_err + const_obj
             )
 
-    if linear and f_active is None and bundle.all_droop and act.size <= _SCALAR_PATH_LIMIT:
-        rec = _loop_scalar(config.kind, x_aa, base_err, bundle, qa, lo_box, hi_box,
+    slopes = bundle.end_slopes()
+    if linear and f_active is None and slopes is not None and act.size <= _SCALAR_PATH_LIMIT:
+        rec = _loop_scalar(config.kind, x_aa, base_err, bundle, slopes, qa, lo_box, hi_box,
                            tol, max_iter, record_every, oscillation_window,
                            config.gamma2, config.gamma3)
     else:
@@ -461,7 +477,7 @@ def simulate(
     q_full = np.tile(q, (len(rec.times), 1))
     q_full[:, act] = qa_stack
     if linear:
-        v_full = qa_stack @ x_full.T + base_full
+        v_full = qa_stack @ X[:, act].T + base_full
     else:
         v_full = np.array(rec.v)
     q_avg = q.copy()
@@ -505,7 +521,7 @@ def check_d1_condition(curves, X):
     is the row-sum sufficient test, which upper-bounds sigma by the norm
     interpolation inequality and is therefore more conservative.
     """
-    bundle = curves if isinstance(curves, CurveBundle) else CurveBundle(curves)
+    bundle = CurveBundle.of(curves)
     X = np.asarray(X)
     sub = X[np.ix_(bundle.positions, bundle.positions)]
     sigma = float(np.linalg.svd(bundle.alpha_bar[:, None] * sub, compute_uv=False).max())
@@ -527,7 +543,7 @@ def d3_stepsize_bound(curves, X):
     ``X^{1/2} diag(alpha_bar) X^{1/2}`` whose eigenvalues are real and
     positive.
     """
-    bundle = curves if isinstance(curves, CurveBundle) else CurveBundle(curves)
+    bundle = CurveBundle.of(curves)
     if len(bundle) == 0:
         return 2.0
     sub = np.asarray(X)[np.ix_(bundle.positions, bundle.positions)]
@@ -539,7 +555,7 @@ def d3_stepsize_bound(curves, X):
 
 def objective_terms(mats, curves, q):
     """The three terms of the equilibrium objective at q."""
-    bundle = curves if isinstance(curves, CurveBundle) else CurveBundle(curves)
+    bundle = CurveBundle.of(curves)
     q = np.asarray(q, dtype=float)
     cost = float(bundle.cost(q[bundle.positions]).sum()) if len(bundle) else 0.0
     quad = float(0.5 * q @ (mats.X @ q))
@@ -564,7 +580,7 @@ def objective_tradeoff(mats, curves, q, x_inverse=None):
         from .network import explicit_inverse_x
 
         x_inverse = explicit_inverse_x(mats.feeder)
-    bundle = curves if isinstance(curves, CurveBundle) else CurveBundle(curves)
+    bundle = CurveBundle.of(curves)
     q = np.asarray(q, dtype=float)
     cost = float(bundle.cost(q[bundle.positions]).sum()) if len(bundle) else 0.0
     dev = mats.X @ q + mats.vtilde - mats.feeder.v_nom
@@ -576,7 +592,7 @@ def objective_tradeoff(mats, curves, q, x_inverse=None):
 
 def objective_subgradient(mats, curves, q, v=None):
     """A subgradient of the objective at q (selection used by the d2 law)."""
-    bundle = curves if isinstance(curves, CurveBundle) else CurveBundle(curves)
+    bundle = CurveBundle.of(curves)
     q = np.asarray(q, dtype=float)
     if v is None:
         v = mats.X @ q + mats.vtilde
@@ -584,14 +600,7 @@ def objective_subgradient(mats, curves, q, v=None):
     g = verr.copy()
     act = bundle.positions
     if act.size:
-        qa = q[act]
-        va = verr[act]
-        g[act] = np.where(
-            qa != 0.0,
-            -bundle.inverse(qa) + va,
-            np.where(va > bundle.hi, va - bundle.hi,
-                     np.where(va < bundle.lo, va - bundle.lo, va)),
-        )
+        g[act] = _d2_subgradient(q[act], verr[act], bundle)
     return g
 
 
@@ -648,7 +657,7 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
         curves = ControllerConfig.from_feeder(feeder, "d1").curves
     if q_min is None or q_max is None:
         q_min, q_max = limits_arrays(feeder)
-    bundle = curves if isinstance(curves, CurveBundle) else CurveBundle(curves)
+    bundle = CurveBundle.of(curves)
     act = bundle.positions
     if gamma3 is None:
         gamma3 = 0.9 * d3_stepsize_bound(bundle, mats.X)
@@ -679,7 +688,7 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
                 fixed_point_residual=residual,
                 iterations=it - 1,
             )
-        qa = np.clip((1.0 - gamma3) * qa + gamma3 * u, lo_box, hi_box)
+        qa = _active_update("d3", qa, u, None, bundle, lo_box, hi_box, gamma3=gamma3)
     raise MaxIterations(
         f"equilibrium solver still at residual {residual:.3e} after {max_iter} iterations"
     )

@@ -56,8 +56,8 @@ def load_feeder(
     source : str | pathlib.Path | dict
         File path, ``"builtin:<name>"``, or an already-parsed document.
     power_factor : float
-        Lagging power factor used to split ``load_mva`` entries into real
-        and reactive consumption.
+        Lagging power factor in (0, 1] used to split ``load_mva`` entries
+        into real and reactive consumption.
     load_scale : float
         Multiplier on all loads.
     pv_operating_fraction : float
@@ -106,6 +106,9 @@ def load_feeder(
     s_base_mva = bases.s_kva / 1e3 if bases else 1.0
     z_base = bases.z_ohm if bases else 1.0
 
+    if not 0 < power_factor <= 1:
+        raise ParseError(f"power factor must lie in (0, 1], got {power_factor}",
+                         field="power_factor")
     tan_phi = math.tan(math.acos(power_factor))
     buses = []
     for rec in _require(doc, "buses", "document"):

@@ -256,10 +256,10 @@ def build_feeder(
             raise Disconnected(
                 f"line ({ln.from_bus}, {ln.to_bus}) references an unknown bus"
             )
-        if ln.r <= 0 or ln.x <= 0:
+        if not (0 < ln.r < np.inf and 0 < ln.x < np.inf):
             raise NonPositiveImpedance(
                 f"line ({ln.from_bus}, {ln.to_bus}) has r={ln.r}, x={ln.x}; "
-                "both must be positive"
+                "both must be positive and finite"
             )
         pair = frozenset((ln.from_bus, ln.to_bus))
         if len(pair) == 1 or pair in seen_pairs:

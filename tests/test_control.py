@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voltvar as vv
 from voltvar.control import CurveBundle
@@ -194,14 +196,27 @@ class TestTableCurve:
         with pytest.raises(vv.InvalidRecord):
             vv.TableCurve([[-0.1, 0.0], [0.1, 0.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_points(self, bad):
+        for v, u in ((bad, 1.0), (-0.5, bad)):
+            with pytest.raises(vv.InvalidRecord):
+                vv.TableCurve([[v, u], [0.0, 0.0], [0.5, -1.0]])
 
-class TestFunctionCurve:
-    def test_bisection_inverse_and_quadrature_cost(self):
-        droop = vv.DroopCurve(alpha=10.0, deadband=0.04)
-        curve = vv.FunctionCurve(droop, alpha_bar=10.0, deadband=0.04)
-        for q in (-2.0, -0.4, 0.3, 1.7):
-            assert curve.inverse(q) == pytest.approx(droop.inverse(q), abs=1e-10)
-            assert curve.cost(q) == pytest.approx(droop.cost(q), abs=1e-9)
+    def test_rejects_malformed_points(self):
+        with pytest.raises(vv.InvalidRecord):
+            vv.TableCurve([[-0.5, 1.0], [0.0], [0.5, -1.0]])
+        with pytest.raises(vv.InvalidRecord):
+            vv.TableCurve([[-0.5, "one"], [0.5, -1.0]])
+
+
+@pytest.mark.parametrize(
+    "alpha, deadband",
+    [(0.0, 0.04), (-1.0, 0.04), (math.nan, 0.04), (math.inf, 0.04),
+     (10.0, -0.01), (10.0, math.nan), (10.0, math.inf)],
+)
+def test_droop_rejects_bad_parameters(alpha, deadband):
+    with pytest.raises(vv.InvalidRecord):
+        vv.DroopCurve(alpha=alpha, deadband=deadband)
 
 
 def test_curve_from_spec_roundtrip():
@@ -215,3 +230,191 @@ def test_curve_from_spec_roundtrip():
     assert isinstance(table, vv.TableCurve)
     with pytest.raises(vv.InvalidRecord):
         vv.curve_from_spec({"type": "spline"})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "droop", "alpha": "nan"},
+        {"type": "droop", "alpha": "inf", "deadband": 0.04},
+        {"type": "droop", "alpha": 10.0, "deadband": "nan"},
+        {"type": "droop", "alpha": "ten"},
+        {"type": "droop", "deadband": 0.04},
+        {"type": "table"},
+        {"type": "table", "points": [[-0.1, "nan"], [0.0, 0.0], [0.1, -1.0]]},
+    ],
+)
+def test_curve_from_spec_rejects_bad_input(spec):
+    with pytest.raises(vv.InvalidRecord):
+        vv.curve_from_spec(spec)
+
+
+def test_feeder_curve_without_alpha_is_invalid_record(sce42):
+    doc = vv.feeder_to_dict(sce42)
+    doc["inverters"][0]["curve"] = {"type": "droop", "deadband": 0.04}
+    feeder = vv.load_feeder(doc)
+    with pytest.raises(vv.InvalidRecord):
+        vv.ControllerConfig.from_feeder(feeder, "d1")
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the hinge kernel against oracles that do not use it:
+# np.interp with end-slope extrapolation for the curve, bisection on that
+# interpolant for the inverse, and trapezoid quadrature of the bisection
+# inverse over its breakpoints for the cost.
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+_side = st.lists(
+    st.tuples(st.floats(1e-3, 0.2), st.floats(0.1, 50.0)), min_size=1, max_size=4
+)
+
+
+@st.composite
+def tables(draw):
+    """A valid monotone table: plateau [lo, hi] and (width, slope) segments
+    stepping outward on each side.  Returns (points, lo, hi)."""
+    lo = draw(st.floats(-0.1, 0.0, allow_subnormal=False))
+    hi = draw(st.floats(0.0, 0.1, allow_subnormal=False))
+    pts = [(lo, 0.0)] if lo == hi else [(lo, 0.0), (hi, 0.0)]
+    v, u = lo, 0.0
+    for dv, a in draw(_side):
+        v, u = v - dv, u + a * dv
+        pts.insert(0, (v, u))
+    v, u = hi, 0.0
+    for dv, a in draw(_side):
+        v, u = v + dv, u - a * dv
+        pts.append((v, u))
+    return pts, lo, hi
+
+
+@st.composite
+def droops_as_tables(draw):
+    """A droop curve with the equivalent table.  Returns (curve, points, lo, hi)."""
+    alpha = draw(st.floats(0.1, 50.0))
+    deadband = draw(st.sampled_from([0.0, 0.04])) if draw(st.booleans()) else draw(
+        st.floats(0.0, 0.2)
+    )
+    h = deadband / 2.0
+    pts = [(-h - 1.0, alpha), (-h, 0.0), (h, 0.0), (h + 1.0, -alpha)]
+    if h == 0.0:
+        del pts[1]
+    return vv.DroopCurve(alpha=alpha, deadband=deadband), pts, -h, h
+
+
+@st.composite
+def curves(draw):
+    """(curve, points, lo, hi) for a random table or droop curve."""
+    if draw(st.booleans()):
+        return draw(droops_as_tables())
+    pts, lo, hi = draw(tables())
+    return vv.TableCurve(pts), pts, lo, hi
+
+
+def _interp_oracle(pts, v):
+    xs, us = np.array(pts).T
+    out = np.interp(v, xs, us)
+    s0 = (us[1] - us[0]) / (xs[1] - xs[0])
+    s1 = (us[-1] - us[-2]) / (xs[-1] - xs[-2])
+    out = np.where(v < xs[0], us[0] + s0 * (v - xs[0]), out)
+    return np.where(v > xs[-1], us[-1] + s1 * (v - xs[-1]), out)
+
+
+def _bisect_inverse(pts, lo, hi, q):
+    if q == 0.0:
+        return 0.0
+    a, b = (lo, lo) if q > 0 else (hi, hi)
+    step = 1.0
+    while _interp_oracle(pts, a) < q:
+        a -= step
+        step *= 2
+    step = 1.0
+    while _interp_oracle(pts, b) > q:
+        b += step
+        step *= 2
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if _interp_oracle(pts, mid) > q:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def _quadrature_cost(pts, lo, hi, q):
+    """Trapezoid rule for -int_0^q inverse, exact on a grid holding every
+    breakpoint of the piecewise-linear inverse."""
+    us = np.array(pts)[:, 1]
+    grid = np.unique(np.concatenate([[0.0, q], us[(us > min(q, 0)) & (us < max(q, 0))]]))
+    vals = np.array([_bisect_inverse(pts, lo, hi, x) for x in grid])
+    vals[grid == 0.0] = lo if q > 0 else hi  # the one-sided limit at q = 0
+    return -np.trapezoid(vals, grid) if q > 0 else np.trapezoid(vals, grid)
+
+
+_q = st.floats(-5.0, 5.0, allow_subnormal=False)
+
+
+class TestCurveProperties:
+    @PROPERTY
+    @given(curves(), st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=20))
+    def test_evaluate_matches_interpolation(self, drawn, vs):
+        curve, pts, lo, hi = drawn
+        v = np.array(vs)
+        np.testing.assert_allclose(curve(v), _interp_oracle(pts, v), rtol=1e-12, atol=1e-12)
+        assert curve.deadband_edges == pytest.approx((lo, hi), abs=1e-12)
+
+    @PROPERTY
+    @given(curves(), _q)
+    def test_inverse_matches_bisection(self, drawn, q):
+        curve, pts, lo, hi = drawn
+        assert curve.inverse(q) == pytest.approx(_bisect_inverse(pts, lo, hi, q), abs=1e-9)
+
+    @PROPERTY
+    @given(curves(), _q)
+    def test_cost_matches_quadrature(self, drawn, q):
+        curve, pts, lo, hi = drawn
+        expect = _quadrature_cost(pts, lo, hi, q)
+        assert curve.cost(q) == pytest.approx(expect, rel=1e-9, abs=1e-9)
+
+    @PROPERTY
+    @given(curves(), _q.filter(lambda q: abs(q) > 1e-3))
+    def test_cost_derivative_is_minus_inverse(self, drawn, q):
+        curve = drawn[0]
+        h = 1e-6
+        num = (curve.cost(q + h) - curve.cost(q - h)) / (2 * h)
+        assert num == pytest.approx(-curve.inverse(q), abs=1e-4)
+
+    @PROPERTY
+    @given(curves(), _q, _q)
+    def test_cost_is_convex(self, drawn, a, b):
+        curve = drawn[0]
+        mid = curve.cost(0.5 * (a + b))
+        assert mid <= 0.5 * (curve.cost(a) + curve.cost(b)) + 1e-12 * (1 + abs(mid))
+
+    @PROPERTY
+    @given(st.lists(curves(), min_size=1, max_size=6), st.data())
+    def test_bundle_rows_equal_single_curves(self, drawn, data):
+        bundle = CurveBundle({k: c[0] for k, c in enumerate(drawn)})
+        m = len(drawn)
+        v = np.array(data.draw(st.lists(st.floats(-1.5, 1.5), min_size=m, max_size=m)))
+        q = np.array(data.draw(st.lists(_q, min_size=m, max_size=m)))
+        q[::3] = 0.0
+        for method, x in (("evaluate", v), ("inverse", q), ("cost", q)):
+            single = np.array([
+                (c[0] if method == "evaluate" else getattr(c[0], method))(x[k])
+                for k, c in enumerate(drawn)
+            ])
+            np.testing.assert_array_equal(getattr(bundle, method)(x), single)
+
+    @PROPERTY
+    @given(st.floats(0.1, 50.0), st.floats(0.0, 0.2), st.lists(_q, min_size=1, max_size=20))
+    def test_droop_matches_closed_form_bitwise(self, alpha, deadband, xs):
+        curve = vv.DroopCurve(alpha=alpha, deadband=deadband)
+        x = np.array(xs + [deadband / 2, -deadband / 2, 0.0])
+        h = deadband / 2.0
+        u = -alpha * np.maximum(x - h, 0.0) + alpha * np.maximum(-x - h, 0.0)
+        inv = np.where(x < 0, -x / alpha + h, np.where(x > 0, -x / alpha - h, 0.0))
+        np.testing.assert_array_equal(curve(x), u)
+        np.testing.assert_array_equal(curve.inverse(x), inv)
+        np.testing.assert_allclose(
+            curve.cost(x), x * x / (2.0 * alpha) + h * np.abs(x), rtol=1e-14, atol=0
+        )

@@ -145,6 +145,16 @@ class TestSimulate:
             np.testing.assert_allclose(fast.q, slow.q, rtol=0, atol=5e-13)
             np.testing.assert_allclose(fast.q_average, slow.q_average, rtol=0, atol=5e-13)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_q0_rejected(self, sce42, sce42_mats, bad):
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=10.0)
+        q0 = np.zeros(sce42.n)
+        q0[0] = bad
+        with pytest.raises(vv.InvalidRecord):
+            vv.simulate(sce42, cfg, mats=sce42_mats, q0=q0)
+        with pytest.raises(vv.InvalidRecord):
+            vv.simulate(sce42, cfg, mats=sce42_mats, q0=np.full(sce42.n, bad))
+
     def test_invalid_config_rejected(self):
         with pytest.raises(vv.InvalidRecord):
             vv.ControllerConfig(kind="d2", curves={}, q_min=np.zeros(1), q_max=np.zeros(1))

@@ -77,6 +77,11 @@ class TestKnobs:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("pf", [1.2, 0.0, -0.5, float("nan")])
+    def test_power_factor_out_of_range(self, pf):
+        with pytest.raises(vv.ParseError):
+            vv.load_feeder("builtin:sce42", power_factor=pf)
+
     def test_unknown_builtin(self):
         with pytest.raises(vv.ParseError):
             vv.load_feeder("builtin:nope")

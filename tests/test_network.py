@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,13 @@ def test_nonpositive_impedance_rejected():
         vv.build_feeder([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.0)])
     with pytest.raises(vv.NonPositiveImpedance):
         vv.build_feeder([Bus(0), Bus(1)], [Line(0, 1, -0.1, 0.5)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_impedance_rejected(bad):
+    for r, x in ((bad, 0.5), (0.1, bad)):
+        with pytest.raises(vv.NonPositiveImpedance):
+            vv.build_feeder([Bus(0), Bus(1)], [Line(0, 1, r, x)])
 
 
 def test_slack_must_be_passive():
