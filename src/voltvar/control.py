@@ -43,8 +43,10 @@ class Inverter:
     rho: float | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= self.s:
-            raise InvalidRecord(f"inverter requires 0 <= p <= s, got p={self.p}, s={self.s}")
+        if not 0.0 <= self.p <= self.s < math.inf:
+            raise InvalidRecord(
+                f"inverter requires 0 <= p <= s < inf, got p={self.p}, s={self.s}"
+            )
         if self.rho is not None and not 0.0 <= self.rho <= math.pi / 2:
             raise InvalidRecord(f"rho must lie in [0, pi/2], got {self.rho}")
 

@@ -48,10 +48,10 @@ class ControllerConfig:
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
             raise InvalidRecord(f"controller kind must be one of {CONTROLLER_KINDS}")
-        if self.kind == "d2" and not (self.gamma2 and self.gamma2 > 0):
-            raise InvalidRecord("d2 requires a positive gamma2")
-        if self.kind == "d3" and not (self.gamma3 and self.gamma3 > 0):
-            raise InvalidRecord("d3 requires a positive gamma3")
+        if self.kind == "d2" and not (self.gamma2 and 0 < self.gamma2 < np.inf):
+            raise InvalidRecord(f"d2 requires a positive finite gamma2, got {self.gamma2}")
+        if self.kind == "d3" and not (self.gamma3 and 0 < self.gamma3 < np.inf):
+            raise InvalidRecord(f"d3 requires a positive finite gamma3, got {self.gamma3}")
 
     @cached_property
     def bundle(self):

@@ -20,10 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Mapping
 from importlib import resources
 
 from .control import Inverter
-from .exceptions import ParseError
+from .exceptions import InvalidRecord, ParseError
 from .network import Bases, Bus, Line, build_feeder
 
 BUILTIN_PREFIX = "builtin:"
@@ -106,6 +107,11 @@ def load_feeder(
     s_base_mva = bases.s_kva / 1e3 if bases else 1.0
     z_base = bases.z_ohm if bases else 1.0
 
+    for knob, value in (("load_scale", load_scale),
+                        ("pv_operating_fraction", pv_operating_fraction),
+                        ("inverter_oversize", inverter_oversize)):
+        if not math.isfinite(value):
+            raise InvalidRecord(f"{knob} must be finite, got {value}")
     if not 0 < power_factor <= 1:
         raise ParseError(f"power factor must lie in (0, 1], got {power_factor}",
                          field="power_factor")
@@ -162,6 +168,9 @@ def load_feeder(
             rho = float(rho) if rho is not None else None
         inverters[bus] = Inverter(s=s, p=p, rho=rho)
         if "curve" in rec:
+            if not isinstance(rec["curve"], Mapping):
+                raise ParseError(f"inverter curve at bus {bus} must be an object",
+                                 field="curve")
             curve_specs[bus] = dict(rec["curve"])
 
     meta = {

@@ -70,10 +70,28 @@ class Bases:
             )
 
 
-def _readonly(a):
-    a = np.asarray(a, dtype=float)
+def _readonly(a, dtype=float):
+    a = np.asarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def _subtree_sum(y, end):
+    """Subtree sums in preorder coordinates: entry a sums ``y[..., a:end[a]]``."""
+    prefix = np.add.accumulate(y, axis=-1)
+    return prefix.take(end - 1, axis=-1) - (prefix - y)
+
+
+def _path_sum(y, end):
+    """Root-path sums in preorder coordinates: entry b sums ``y[..., a]`` over
+    every a whose subtree ``[a, end[a])`` contains b.
+
+    Entry a joins the running sum at a and leaves it at ``end[a]``.
+    """
+    if y.ndim > 1:
+        rows = y.reshape(-1, y.shape[-1])
+        return np.array([_path_sum(row, end) for row in rows]).reshape(y.shape)
+    return np.add.accumulate(y - np.bincount(end, y, y.size + 1)[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,43 +141,47 @@ class Feeder:
 
     @cached_property
     def order(self):
-        """Topological order (parents before children)."""
+        """Depth-first preorder (parents before children), read-only."""
         out = []
         stack = list(reversed(self.roots))
         while stack:
             k = stack.pop()
             out.append(k)
             stack.extend(reversed(self.children[k]))
-        return tuple(out)
+        return _readonly(out, int)
 
     @cached_property
-    def depth(self):
-        d = np.zeros(self.n, dtype=int)
-        for k in self.order:
-            p = self.parent[k]
-            d[k] = 1 if p < 0 else d[p] + 1
-        d.setflags(write=False)
-        return d
+    def intervals(self):
+        """Preorder intervals ``(pos, end)`` of the subtrees.
 
-    @cached_property
-    def descendants(self):
-        """descendants[j]: sorted positions of beta(j), bus j included."""
-        sets = [None] * self.n
-        for k in reversed(self.order):
-            acc = [k]
-            for c in self.children[k]:
-                acc.extend(sets[c])
-            sets[k] = acc
-        return tuple(np.array(sorted(s), dtype=int) for s in sets)
+        Bus k sits at ``order[pos[k]]`` and its subtree, beta(k), fills the
+        preorder positions ``[pos[k], end[k])``.
+        """
+        pos = np.empty(self.n, dtype=int)
+        pos[self.order] = np.arange(self.n)
+        parent = self.parent.tolist()
+        end = (pos + 1).tolist()
+        for k in reversed(self.order.tolist()):  # children before parents
+            p = parent[k]
+            if p >= 0 and end[k] > end[p]:
+                end[p] = end[k]
+        return _readonly(pos, int), _readonly(end, int)
+
+    def subtree_sum(self, y):
+        """``D @ y`` along the last axis of ``y``: each bus's subtree sum, O(n)."""
+        pos, end = self.intervals
+        return _subtree_sum(np.asarray(y, dtype=float)[..., self.order], end[self.order])[..., pos]
+
+    def path_sum(self, y):
+        """``D.T @ y`` along the last axis of ``y``: each bus's root-path sum, O(n)."""
+        pos, end = self.intervals
+        return _path_sum(np.asarray(y, dtype=float)[..., self.order], end[self.order])[..., pos]
 
     @cached_property
     def descendant_matrix(self):
         """D[j, k] = 1 when bus k lies in the subtree of line j (beta(j))."""
-        d = np.zeros((self.n, self.n))
-        for j, desc in enumerate(self.descendants):
-            d[j, desc] = 1.0
-        d.setflags(write=False)
-        return d
+        pos, end = self.intervals
+        return _readonly((pos[None, :] >= pos[:, None]) & (pos[None, :] < end[:, None]))
 
     def injected_real_power(self):
         """Total fixed real generation: bus p_g plus inverter operating power."""
@@ -167,14 +189,6 @@ class Feeder:
         for k, inv in self.inverters.items():
             p[k] += inv.p
         return p
-
-    def path_positions(self, k):
-        """Model-space positions of the lines from the slack down to bus k."""
-        path = []
-        while k >= 0:
-            path.append(k)
-            k = self.parent[k]
-        return path[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,30 +361,25 @@ def sensitivity_matrices(feeder):
     ``X[i, j]`` sums line reactances over the common root path of buses i
     and j (likewise R with resistances); ``vtilde`` collects the effect of
     the fixed injections: ``v0 + R (p_g - p_c) - X q_c``.
+
+    In preorder coordinates, row k copies its parent's row (the common
+    path with any bus outside beta(k)) and sets beta(k) to k's depth sum.
     """
     n = feeder.n
-    parent, order = feeder.parent, feeder.order
-    xdep = np.zeros(n)
-    rdep = np.zeros(n)
-    depth = feeder.depth
-    for k in order:
+    pos, end = feeder.intervals
+    parent = feeder.parent.tolist()
+    z = np.column_stack((feeder.x, feeder.r))
+    dep = np.zeros((n, 2))  # (x, r) summed over the root path of each bus
+    XR = np.zeros((2, n, n))  # X and R in preorder coordinates
+    for a, k in enumerate(feeder.order.tolist()):
         p = parent[k]
-        xdep[k] = feeder.x[k] + (xdep[p] if p >= 0 else 0.0)
-        rdep[k] = feeder.r[k] + (rdep[p] if p >= 0 else 0.0)
-
-    X = np.zeros((n, n))
-    R = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            a, b = i, j
-            while a != b and a >= 0 and b >= 0:
-                if depth[a] >= depth[b]:
-                    a = parent[a]
-                else:
-                    b = parent[b]
-            if a == b and a >= 0:  # else: different subtrees, empty common path
-                X[i, j] = X[j, i] = xdep[a]
-                R[i, j] = R[j, i] = rdep[a]
+        if p >= 0:
+            dep[k] = z[k] + dep[p]
+            XR[:, a] = XR[:, pos[p]]
+        else:
+            dep[k] = z[k]
+        XR[:, a, a:end[k]] = dep[k, :, None]
+    X, R = (m[np.ix_(pos, pos)] for m in XR)
 
     vtilde = feeder.v0 + R @ (feeder.injected_real_power() - feeder.p_c) - X @ feeder.q_c
     return SensitivityMatrices(
@@ -387,16 +396,12 @@ def explicit_inverse_x(feeder):
     degree greater than one simply yields a block-diagonal result in the
     same index space.
     """
-    n = feeder.n
-    out = np.zeros((n, n))
-    for k in range(n):
-        w = 1.0 / feeder.x[k]
-        p = feeder.parent[k]
-        out[k, k] += w
-        if p >= 0:
-            out[p, p] += w
-            out[k, p] -= w
-            out[p, k] -= w
+    w = 1.0 / feeder.x
+    k = np.flatnonzero(feeder.parent >= 0)
+    p = feeder.parent[k]
+    out = np.diag(w)
+    np.add.at(out, (p, p), w[k])
+    out[k, p] = out[p, k] = -w[k]
     return out
 
 
@@ -423,9 +428,6 @@ def voltage_deviation_form(feeder, q, mats=None):
     dev = mats.X @ q + mats.vtilde - feeder.v_nom
     first = feeder.roots[0]
     root_term = dev[first] ** 2 / feeder.x[first]
-    neighbor_term = 0.0
-    for k in range(feeder.n):
-        p = feeder.parent[k]
-        if p >= 0:
-            neighbor_term += (dev[k] - dev[p]) ** 2 / feeder.x[k]
+    k = np.flatnonzero(feeder.parent >= 0)
+    neighbor_term = np.sum((dev[k] - dev[feeder.parent[k]]) ** 2 / feeder.x[k])
     return float(root_term), float(neighbor_term)

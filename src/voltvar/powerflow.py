@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NegativeSquaredVoltage, NoConvergence
-from .network import sensitivity_matrices
+from .exceptions import DimensionMismatch, InvalidRecord, NegativeSquaredVoltage, NoConvergence
+from .network import _path_sum, _subtree_sum, sensitivity_matrices
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -38,16 +38,22 @@ def branch_flows(feeder, net_p, net_q, ell=None):
     carries the net consumption of its subtree.  Otherwise every line adds
     its own loss ``r ell`` (resp. ``x ell``) and those of its subtree.
     """
-    d = feeder.descendant_matrix
-    if ell is None:
-        return d @ net_p, d @ net_q
-    return d @ (net_p + feeder.r * ell), d @ (net_q + feeder.x * ell)
+    load = np.stack((net_p, net_q))
+    if ell is not None:
+        load = load + np.stack((feeder.r, feeder.x)) * ell
+    P, Q = feeder.subtree_sum(load)
+    return P, Q
 
 
 def _net_consumption(feeder, q):
     q = np.asarray(q, dtype=float)
     if q.shape != (feeder.n,):
         raise DimensionMismatch(f"expected q of shape ({feeder.n},), got {q.shape}")
+    if not np.isfinite(q).all():
+        raise InvalidRecord(
+            f"reactive injections must be finite; non-finite at bus positions "
+            f"{np.flatnonzero(~np.isfinite(q)).tolist()}"
+        )
     net_p = feeder.p_c - feeder.injected_real_power()
     net_q = feeder.q_c - q
     return net_p, net_q
@@ -55,11 +61,9 @@ def _net_consumption(feeder, q):
 
 def linear_voltage(mats, q):
     """Open-loop voltages of the linearized model: ``v = X q + vtilde``."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (mats.n,):
-        raise DimensionMismatch(f"expected q of shape ({mats.n},), got {q.shape}")
     feeder = mats.feeder
     net_p, net_q = _net_consumption(feeder, q)
+    q = np.asarray(q, dtype=float)
     P, Q = branch_flows(feeder, net_p, net_q)
     return VoltageSolution(
         v=mats.X @ q + mats.vtilde,
@@ -86,31 +90,36 @@ def distflow_sweep(feeder, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         A squared voltage went non-positive: infeasible operating point.
     """
     net_p, net_q = _net_consumption(feeder, q)
-    n = feeder.n
-    parent = feeder.parent
-    path = feeder.descendant_matrix.T  # path[k, l]: line l lies on the root path of k
-    r, x = feeder.r, feeder.x
+    # the sweep runs in preorder coordinates, where subtrees are intervals
+    order = feeder.order
+    pos, end = feeder.intervals
+    end = end.take(order)
+    load_r_x = np.array((net_p, net_q, feeder.r, feeder.x)).take(order, axis=1)
+    load, rx = load_r_x[:2], load_r_x[2:]
+    r, x = rx
     z2 = r * r + x * x
     v0sq = feeder.v0**2
 
-    ell = np.zeros(n)
-    v = np.full(n, feeder.v0)
+    ell = np.zeros(feeder.n)
+    v = feeder.v0  # flat start
     change = np.inf
     for it in range(1, max_iter + 1):
-        P, Q = branch_flows(feeder, net_p, net_q, ell)
+        P, Q = flows = _subtree_sum(load + rx * ell, end)
         drop = 2.0 * (r * P + x * Q) - z2 * ell
-        v2 = v0sq - path @ drop
-        if np.any(v2 <= 0.0):
+        v2 = v0sq - _path_sum(drop, end)
+        if v2.min() <= 0.0:
             raise NegativeSquaredVoltage(
                 f"squared voltage non-positive at bus positions "
-                f"{np.flatnonzero(v2 <= 0.0).tolist()}"
+                f"{np.sort(order[v2 <= 0.0]).tolist()}"
             )
-        v2_send = np.where(parent >= 0, v2[parent], v0sq)
-        ell = (P * P + Q * Q) / v2_send
+        # the sending end of line k is its parent bus, whose squared
+        # voltage lacks only line k's own drop
+        ell = (P * P + Q * Q) / (v2 + drop)
         v_new = np.sqrt(v2)
         change = float(np.abs(v_new - v).max())
         v = v_new
         if change < tol:
+            v, P, Q, ell = np.array((v, P, Q, ell)).take(pos, axis=1)
             return VoltageSolution(v=v, P=P, Q=Q, ell=ell, model="distflow", iterations=it)
     raise NoConvergence(max_iter, change)
 

@@ -106,6 +106,8 @@ class TestReactiveLimits:
     def test_invalid_operating_point(self):
         with pytest.raises(vv.InvalidRecord):
             vv.Inverter(s=1.0, p=1.2)
+        with pytest.raises(vv.InvalidRecord):
+            vv.Inverter(s=math.inf, p=0.5)
 
 
 class TestProjection:

@@ -161,6 +161,12 @@ class TestSimulate:
         with pytest.raises(vv.InvalidRecord):
             vv.ControllerConfig(kind="d9", curves={}, q_min=np.zeros(1), q_max=np.zeros(1))
 
+    @pytest.mark.parametrize("kind", ["d2", "d3"])
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan])
+    def test_nonfinite_stepsize_rejected(self, sce42, kind, gamma):
+        with pytest.raises(vv.InvalidRecord):
+            vv.ControllerConfig.from_feeder(sce42, kind, alpha=10.0, gamma2=gamma, gamma3=gamma)
+
 
 class TestConditionChecks:
     def test_scalar_case(self):

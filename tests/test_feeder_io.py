@@ -82,6 +82,20 @@ class TestErrors:
         with pytest.raises(vv.ParseError):
             vv.load_feeder("builtin:sce42", power_factor=pf)
 
+    @pytest.mark.parametrize("knob", ["load_scale", "pv_operating_fraction",
+                                      "inverter_oversize"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_knob_is_named(self, knob, bad):
+        with pytest.raises(vv.InvalidRecord, match=knob):
+            vv.load_feeder("builtin:sce42", **{knob: bad})
+
+    def test_curve_not_an_object(self, sce42):
+        doc = vv.feeder_to_dict(sce42)
+        doc["inverters"][0]["curve"] = [1, 2]
+        with pytest.raises(vv.ParseError) as err:
+            vv.load_feeder(doc)
+        assert err.value.field == "curve"
+
     def test_unknown_builtin(self):
         with pytest.raises(vv.ParseError):
             vv.load_feeder("builtin:nope")

@@ -2,18 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import voltvar as vv
 from voltvar.network import Bus, Line
 
-from helpers import brute_force_sensitivities, random_feeder, two_bus_feeder
+from helpers import (
+    brute_force_sensitivities,
+    random_feeder,
+    random_tree_records,
+    two_bus_feeder,
+)
 
 
 def test_smallest_tree():
     f = two_bus_feeder()
     assert f.n == 1
     assert f.labels == (1,)
-    assert list(f.descendants[0]) == [0]
+    assert np.flatnonzero(f.descendant_matrix[0]).tolist() == [0]
     assert f.parent[0] == -1
 
 
@@ -212,3 +219,55 @@ def test_deviation_form_requires_single_root_child():
 def test_feeder_arrays_are_readonly(sce42):
     with pytest.raises(ValueError):
         sce42.x[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the preorder-interval tree layer against oracles that do
+# not use it: the dense descendant matrix and path enumeration.
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+FORKED_ROOT = vv.build_feeder(
+    [Bus(i) for i in range(6)],
+    [Line(0, 1, 0.1, 0.2), Line(0, 2, 0.3, 0.1), Line(2, 3, 0.2, 0.2),
+     Line(0, 4, 0.1, 0.4), Line(2, 5, 0.5, 0.3)],
+)
+
+
+@st.composite
+def trees(draw):
+    """A random recursive tree on up to 40 buses; the slack may fork."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    buses, lines = random_tree_records(rng, n, degree_one_root=draw(st.booleans()))
+    return vv.build_feeder(buses, lines)
+
+
+class TestTreePrimitives:
+    @PROPERTY
+    @given(f=trees(), lead=st.sampled_from([(), (2,), (3, 2)]), seed=st.integers(0, 2**32 - 1))
+    @example(f=FORKED_ROOT, lead=(2,), seed=0)
+    def test_sums_match_descendant_matrix(self, f, lead, seed):
+        y = np.random.default_rng(seed).uniform(-1.0, 1.0, lead + (f.n,))
+        D = f.descendant_matrix
+        # differences of prefix sums: error relative to the row's l1 norm
+        scale = 1e-15 * np.abs(y).sum(axis=-1, keepdims=True)
+        assert f.subtree_sum(y).shape == y.shape == f.path_sum(y).shape
+        assert np.all(np.abs(f.subtree_sum(y) - y @ D.T) <= scale)
+        assert np.all(np.abs(f.path_sum(y) - y @ D) <= scale)
+
+    @PROPERTY
+    @given(f=trees())
+    @example(f=FORKED_ROOT)
+    def test_sensitivities_match_path_enumeration(self, f):
+        mats = vv.sensitivity_matrices(f)
+        R, X = brute_force_sensitivities(f)
+        np.testing.assert_allclose(mats.X, X, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(mats.R, R, rtol=1e-14, atol=0)
+
+    @PROPERTY
+    @given(f=trees())
+    @example(f=FORKED_ROOT)
+    def test_explicit_inverse_inverts_x(self, f):
+        X = vv.sensitivity_matrices(f).X
+        resid = np.abs(vv.explicit_inverse_x(f) @ X - np.eye(f.n)).sum(axis=1).max()
+        assert resid < 1e-8

@@ -123,3 +123,13 @@ class TestLinearizationError:
             f = vv.load_feeder("builtin:sce42", load_scale=scale, pv_operating_fraction=0.0)
             errs.append(vv.linearization_error(f, np.zeros(f.n)).max_abs)
         assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_q_rejected(sce42, sce42_mats, bad):
+    q = np.zeros(sce42.n)
+    q[3] = bad
+    with pytest.raises(vv.InvalidRecord):
+        vv.linear_voltage(sce42_mats, q)
+    with pytest.raises(vv.InvalidRecord):
+        vv.distflow_sweep(sce42, q)
