@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -52,11 +51,11 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output file or prefix")
 
 
-def _load(args):
+def _load(args, load_scale=None):
     return load_feeder(
         args.feeder,
         power_factor=args.power_factor,
-        load_scale=args.load_scale,
+        load_scale=args.load_scale if load_scale is None else load_scale,
         pv_operating_fraction=args.pv_fraction,
         inverter_oversize=args.oversize,
         tan_rho=args.tan_rho,
@@ -217,30 +216,25 @@ def _parse_grid(text):
     return [float(v) for v in text.split(",")]
 
 
-def _sweep_point(payload):
-    (feeder_src, knobs, parameter, value, controller, plant, alpha, deadband,
-     gamma2, gamma3, tol, max_iter) = payload
-    if parameter == "load_scale":
-        knobs = dict(knobs, load_scale=value)
-    feeder = load_feeder(feeder_src, **knobs)
-    mats = sensitivity_matrices(feeder)
-    if parameter == "alpha":
+def _sweep_point(args, feeder, mats, value):
+    controller, alpha, gamma2, gamma3 = args.controller, args.alpha, args.gamma2, args.gamma3
+    if args.parameter == "alpha":
         alpha = value
-    elif parameter == "gamma2":
+    elif args.parameter == "gamma2":
         controller, gamma2 = "d2", value
-    elif parameter == "gamma3":
+    elif args.parameter == "gamma3":
         controller, gamma3 = "d3", value
     config = ControllerConfig.from_feeder(
-        feeder, controller, alpha=alpha, deadband=deadband, gamma2=gamma2, gamma3=gamma3
+        feeder, controller, alpha=alpha, deadband=args.deadband, gamma2=gamma2, gamma3=gamma3
     )
     report = check_d1_condition(config.bundle, mats.X)
     eq = solve_equilibrium(
         feeder, curves=config.curves, q_min=config.q_min, q_max=config.q_max, mats=mats
     )
-    traj = simulate(feeder, config, plant=plant, tol=tol, max_iter=max_iter, mats=mats,
-                    record_every=max_iter)
+    traj = simulate(feeder, config, plant=args.plant, tol=args.tol, max_iter=args.max_iter,
+                    mats=mats, record_every=args.max_iter)
     dev = float(np.abs(eq.v_star - feeder.v_nom).max())
-    return value, dev, traj.verdict, report.sigma
+    return f"{_fmt(value)},{_fmt(dev)},{traj.verdict},{_fmt(report.sigma)}"
 
 
 def cmd_sweep(args):
@@ -248,28 +242,17 @@ def cmd_sweep(args):
     if not grid:
         print("error: empty grid", file=sys.stderr)
         return 1
-    knobs = dict(
-        power_factor=args.power_factor,
-        load_scale=args.load_scale,
-        pv_operating_fraction=args.pv_fraction,
-        inverter_oversize=args.oversize,
-        tan_rho=args.tan_rho,
-    )
-    payloads = [
-        (args.feeder, knobs, args.parameter, v, args.controller, args.plant,
-         args.alpha, args.deadband, args.gamma2, args.gamma3, args.tol, args.max_iter)
-        for v in grid
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
-    else:
-        rows = [_sweep_point(p) for p in payloads]
-    header = f"{args.parameter},eq_max_deviation,verdict,sigma"
-    out_lines = [header] + [
-        f"{_fmt(v)},{_fmt(dev)},{verdict},{_fmt(sigma)}" for v, dev, verdict, sigma in rows
-    ]
-    text = "\n".join(out_lines) + "\n"
+    per_point = args.parameter == "load_scale"
+    if not per_point:
+        feeder = _load(args)
+        mats = sensitivity_matrices(feeder)
+    lines = [f"{args.parameter},eq_max_deviation,verdict,sigma"]
+    for value in grid:
+        if per_point:
+            feeder = _load(args, load_scale=value)
+            mats = sensitivity_matrices(feeder)
+        lines.append(_sweep_point(args, feeder, mats, value))
+    text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -319,7 +302,8 @@ def build_parser():
     p.add_argument("--plant", choices=("linear", "distflow"), default="linear")
     p.add_argument("--gamma2", type=float, default=None)
     p.add_argument("--gamma3", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="ignored: sweeps run in process; kept so existing scripts parse")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-feeder", help="write the canonical per-unit JSON")

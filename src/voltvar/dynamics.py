@@ -13,7 +13,7 @@ Buses whose feasible set is a singleton stay pinned throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -23,6 +23,7 @@ from .control import (
     CurveBundle,
     curve_from_spec,
     limits_arrays,
+    lipschitz_constant,
     project_box,
 )
 from .exceptions import DimensionMismatch, InvalidRecord, MaxIterations
@@ -207,85 +208,36 @@ def make_plant(feeder, kind="linear", mats=None):
     raise InvalidRecord(f"unknown plant kind {kind!r}")
 
 
-_SCALAR_PATH_LIMIT = 16
+_FLOAT_KERNEL_LIMIT = 16
 
 
-class _LoopRecord:
-    """Raw per-run bookkeeping shared by the two loop implementations."""
+def _array_kernel(kind, verr_of, qa, bundle, lo_box, hi_box, gamma2, gamma3, f_active,
+                  q_sum):
+    """Vectorized step: yields ``(qa, residual, v_full, objective)`` per state.
 
-    __slots__ = ("times", "qa", "v", "res", "obj", "cum", "verdict",
-                 "converged_at", "steps", "qa_sum")
-
-    def __init__(self):
-        self.times, self.qa, self.v, self.res = [], [], [], []
-        self.obj, self.cum = [], []
-        self.verdict, self.converged_at, self.steps = "max_iterations", None, 0
-        self.qa_sum = None
-
-
-def _loop_array(kind, verr_of, qa, bundle, lo_box, hi_box, tol, max_iter,
-                record_every, window, gamma2, gamma3, f_active=None):
-    """Generic vectorized loop; ``verr_of(qa)`` yields (verr_active, v_full)."""
-    rec = _LoopRecord()
-    qa_sum = np.zeros(qa.size)
-    cum_objective = 0.0
-    win_min, prev_win_min = np.inf, None
+    ``verr_of(qa)`` gives (active voltage error, full voltages or None);
+    each state the loop advances from is added into ``q_sum``.
+    """
     res = 0.0
-    qa_prev = qa
-
-    def push(t, verr_v, f_val):
-        rec.times.append(t)
-        rec.qa.append(qa.copy())
-        rec.v.append(verr_v)
-        rec.res.append(res)
-        if f_active is not None:
-            rec.obj.append(f_val)
-            rec.cum.append(cum_objective)
-
-    for t in range(max_iter + 1):
-        verr_a, v_full = verr_of(qa)
-        f_val = f_active(qa) if f_active is not None else None
-        res = float(np.abs(qa - qa_prev).max()) if t > 0 else 0.0
-        recorded = t % record_every == 0
-        if recorded:
-            push(t, v_full, f_val)
-        if t > 0 and res < tol:
-            rec.verdict, rec.converged_at = "converged", t
-            if not recorded:
-                push(t, v_full, f_val)
-            break
-        if t == max_iter:
-            if not recorded:
-                push(t, v_full, f_val)
-            break
-        if t > 0 and window:
-            win_min = min(win_min, res)
-            if t % window == 0:
-                if prev_win_min is not None and win_min >= prev_win_min and win_min >= tol:
-                    rec.verdict = "oscillating"
-                    if not recorded:
-                        push(t, v_full, f_val)
-                    break
-                prev_win_min, win_min = win_min, np.inf
-        if f_active is not None:
-            cum_objective += f_val
-        qa_sum += qa
-        qa_prev = qa
-        qa = _active_update(kind, qa, bundle.evaluate(verr_a), verr_a, bundle,
-                            lo_box, hi_box, gamma2, gamma3)
-        rec.steps = t + 1
-    rec.qa_sum = qa_sum
-    return rec
+    while True:
+        verr, v_full = verr_of(qa)
+        yield qa, res, v_full, f_active(qa) if f_active is not None else None
+        q_sum += qa
+        nxt = _active_update(kind, qa, bundle.evaluate(verr), verr, bundle, lo_box, hi_box,
+                             gamma2, gamma3)
+        res = float(np.abs(nxt - qa).max())
+        qa = nxt
 
 
-def _loop_scalar(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi_box, tol,
-                 max_iter, record_every, window, gamma2, gamma3):
-    """Plain-float loop for small systems of one-segment-per-side curves on
+def _float_kernel(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi_box, gamma2, gamma3,
+                  q_sum):
+    """Plain-float step for small systems of one-segment-per-side curves on
     the linear plant; ``slopes`` are the (left, right) slope magnitudes.
 
-    Mirrors ``_loop_array`` step for step; numpy's per-call overhead
-    dominates on five-dimensional arrays, and million-step subgradient runs
-    need the ~10x headroom.
+    Same yields and arithmetic as ``_array_kernel``; numpy's per-call
+    overhead dominates on five-dimensional arrays, and million-step
+    subgradient runs need the ~10x headroom.  ``q_sum`` is a list: indexing
+    an ndarray per element costs about a quarter of the step.
     """
     m = qa0.size
     rows = [tuple(float(v) for v in x_aa[i]) for i in range(m)]
@@ -297,55 +249,14 @@ def _loop_scalar(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi_box, tol,
     lob = [float(v) for v in lo_box]
     hib = [float(v) for v in hi_box]
     q = [float(v) for v in qa0]
-    qs = [0.0] * m
     rng = range(m)
-
-    rec = _LoopRecord()
-    win_min, prev_win_min = float("inf"), None
     res = 0.0
-    q_prev = q
-
-    def push(t):
-        rec.times.append(t)
-        rec.qa.append(np.array(q))
-        rec.v.append(None)
-        rec.res.append(res)
-
-    for t in range(max_iter + 1):
-        if t > 0:
-            res = 0.0
-            for i in rng:
-                d = q[i] - q_prev[i]
-                if d < 0.0:
-                    d = -d
-                if d > res:
-                    res = d
-        recorded = t % record_every == 0
-        if recorded:
-            push(t)
-        if t > 0 and res < tol:
-            rec.verdict, rec.converged_at = "converged", t
-            if not recorded:
-                push(t)
-            break
-        if t == max_iter:
-            if not recorded:
-                push(t)
-            break
-        if t > 0 and window:
-            if res < win_min:
-                win_min = res
-            if t % window == 0:
-                if prev_win_min is not None and win_min >= prev_win_min and win_min >= tol:
-                    rec.verdict = "oscillating"
-                    if not recorded:
-                        push(t)
-                    break
-                prev_win_min, win_min = win_min, float("inf")
-        q_prev = q
+    while True:
+        yield q, res, None, None
+        res = 0.0
         nxt = [0.0] * m
         for i in rng:
-            qs[i] += q[i]
+            q_sum[i] += q[i]
             row = rows[i]
             verr = base[i]
             for j in rng:
@@ -375,10 +286,59 @@ def _loop_scalar(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi_box, tol,
             elif val > hib[i]:
                 val = hib[i]
             nxt[i] = val
+            d = val - qi
+            if d < 0.0:
+                d = -d
+            if d > res:
+                res = d
         q = nxt
-        rec.steps = t + 1
-    rec.qa_sum = np.array(qs)
-    return rec
+
+
+def _iterate(states, tol, max_iter, record_every, window):
+    """The closed-loop time loop over a kernel's ``states``.
+
+    Owns the verdicts, the thinned records and the running objective sum;
+    returns a Trajectory on the active coordinates, with ``v`` None unless
+    the kernel yields full voltages and ``q_average`` left to the caller.
+    """
+    times, qs, vs, residuals, objective, cum_objective = [], [], [], [], [], []
+    verdict, converged_at = "max_iterations", None
+    cum = 0.0
+    win_min, prev_win_min = np.inf, None
+    for t, (q, res, v, obj) in enumerate(states):
+        stop = t == max_iter
+        if t > 0 and res < tol:
+            verdict, converged_at, stop = "converged", t, True
+        elif t > 0 and window and not stop:
+            if res < win_min:
+                win_min = res
+            if t % window == 0:
+                if prev_win_min is not None and win_min >= prev_win_min and win_min >= tol:
+                    verdict, stop = "oscillating", True
+                prev_win_min, win_min = win_min, np.inf
+        if stop or t % record_every == 0:
+            times.append(t)
+            qs.append(np.array(q))
+            vs.append(v)
+            residuals.append(res)
+            if obj is not None:
+                objective.append(obj)
+                cum_objective.append(cum)
+        if stop:
+            break
+        if obj is not None:
+            cum += obj
+    return Trajectory(
+        times=np.array(times, dtype=int),
+        q=np.array(qs),
+        v=np.array(vs) if v is not None else None,
+        residuals=np.array(residuals),
+        verdict=verdict,
+        steps=t,
+        converged_at=converged_at,
+        objective=np.array(objective) if objective else None,
+        cum_objective=np.array(cum_objective) if objective else None,
+    )
 
 
 def simulate(
@@ -404,8 +364,8 @@ def simulate(
 
     Linear-plant runs iterate on the controllable coordinates only, and
     small systems whose curves have one segment per side of the plateau
-    (droops) drop to a plain-float inner loop, so long runs on feeders with
-    few inverters stay cheap.
+    (droops) step with a plain-float kernel, so long runs on feeders with
+    few inverters stay cheap.  Either kernel runs under one time loop.
     """
     if record_every < 1 or max_iter < 1:
         raise InvalidRecord("record_every and max_iter must be at least 1")
@@ -456,10 +416,10 @@ def simulate(
             )
 
     slopes = bundle.end_slopes()
-    if linear and f_active is None and slopes is not None and act.size <= _SCALAR_PATH_LIMIT:
-        rec = _loop_scalar(config.kind, x_aa, base_err, bundle, slopes, qa, lo_box, hi_box,
-                           tol, max_iter, record_every, oscillation_window,
-                           config.gamma2, config.gamma3)
+    if linear and f_active is None and slopes is not None and act.size <= _FLOAT_KERNEL_LIMIT:
+        q_sum = [0.0] * act.size
+        states = _float_kernel(config.kind, x_aa, base_err, bundle, slopes, qa, lo_box,
+                               hi_box, config.gamma2, config.gamma3, q_sum)
     else:
         if linear:
             def verr_of(qa):
@@ -469,29 +429,19 @@ def simulate(
                 v_full = plant.voltages(_scatter(q, act, qa))
                 return (v_full - v_nom)[act], v_full
 
-        rec = _loop_array(config.kind, verr_of, qa, bundle, lo_box, hi_box, tol,
-                          max_iter, record_every, oscillation_window,
-                          config.gamma2, config.gamma3, f_active)
+        q_sum = np.zeros(act.size)
+        states = _array_kernel(config.kind, verr_of, qa, bundle, lo_box, hi_box,
+                               config.gamma2, config.gamma3, f_active, q_sum)
+    run = _iterate(states, tol, max_iter, record_every, oscillation_window)
 
-    qa_stack = np.array(rec.qa)
-    q_full = np.tile(q, (len(rec.times), 1))
-    q_full[:, act] = qa_stack
-    if linear:
-        v_full = qa_stack @ X[:, act].T + base_full
-    else:
-        v_full = np.array(rec.v)
+    q_full = np.tile(q, (run.times.size, 1))
+    q_full[:, act] = run.q
     q_avg = q.copy()
-    q_avg[act] = rec.qa_sum / max(rec.steps, 1)
-    return Trajectory(
-        times=np.array(rec.times, dtype=int),
+    q_avg[act] = np.array(q_sum) / max(run.steps, 1)
+    return replace(
+        run,
         q=q_full,
-        v=v_full,
-        residuals=np.array(rec.res),
-        verdict=rec.verdict,
-        steps=rec.steps,
-        converged_at=rec.converged_at,
-        objective=np.array(rec.obj) if track_objective else None,
-        cum_objective=np.array(rec.cum) if track_objective else None,
+        v=run.q @ X[:, act].T + base_full if linear else run.v,
         q_average=q_avg,
     )
 
@@ -522,9 +472,8 @@ def check_d1_condition(curves, X):
     interpolation inequality and is therefore more conservative.
     """
     bundle = CurveBundle.of(curves)
-    X = np.asarray(X)
-    sub = X[np.ix_(bundle.positions, bundle.positions)]
-    sigma = float(np.linalg.svd(bundle.alpha_bar[:, None] * sub, compute_uv=False).max())
+    sub = np.asarray(X)[np.ix_(bundle.positions, bundle.positions)]
+    sigma = lipschitz_constant(bundle, X)
     corollary = float(bundle.alpha_bar.max() * np.abs(sub).sum(axis=1).max())
     return ConditionReport(
         sigma=sigma,
@@ -604,28 +553,21 @@ def objective_subgradient(mats, curves, q, v=None):
     return g
 
 
-def estimate_gradient_bound(mats, curves, q_min, q_max, n_samples=1000, seed=0, inflate=1.1):
-    """Sampled bound on the objective subgradient norm over the box.
+def estimate_gradient_bound(mats, curves, q_min, q_max, seed=None):
+    """Bound on the objective subgradient norm over the box ``[q_min, q_max]``.
 
-    Evaluates the 2n box-face centers plus uniform samples and inflates the
-    maximum by 10%; auditable and adequate because the subgradient is
-    monotone-affine plus separable terms over a box.
+    ``X >= 0`` elementwise and ``-curve^{-1}`` is non-decreasing, so both
+    ends of each component's subdifferential are non-decreasing in every
+    coordinate of q, and the d2 selection lies between them.  On a box with
+    ``q_min < 0 < q_max`` at the curve buses the subgradients at the two
+    corners are single-valued, so ``g(q_min) <= g(q) <= g(q_max)``
+    componentwise and ``|| max(|g(q_min)|, |g(q_max)|) ||`` bounds ``||g||``
+    on the whole box.
+    ``seed`` is accepted for older callers and ignored.
     """
-    rng = np.random.default_rng(seed)
-    n = mats.n
-    mid = 0.5 * (np.asarray(q_min) + np.asarray(q_max))
-    best = 0.0
-    for k in range(n):
-        for val in (q_min[k], q_max[k]):
-            point = mid.copy()
-            point[k] = val
-            g = objective_subgradient(mats, curves, point)
-            best = max(best, float(np.linalg.norm(g)))
-    for _ in range(n_samples):
-        point = rng.uniform(q_min, q_max)
-        g = objective_subgradient(mats, curves, point)
-        best = max(best, float(np.linalg.norm(g)))
-    return inflate * best
+    low = np.abs(objective_subgradient(mats, curves, q_min))
+    high = np.abs(objective_subgradient(mats, curves, q_max))
+    return float(np.linalg.norm(np.maximum(low, high)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,14 @@
 import json
+import pathlib
 
 import pytest
 
 import voltvar as vv
 from voltvar.cli import main
+
+SWEEP_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "sce42_sweeps.json").read_text()
+)["cases"]
 
 
 @pytest.fixture
@@ -121,9 +126,25 @@ class TestSweep:
     def test_parallel_jobs_keep_grid_order(self, capsys):
         code = main(["sweep", "alpha", "--grid", "5,10,15", "--jobs", "2"])
         assert code == 0
-        rows = capsys.readouterr().out.splitlines()
+        text = capsys.readouterr().out
+        rows = text.splitlines()
         values = [float(r.split(",")[0]) for r in rows[1:]]
         assert values == [5.0, 10.0, 15.0]
+        assert main(["sweep", "alpha", "--grid", "5,10,15", "--jobs", "1"]) == 0
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("case", SWEEP_GOLDEN, ids=lambda c: " ".join(c["argv"][1:]))
+    def test_matches_golden(self, case, capsys):
+        assert main(case["argv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        expect = case["lines"]
+        assert rows[0] == expect[0]
+        assert len(rows) == len(expect)
+        for row, want in zip(rows[1:], expect[1:]):
+            row, want = row.split(","), want.split(",")
+            assert row[2] == want[2]
+            got = [float(row[i]) for i in (0, 1, 3)]
+            assert got == pytest.approx([float(want[i]) for i in (0, 1, 3)], rel=0, abs=1e-12)
 
 
 class TestExportFeeder:

@@ -132,18 +132,31 @@ class TestSimulate:
         assert np.all(np.diff(traj.times) > 0)
 
     def test_scalar_and_array_paths_agree(self, sce42, sce42_mats):
-        # track_objective forces the generic loop; default takes the fast one
-        for kind, g2, g3 in (("d1", None, None), ("d2", 1e-2, None), ("d3", None, 0.7)):
+        # track_objective forces the array kernel; default takes the float one
+        runs = [
+            (kind, 20.0, g2, g3, dict(tol=0.0, max_iter=250))
+            for kind, g2, g3 in (("d1", None, None), ("d2", 1e-2, None), ("d3", None, 0.7))
+        ] + [
+            ("d1", 10.0, None, None, dict(tol=1e-9, max_iter=2000)),
+            ("d2", 27.0, 1e-2, None, dict(tol=1e-7, max_iter=5000, record_every=7)),
+            ("d1", 40.0, None, None, dict(tol=1e-8, max_iter=2000)),
+        ]
+        verdicts = set()
+        for kind, alpha, g2, g3, kw in runs:
             cfg = vv.ControllerConfig.from_feeder(
-                sce42, kind, alpha=20.0, gamma2=g2, gamma3=g3
+                sce42, kind, alpha=alpha, gamma2=g2, gamma3=g3
             )
-            fast = vv.simulate(sce42, cfg, mats=sce42_mats, tol=0.0, max_iter=250)
-            slow = vv.simulate(
-                sce42, cfg, mats=sce42_mats, tol=0.0, max_iter=250, track_objective=True
-            )
+            fast = vv.simulate(sce42, cfg, mats=sce42_mats, **kw)
+            slow = vv.simulate(sce42, cfg, mats=sce42_mats, track_objective=True, **kw)
+            verdicts.add(fast.verdict)
             assert fast.verdict == slow.verdict
+            assert fast.steps == slow.steps
+            assert fast.converged_at == slow.converged_at
+            np.testing.assert_array_equal(fast.times, slow.times)
             np.testing.assert_allclose(fast.q, slow.q, rtol=0, atol=5e-13)
+            np.testing.assert_allclose(fast.residuals, slow.residuals, rtol=0, atol=5e-13)
             np.testing.assert_allclose(fast.q_average, slow.q_average, rtol=0, atol=5e-13)
+        assert verdicts == {"converged", "oscillating", "max_iterations"}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_q0_rejected(self, sce42, sce42_mats, bad):
@@ -383,6 +396,22 @@ def test_gradient_bound_dominates_samples(sce42, sce42_mats):
     assert bound >= g0
     again = vv.estimate_gradient_bound(sce42_mats, cfg.curves, cfg.q_min, cfg.q_max, seed=0)
     assert bound == again
+
+
+@pytest.mark.parametrize("alpha", [5.0, 15.0, 27.0, 100.0])
+def test_gradient_bound_dominates_box(sce42, sce42_mats, alpha):
+    cfg = vv.ControllerConfig.from_feeder(sce42, "d2", alpha=alpha, gamma2=1e-3)
+    bound = vv.estimate_gradient_bound(sce42_mats, cfg.curves, cfg.q_min, cfg.q_max)
+    rng = np.random.default_rng(73)
+    points = [cfg.q_min, cfg.q_max]
+    for k in range(400):
+        q = rng.uniform(cfg.q_min, cfg.q_max)
+        if k % 2:
+            q[rng.random(sce42.n) < 0.5] = 0.0
+        points.append(q)
+    for q in points:
+        g = vv.objective_subgradient(sce42_mats, cfg.curves, q)
+        assert np.linalg.norm(g) <= bound * (1.0 + 1e-12)
 
 
 def test_two_bus_controllers_share_equilibrium(feeder2):
