@@ -111,6 +111,11 @@ def _evaluate(h, v):
     return np.add.reduce(h.w * np.maximum(h.sv * v - h.skv, 0.0), 0)
 
 
+def _slope(h, v):
+    """The curve's derivative in v; at a knot, the slope on its inner side."""
+    return np.add.reduce(h.w * h.sv * (h.sv * v > h.skv), 0)
+
+
 def _hinge_z(h, q):
     return np.maximum(h.tq * q - h.tkq, 0.0)
 
@@ -324,6 +329,9 @@ class CurveBundle:
 
     def evaluate(self, v_err):
         return _evaluate(self._hinges, np.asarray(v_err)[self._grid])
+
+    def slope(self, v_err):
+        return _slope(self._hinges, np.asarray(v_err)[self._grid])
 
     def inverse(self, q):
         return _inverse(self._hinges, np.asarray(q)[self._grid])

@@ -13,7 +13,7 @@ Buses whose feasible set is a singleton stay pinned throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -298,8 +298,9 @@ def _iterate(states, tol, max_iter, record_every, window):
     """The closed-loop time loop over a kernel's ``states``.
 
     Owns the verdicts, the thinned records and the running objective sum;
-    returns a Trajectory on the active coordinates, with ``v`` None unless
-    the kernel yields full voltages and ``q_average`` left to the caller.
+    returns the Trajectory fields on the active coordinates as a dict, with
+    ``v`` None unless the kernel yields full voltages and ``q_average`` left
+    to the caller.
     """
     times, qs, vs, residuals, objective, cum_objective = [], [], [], [], [], []
     verdict, converged_at = "max_iterations", None
@@ -328,7 +329,7 @@ def _iterate(states, tol, max_iter, record_every, window):
             break
         if obj is not None:
             cum += obj
-    return Trajectory(
+    return dict(
         times=np.array(times, dtype=int),
         q=np.array(qs),
         v=np.array(vs) if v is not None else None,
@@ -434,16 +435,15 @@ def simulate(
                                config.gamma2, config.gamma3, f_active, q_sum)
     run = _iterate(states, tol, max_iter, record_every, oscillation_window)
 
-    q_full = np.tile(q, (run.times.size, 1))
-    q_full[:, act] = run.q
+    qa_rec = run["q"]
+    q_full = np.tile(q, (qa_rec.shape[0], 1))
+    q_full[:, act] = qa_rec
     q_avg = q.copy()
-    q_avg[act] = np.array(q_sum) / max(run.steps, 1)
-    return replace(
-        run,
-        q=q_full,
-        v=run.q @ X[:, act].T + base_full if linear else run.v,
-        q_average=q_avg,
-    )
+    q_avg[act] = np.array(q_sum) / max(run["steps"], 1)
+    run["q"], run["q_average"] = q_full, q_avg
+    if linear:
+        run["v"] = qa_rec @ X[:, act].T + base_full
+    return Trajectory(**run)
 
 
 def _scatter(q, act, qa):
@@ -489,17 +489,22 @@ def d3_stepsize_bound(curves, X):
 
     ``lambda_max`` is the top eigenvalue of ``diag(alpha_bar) X`` on the
     controllable block, computed through the symmetric similar matrix
-    ``X^{1/2} diag(alpha_bar) X^{1/2}`` whose eigenvalues are real and
-    positive.
+    ``diag(s) X diag(s)`` with ``s = sqrt(alpha_bar)``, whose eigenvalues
+    are real and non-negative.
     """
     bundle = CurveBundle.of(curves)
     if len(bundle) == 0:
         return 2.0
     sub = np.asarray(X)[np.ix_(bundle.positions, bundle.positions)]
-    w, u = np.linalg.eigh(sub)
-    sqrt_x = (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
-    lam = float(np.linalg.eigvalsh(sqrt_x @ np.diag(bundle.alpha_bar) @ sqrt_x).max())
+    s = np.sqrt(bundle.alpha_bar)
+    lam = float(np.linalg.eigvalsh(s[:, None] * sub * s).max())
     return 2.0 / (1.0 + lam)
+
+
+def _x_times(feeder, q):
+    """``X @ q`` in O(n) through ``X = D.T diag(x) D``: the flow each line
+    carries, weighted by its reactance and summed along every root path."""
+    return feeder.path_sum(feeder.x * feeder.subtree_sum(q))
 
 
 def objective_terms(mats, curves, q):
@@ -507,7 +512,7 @@ def objective_terms(mats, curves, q):
     bundle = CurveBundle.of(curves)
     q = np.asarray(q, dtype=float)
     cost = float(bundle.cost(q[bundle.positions]).sum()) if len(bundle) else 0.0
-    quad = float(0.5 * q @ (mats.X @ q))
+    quad = float(0.5 * q @ _x_times(mats.feeder, q))
     linear = float(q @ (mats.vtilde - mats.feeder.v_nom))
     return cost, quad, linear
 
@@ -588,10 +593,16 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
                       max_iter=50000, mats=None, gamma3=None):
     """Find the unique closed-loop equilibrium on the linearized plant.
 
-    Runs the pseudo-gradient law at 0.9 times its safe stepsize bound until
-    the fixed-point residual ``max |q - [curve(v - v_nom)]_box|`` drops
-    below ``tol``; the residual doubles as the optimality certificate of
-    the equivalent convex problem.
+    Solves ``F(q) = q - [curve(v(q) - v_nom)]_box = 0`` on the curve buses
+    by semismooth Newton steps: with every curve piecewise linear, F is
+    piecewise affine, and a step lands on the root once it sees the right
+    active pattern.  A Newton candidate is kept only if its residual is at
+    most half the smallest one seen so far; otherwise the iterate takes one
+    pseudo-gradient (d3) step at ``gamma3``, by default 0.9 times its safe
+    stepsize bound, which converges from anywhere.  The solver stops once
+    the fixed-point residual ``max |F|`` drops below ``tol``; the residual
+    doubles as the optimality certificate of the equivalent convex problem.
+    ``iterations`` counts the updates, Newton or d3, that it took.
     """
     if mats is None:
         mats = sensitivity_matrices(feeder)
@@ -601,36 +612,49 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
         q_min, q_max = limits_arrays(feeder)
     bundle = CurveBundle.of(curves)
     act = bundle.positions
-    if gamma3 is None:
-        gamma3 = 0.9 * d3_stepsize_bound(bundle, mats.X)
 
-    n = feeder.n
-    others = np.setdiff1d(np.arange(n), act)
-    q = project_box(np.zeros(n), q_min, q_max)
+    q = project_box(np.zeros(feeder.n), q_min, q_max)
     qa = q[act].copy()
+    q[act] = 0.0
     x_aa = mats.X[np.ix_(act, act)]
-    base_a = mats.X[np.ix_(act, others)] @ q[others] + mats.vtilde[act] - feeder.v_nom[act]
+    base_a = (_x_times(feeder, q) + mats.vtilde - feeder.v_nom)[act]
     lo_box, hi_box = q_min[act], q_max[act]
+    eye = np.eye(act.size)
 
-    for it in range(1, max_iter + 1):
-        u = bundle.evaluate(x_aa @ qa + base_a)
-        target = np.clip(u, lo_box, hi_box)
-        residual = float(np.abs(qa - target).max()) if act.size else 0.0
+    def state(qa):
+        verr = x_aa @ qa + base_a
+        u = bundle.evaluate(verr)
+        res = qa - u.clip(lo_box, hi_box)
+        return verr, u, res, float(np.abs(res).max()) if act.size else 0.0
+
+    verr, u, res, residual = state(qa)
+    best = residual
+    for it in range(max_iter):
         if residual < tol:
             q[act] = qa
-            v_star = mats.X @ q + mats.vtilde
             cost, quad, linear = objective_terms(mats, bundle, q)
             return EquilibriumReport(
                 q_star=q,
-                v_star=v_star,
+                v_star=_x_times(feeder, q) + mats.vtilde,
                 objective=cost + quad + linear,
                 cost_term=cost,
                 quadratic_term=quad,
                 linear_term=linear,
                 fixed_point_residual=residual,
-                iterations=it - 1,
+                iterations=it,
             )
-        qa = _active_update("d3", qa, u, None, bundle, lo_box, hi_box, gamma3=gamma3)
+        # J = I + diag(d) x_aa, d = -curve' where the output is inside the box
+        d = np.where((u > lo_box) & (u < hi_box), -bundle.slope(verr), 0.0)
+        cand = qa - np.linalg.solve(eye + d[:, None] * x_aa, res)
+        trial = state(cand)
+        if trial[3] <= 0.5 * best:
+            qa, (verr, u, res, residual) = cand, trial
+        else:
+            if gamma3 is None:
+                gamma3 = 0.9 * d3_stepsize_bound(bundle, mats.X)
+            qa = _active_update("d3", qa, u, None, bundle, lo_box, hi_box, gamma3=gamma3)
+            verr, u, res, residual = state(qa)
+        best = min(best, residual)
     raise MaxIterations(
         f"equilibrium solver still at residual {residual:.3e} after {max_iter} iterations"
     )

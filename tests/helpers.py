@@ -62,6 +62,19 @@ def brute_force_sensitivities(feeder):
     return R, X
 
 
+def d3_oracle(feeder, curves, q_min, q_max, mats, tol=1e-15):
+    """The equilibrium the closed loop reaches under the d3 law at 0.9 times
+    its stepsize bound, run until the step change drops below ``tol``."""
+    config = vv.ControllerConfig(
+        kind="d3", curves=curves, q_min=q_min, q_max=q_max,
+        gamma3=0.9 * vv.d3_stepsize_bound(curves, mats.X),
+    )
+    traj = vv.simulate(feeder, config, mats=mats, tol=tol, max_iter=10**6,
+                       record_every=10**6, oscillation_window=None)
+    assert traj.verdict == "converged"
+    return traj
+
+
 def single_line_distflow_oracle(r, x, p_net, q_net, v0=1.0):
     """Exact one-line solution by bisection on the current fixed point."""
 

@@ -1,10 +1,13 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 import voltvar as vv
-from voltvar.cli import main
+from voltvar.cli import build_parser, main
+
+from helpers import d3_oracle
 
 SWEEP_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "sce42_sweeps.json").read_text()
@@ -145,6 +148,26 @@ class TestSweep:
             assert row[2] == want[2]
             got = [float(row[i]) for i in (0, 1, 3)]
             assert got == pytest.approx([float(want[i]) for i in (0, 1, 3)], rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", SWEEP_GOLDEN, ids=lambda c: " ".join(c["argv"][1:]))
+    def test_golden_deviation_matches_d3_oracle(self, case):
+        # the equilibrium column must stay the physics, not a solver's output:
+        # run the d3 law at 0.9 times its bound to a 1e-15 step change
+        args = build_parser().parse_args(case["argv"])
+        for line in case["lines"][1:]:
+            value, want = (float(x) for x in line.split(",")[:2])
+            feeder = vv.load_feeder(
+                args.feeder,
+                load_scale=value if args.parameter == "load_scale" else args.load_scale,
+            )
+            mats = vv.sensitivity_matrices(feeder)
+            cfg = vv.ControllerConfig.from_feeder(
+                feeder, "d1", alpha=value if args.parameter == "alpha" else args.alpha,
+                deadband=args.deadband,
+            )
+            traj = d3_oracle(feeder, cfg.curves, cfg.q_min, cfg.q_max, mats)
+            dev = float(np.abs(traj.final_v - feeder.v_nom).max())
+            assert dev == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestExportFeeder:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import voltvar as vv
@@ -406,6 +406,20 @@ class TestCurveProperties:
                 for k, c in enumerate(drawn)
             ])
             np.testing.assert_array_equal(getattr(bundle, method)(x), single)
+
+    @PROPERTY
+    @given(st.lists(curves(), min_size=1, max_size=6), st.data())
+    def test_slope_matches_finite_differences(self, drawn, data):
+        bundle = CurveBundle({k: c[0] for k, c in enumerate(drawn)})
+        m = len(drawn)
+        v = np.array(data.draw(st.lists(st.floats(-1.5, 1.5), min_size=m, max_size=m)))
+        h = 1e-6
+        # central differences are exact up to rounding once no knot lies within h
+        knots = [np.array([p[0] for p in pts] + [lo, hi]) for _, pts, lo, hi in drawn]
+        away = np.array([np.abs(knots[k] - v[k]).min() > 10 * h for k in range(m)])
+        assume(away.any())
+        num = (bundle.evaluate(v + h) - bundle.evaluate(v - h)) / (2 * h)
+        np.testing.assert_allclose(bundle.slope(v)[away], num[away], rtol=1e-6, atol=1e-6)
 
     @PROPERTY
     @given(st.floats(0.1, 50.0), st.floats(0.0, 0.2), st.lists(_q, min_size=1, max_size=20))

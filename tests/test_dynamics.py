@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voltvar as vv
 from voltvar.control import CurveBundle
 
-from helpers import random_feeder, two_bus_feeder
+from helpers import d3_oracle, random_feeder, random_tree_records, two_bus_feeder
 
 
 def two_bus_config(kind="d1", alpha=1.0, deadband=0.04, **kw):
@@ -340,6 +342,97 @@ class TestSolveEquilibrium:
                 feeder2, curves={0: vv.DroopCurve(alpha=1.0, deadband=0.04)},
                 tol=0.0, max_iter=50,
             )
+
+
+@st.composite
+def feeders_with_curves(draw):
+    """A random small feeder with droop and table curves of slopes up to 2000."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha_max = draw(st.floats(1.0, 2000.0))
+    n = draw(st.integers(2, 10))
+    records, lines = random_tree_records(rng, n, z_lo=1e-4, z_hi=2e-2)
+    buses = [records[0]] + [
+        vv.Bus(b.id, p_c=float(rng.uniform(0.0, 1.0)), q_c=float(rng.uniform(0.0, 0.3)),
+               p_g=float(rng.uniform(0.0, 1.0)))
+        for b in records[1:]
+    ]
+    sites = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False)
+    inverters, curves = {}, {}
+    for b in sites.tolist():
+        s = float(rng.uniform(0.05, 1.5))
+        inverters[b] = vv.Inverter(s=s, p=float(rng.uniform(0.0, s)))
+        a1, a2 = rng.uniform(1.0, alpha_max, size=2)
+        h = float(rng.choice([0.0, 0.01, 0.02]))
+        if rng.random() < 0.5:
+            curves[b] = vv.DroopCurve(alpha=float(a1), deadband=2 * h)
+        else:
+            h = max(h, 0.005)
+            u1, u2 = a1 * 0.01, a1 * 0.01 + a2 * 0.05
+            curves[b] = vv.TableCurve([(-h - 0.06, u2), (-h - 0.01, u1), (-h, 0.0),
+                                       (h, 0.0), (h + 0.01, -u1), (h + 0.06, -u2)])
+    feeder = vv.build_feeder(buses, lines, inverters=inverters, slack_label=0,
+                             v0=draw(st.floats(0.95, 1.06)))
+    return feeder, {feeder.position[b]: c for b, c in curves.items()}
+
+
+class TestSemismoothNewton:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(feeders_with_curves())
+    def test_matches_d3_oracle(self, drawn):
+        feeder, curves = drawn
+        mats = vv.sensitivity_matrices(feeder)
+        q_min, q_max = vv.limits_arrays(feeder)
+        eq = vv.solve_equilibrium(feeder, curves=curves, q_min=q_min, q_max=q_max,
+                                  tol=1e-12, mats=mats)
+        assert eq.fixed_point_residual < 1e-12
+        traj = d3_oracle(feeder, curves, q_min, q_max, mats, tol=1e-14)
+        np.testing.assert_allclose(eq.q_star, traj.final_q, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(eq.v_star, traj.final_v, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1.0, 10.0, 27.0, 40.0, 100.0, 500.0, 2000.0])
+    def test_sce42_matches_d3_oracle(self, sce42, sce42_mats, alpha):
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=alpha)
+        eq = vv.solve_equilibrium(sce42, curves=cfg.curves, q_min=cfg.q_min, q_max=cfg.q_max,
+                                  tol=1e-13, mats=sce42_mats)
+        assert eq.fixed_point_residual < 1e-13
+        traj = d3_oracle(sce42, cfg.curves, cfg.q_min, cfg.q_max, sce42_mats)
+        np.testing.assert_allclose(eq.q_star, traj.final_q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(eq.v_star, traj.final_v, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.0, 27.0])
+    def test_newton_lands_in_two_steps(self, sce42, sce42_mats, alpha):
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=alpha)
+        eq = vv.solve_equilibrium(sce42, curves=cfg.curves, q_min=cfg.q_min, q_max=cfg.q_max,
+                                  tol=1e-12, mats=sce42_mats)
+        assert 1 <= eq.iterations <= 2
+
+    def test_saturated_coordinate_lands_on_its_bound(self):
+        # a tight power-factor cone saturates one inverter at alpha 27: its
+        # Newton row is the identity, so it lands exactly on the bound
+        feeder = vv.load_feeder("builtin:sce42", tan_rho=0.05)
+        mats = vv.sensitivity_matrices(feeder)
+        cfg = vv.ControllerConfig.from_feeder(feeder, "d1", alpha=27.0)
+        eq = vv.solve_equilibrium(feeder, curves=cfg.curves, q_min=cfg.q_min,
+                                  q_max=cfg.q_max, tol=1e-12, mats=mats)
+        act = cfg.bundle.positions
+        on_bound = (eq.q_star[act] == cfg.q_min[act]) | (eq.q_star[act] == cfg.q_max[act])
+        assert on_bound.sum() == 1
+        assert eq.iterations <= 3
+        traj = d3_oracle(feeder, cfg.curves, cfg.q_min, cfg.q_max, mats)
+        np.testing.assert_allclose(eq.q_star, traj.final_q, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha, bound_calls", [(27.0, 0), (2000.0, 1)])
+    def test_d3_fallback_is_lazy(self, sce42, sce42_mats, monkeypatch, alpha, bound_calls):
+        # the stepsize bound is computed on the first d3 step only
+        calls = []
+        bound = vv.dynamics.d3_stepsize_bound
+        monkeypatch.setattr(vv.dynamics, "d3_stepsize_bound",
+                            lambda *a: calls.append(a) or bound(*a))
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=alpha)
+        eq = vv.solve_equilibrium(sce42, curves=cfg.curves, q_min=cfg.q_min, q_max=cfg.q_max,
+                                  tol=1e-12, mats=sce42_mats)
+        assert len(calls) == bound_calls
+        assert eq.fixed_point_residual < 1e-12
 
 
 class TestRegretAudit:
