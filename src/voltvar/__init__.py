@@ -29,16 +29,13 @@ from .dynamics import (
     d2_regret_bound_check,
     d3_stepsize_bound,
     estimate_gradient_bound,
-    make_plant,
     objective_f,
     objective_subgradient,
     objective_terms,
     objective_tradeoff,
     simulate,
     solve_equilibrium,
-    step_d1,
-    step_d2,
-    step_d3,
+    step,
 )
 from .exceptions import (
     CycleDetected,

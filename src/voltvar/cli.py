@@ -179,7 +179,7 @@ def cmd_equilibrium(args):
     config = _config(args, feeder, kind="d1")  # curves/limits only; solver picks gamma3
     try:
         report = solve_equilibrium(
-            feeder, curves=config.curves, q_min=config.q_min, q_max=config.q_max,
+            feeder, curves=config.bundle, q_min=config.q_min, q_max=config.q_max,
             tol=args.tol, mats=mats,
         )
     except MaxIterations as exc:
@@ -229,7 +229,7 @@ def _sweep_point(args, feeder, mats, value):
     )
     report = check_d1_condition(config.bundle, mats.X)
     eq = solve_equilibrium(
-        feeder, curves=config.curves, q_min=config.q_min, q_max=config.q_max, mats=mats
+        feeder, curves=config.bundle, q_min=config.q_min, q_max=config.q_max, mats=mats
     )
     traj = simulate(feeder, config, plant=args.plant, tol=args.tol, max_iter=args.max_iter,
                     mats=mats, record_every=args.max_iter)

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import powerflow
 from .control import (
     DEFAULT_DEADBAND,
     CurveBundle,
@@ -30,6 +31,7 @@ from .exceptions import DimensionMismatch, InvalidRecord, MaxIterations
 from .network import sensitivity_matrices
 
 CONTROLLER_KINDS = ("d1", "d2", "d3")
+PLANT_KINDS = ("linear", "distflow")
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10000
 OSCILLATION_WINDOW = 50
@@ -53,6 +55,10 @@ class ControllerConfig:
             raise InvalidRecord(f"d2 requires a positive finite gamma2, got {self.gamma2}")
         if self.kind == "d3" and not (self.gamma3 and 0 < self.gamma3 < np.inf):
             raise InvalidRecord(f"d3 requires a positive finite gamma3, got {self.gamma3}")
+        lo, hi = np.asarray(self.q_min, dtype=float), np.asarray(self.q_max, dtype=float)
+        if not (lo.shape == hi.shape and np.isfinite(lo).all() and np.isfinite(hi).all()
+                and (lo <= hi).all()):
+            raise InvalidRecord("q_min and q_max must be finite with q_min <= q_max")
 
     @cached_property
     def bundle(self):
@@ -145,67 +151,23 @@ def _active_update(kind, qa, u, verr, bundle, lo_box, hi_box, gamma2=None, gamma
     return (qa - gamma2 * _d2_subgradient(qa, verr, bundle)).clip(lo_box, hi_box)
 
 
-def _apply_step(kind, q, v, config, v_nom):
+def step(q, v, config, v_nom):
+    """One update of ``config.kind``'s law from injections ``q`` at voltages ``v``.
+
+    Buses without a curve are projected onto their box and otherwise kept;
+    d2 takes the subgradient selection of ``_d2_subgradient``, with no
+    smoothing at the kink.
+    """
     bundle = config.bundle
     act = bundle.positions
     verr = (np.asarray(v, float) - v_nom)[act]
     qa = np.asarray(q, float)[act]
     nxt = project_box(q, config.q_min, config.q_max)
     nxt[act] = _active_update(
-        kind, qa, bundle.evaluate(verr), verr, bundle, config.q_min[act],
+        config.kind, qa, bundle.evaluate(verr), verr, bundle, config.q_min[act],
         config.q_max[act], config.gamma2, config.gamma3,
     )
     return nxt
-
-
-def step_d1(q, v, config, v_nom):
-    """Non-incremental update: inject the curve output, projected."""
-    return _apply_step("d1", q, v, config, v_nom)
-
-
-def step_d2(q, v, config, v_nom):
-    """Projected subgradient step on the equilibrium objective.
-
-    The subgradient selection at a zero injection depends on where the
-    voltage error sits relative to the deadband edges; no smoothing is
-    applied at the kink.
-    """
-    return _apply_step("d2", q, v, config, v_nom)
-
-
-def step_d3(q, v, config, v_nom):
-    """Pseudo-gradient update: blend previous injection with curve output."""
-    return _apply_step("d3", q, v, config, v_nom)
-
-
-class _LinearPlant:
-    kind = "linear"
-
-    def __init__(self, mats):
-        self.mats = mats
-
-    def voltages(self, q):
-        return self.mats.X @ q + self.mats.vtilde
-
-
-class _DistflowPlant:
-    kind = "distflow"
-
-    def __init__(self, feeder, tol=1e-10, max_iter=100):
-        from .powerflow import distflow_sweep
-
-        self._solve = lambda q: distflow_sweep(feeder, q, tol=tol, max_iter=max_iter).v
-
-    def voltages(self, q):
-        return self._solve(q)
-
-
-def make_plant(feeder, kind="linear", mats=None):
-    if kind == "linear":
-        return _LinearPlant(mats if mats is not None else sensitivity_matrices(feeder))
-    if kind == "distflow":
-        return _DistflowPlant(feeder)
-    raise InvalidRecord(f"unknown plant kind {kind!r}")
 
 
 _FLOAT_KERNEL_LIMIT = 16
@@ -356,6 +318,11 @@ def simulate(
 ):
     """Iterate the configured feedback law against the chosen plant.
 
+    ``plant`` is ``"linear"`` (``v = X q + vtilde`` from ``mats``, built
+    when omitted) or ``"distflow"`` (the full branch-flow sweep, solved to
+    1e-10 every step); anything else raises InvalidRecord.  Buses without
+    a curve stay at their projected ``q0``.
+
     Returns a Trajectory whose verdict is ``converged`` once the step change
     drops below ``tol``, ``oscillating`` when the smallest residual of the
     latest window stopped improving on the previous window's (both above
@@ -363,17 +330,19 @@ def simulate(
     the stored states; the initial and final states are always kept.
     ``oscillation_window=None`` disables the detector.
 
-    Linear-plant runs iterate on the controllable coordinates only, and
-    small systems whose curves have one segment per side of the plateau
-    (droops) step with a plain-float kernel, so long runs on feeders with
-    few inverters stay cheap.  Either kernel runs under one time loop.
+    Linear-plant runs iterate on the curve buses only, through the reduced
+    model of ``_curve_block``, and small systems whose curves have one
+    segment per side of the plateau (droops) step with a plain-float
+    kernel, so long runs on feeders with few inverters stay cheap.  Either
+    kernel runs under one time loop.
     """
     if record_every < 1 or max_iter < 1:
         raise InvalidRecord("record_every and max_iter must be at least 1")
-    if isinstance(plant, str):
-        if plant == "linear" and mats is None:
-            mats = sensitivity_matrices(feeder)
-        plant = make_plant(feeder, plant, mats)
+    if not (isinstance(plant, str) and plant in PLANT_KINDS):
+        raise InvalidRecord(f"plant must be one of {PLANT_KINDS}, got {plant!r}")
+    linear = plant == "linear"
+    if (linear or track_objective) and mats is None:
+        mats = sensitivity_matrices(feeder)
     bundle = config.bundle
     act = bundle.positions
     if act.size == 0:
@@ -390,26 +359,14 @@ def simulate(
     qa = q[act].copy()
     lo_box, hi_box = config.q_min[act], config.q_max[act]
 
-    linear = plant.kind == "linear"
-    if linear:
-        mats = plant.mats
-    elif track_objective and mats is None:
-        mats = sensitivity_matrices(feeder)
     if linear or track_objective:
-        # the linear model restricted to the active coordinates:
-        # v_err = x_aa @ qa + base_err
-        X = mats.X
-        others = np.setdiff1d(np.arange(n), act)
-        x_aa = X[np.ix_(act, act)]
-        base_full = X[:, others] @ q[others] + mats.vtilde
+        x_aa, base_full = _curve_block(mats, act, q)
         base_err = base_full[act] - v_nom[act]
 
     f_active = None
     if track_objective:
-        q_o = q[others]
-        const_obj = 0.5 * q_o @ (X[np.ix_(others, others)] @ q_o) + q_o @ (
-            mats.vtilde - v_nom
-        )[others]
+        # the constant part: the quadratic and linear terms at q with act zeroed
+        const_obj = objective_f(mats, {}, _scatter(q, act, 0.0))
 
         def f_active(qa):
             return float(
@@ -427,7 +384,7 @@ def simulate(
                 return x_aa @ qa + base_err, None
         else:
             def verr_of(qa):
-                v_full = plant.voltages(_scatter(q, act, qa))
+                v_full = powerflow.distflow_sweep(feeder, _scatter(q, act, qa), tol=1e-10).v
                 return (v_full - v_nom)[act], v_full
 
         q_sum = np.zeros(act.size)
@@ -442,7 +399,7 @@ def simulate(
     q_avg[act] = np.array(q_sum) / max(run["steps"], 1)
     run["q"], run["q_average"] = q_full, q_avg
     if linear:
-        run["v"] = qa_rec @ X[:, act].T + base_full
+        run["v"] = qa_rec @ mats.X[:, act].T + base_full
     return Trajectory(**run)
 
 
@@ -505,6 +462,17 @@ def _x_times(feeder, q):
     """``X @ q`` in O(n) through ``X = D.T diag(x) D``: the flow each line
     carries, weighted by its reactance and summed along every root path."""
     return feeder.path_sum(feeder.x * feeder.subtree_sum(q))
+
+
+def _curve_block(mats, act, q):
+    """The linear model on the curve buses ``act``, with the other buses held
+    at ``q``: ``v[act] = x_aa @ q[act] + base[act]``.
+
+    Returns ``x_aa = X[act, act]`` and the full base voltages
+    ``X q_o + vtilde``, where ``q_o`` is ``q`` with ``act`` zeroed.
+    """
+    base = _x_times(mats.feeder, _scatter(q, act, 0.0)) + mats.vtilde
+    return mats.X[np.ix_(act, act)], base
 
 
 def objective_terms(mats, curves, q):
@@ -590,7 +558,7 @@ class EquilibriumReport:
 
 
 def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_TOL,
-                      max_iter=50000, mats=None, gamma3=None):
+                      max_iter=50000, mats=None):
     """Find the unique closed-loop equilibrium on the linearized plant.
 
     Solves ``F(q) = q - [curve(v(q) - v_nom)]_box = 0`` on the curve buses
@@ -598,10 +566,10 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
     piecewise affine, and a step lands on the root once it sees the right
     active pattern.  A Newton candidate is kept only if its residual is at
     most half the smallest one seen so far; otherwise the iterate takes one
-    pseudo-gradient (d3) step at ``gamma3``, by default 0.9 times its safe
-    stepsize bound, which converges from anywhere.  The solver stops once
-    the fixed-point residual ``max |F|`` drops below ``tol``; the residual
-    doubles as the optimality certificate of the equivalent convex problem.
+    pseudo-gradient (d3) step at 0.9 times its safe stepsize bound, which
+    converges from anywhere.  The solver stops once the fixed-point
+    residual ``max |F|`` drops below ``tol``; the residual doubles as the
+    optimality certificate of the equivalent convex problem.
     ``iterations`` counts the updates, Newton or d3, that it took.
     """
     if mats is None:
@@ -615,9 +583,8 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
 
     q = project_box(np.zeros(feeder.n), q_min, q_max)
     qa = q[act].copy()
-    q[act] = 0.0
-    x_aa = mats.X[np.ix_(act, act)]
-    base_a = (_x_times(feeder, q) + mats.vtilde - feeder.v_nom)[act]
+    x_aa, base = _curve_block(mats, act, q)
+    base_a = (base - feeder.v_nom)[act]
     lo_box, hi_box = q_min[act], q_max[act]
     eye = np.eye(act.size)
 
@@ -628,7 +595,7 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
         return verr, u, res, float(np.abs(res).max()) if act.size else 0.0
 
     verr, u, res, residual = state(qa)
-    best = residual
+    best, gamma3 = residual, None
     for it in range(max_iter):
         if residual < tol:
             q[act] = qa

@@ -25,12 +25,12 @@ def feeder2():
 class TestStepD1:
     def test_deadband_everywhere_gives_zero(self, feeder2):
         cfg = two_bus_config()
-        out = vv.step_d1(np.array([0.3]), feeder2.v_nom.copy(), cfg, feeder2.v_nom)
+        out = vv.step(np.array([0.3]), feeder2.v_nom.copy(), cfg, feeder2.v_nom)
         assert out == pytest.approx([0.0])
 
     def test_single_step_from_flat(self, feeder2):
         cfg = two_bus_config()
-        out = vv.step_d1(np.zeros(1), np.array([1.05]), cfg, feeder2.v_nom)
+        out = vv.step(np.zeros(1), np.array([1.05]), cfg, feeder2.v_nom)
         assert out == pytest.approx([-0.03], rel=1e-14)
 
     def test_iterated_fixed_point(self, feeder2):
@@ -44,28 +44,28 @@ class TestStepD1:
 class TestStepD2:
     def test_zero_injection_inside_deadband_moves_by_voltage_error(self, feeder2):
         cfg = two_bus_config("d2", gamma2=0.1)
-        out = vv.step_d2(np.zeros(1), np.array([1.015]), cfg, feeder2.v_nom)
+        out = vv.step(np.zeros(1), np.array([1.015]), cfg, feeder2.v_nom)
         assert out == pytest.approx([-0.1 * 0.015], rel=1e-12)
 
     def test_inverse_branch_case(self, feeder2):
         gamma2 = 0.25
         cfg = two_bus_config("d2", gamma2=gamma2)
-        out = vv.step_d2(np.array([-0.03]), np.array([1.035]), cfg, feeder2.v_nom)
+        out = vv.step(np.array([-0.03]), np.array([1.035]), cfg, feeder2.v_nom)
         # subgradient: -(0.03 + 0.02) + 0.035 = -0.015
         assert out == pytest.approx([-0.03 + gamma2 * 0.015], rel=1e-12)
 
     def test_zero_injection_beyond_deadband_cases(self, feeder2):
         cfg = two_bus_config("d2", gamma2=1.0)
-        high = vv.step_d2(np.zeros(1), np.array([1.05]), cfg, feeder2.v_nom)
+        high = vv.step(np.zeros(1), np.array([1.05]), cfg, feeder2.v_nom)
         assert high == pytest.approx([-(0.05 - 0.02)], rel=1e-12)
-        low = vv.step_d2(np.zeros(1), np.array([0.95]), cfg, feeder2.v_nom)
+        low = vv.step(np.zeros(1), np.array([0.95]), cfg, feeder2.v_nom)
         assert low == pytest.approx([0.05 - 0.02], rel=1e-12)
 
     def test_interior_equilibrium_is_fixed(self, feeder2):
         cfg = two_bus_config("d2", gamma2=0.5)
         q_star = np.array([-0.02])
         v_star = np.array([1.05 + 0.5 * -0.02])
-        out = vv.step_d2(q_star, v_star, cfg, feeder2.v_nom)
+        out = vv.step(q_star, v_star, cfg, feeder2.v_nom)
         assert out == pytest.approx(q_star, abs=1e-15)
 
 
@@ -77,14 +77,14 @@ class TestStepD3:
         for _ in range(25):
             q = rng.normal(size=1)
             v = 1.0 + rng.normal(size=1) * 0.05
-            a = vv.step_d1(q, v, cfg1, feeder2.v_nom)
-            b = vv.step_d3(q, v, cfg3, feeder2.v_nom)
+            a = vv.step(q, v, cfg1, feeder2.v_nom)
+            b = vv.step(q, v, cfg3, feeder2.v_nom)
             np.testing.assert_array_equal(a, b)
 
     def test_zero_weight_freezes(self, feeder2):
         cfg = two_bus_config("d3", gamma3=1e-300)
         q = np.array([0.17])
-        out = vv.step_d3(q, np.array([1.05]), cfg, feeder2.v_nom)
+        out = vv.step(q, np.array([1.05]), cfg, feeder2.v_nom)
         assert out == pytest.approx(q, rel=1e-12)
 
     def test_stepsize_splits_convergence(self, feeder2):
@@ -112,6 +112,21 @@ class TestSimulate:
         traj = vv.simulate(sce42, cfg, mats=sce42_mats)
         expect = traj.q @ sce42_mats.X.T + sce42_mats.vtilde
         np.testing.assert_allclose(traj.v, expect, atol=1e-13)
+
+        # curves on 3 of the 5 inverters; the other two hold a non-zero q0
+        curved = sorted(cfg.curves)[:3]
+        held = sorted(set(sce42.inverters) - set(curved))
+        partial = vv.ControllerConfig(kind="d1", curves={k: cfg.curves[k] for k in curved},
+                                      q_min=cfg.q_min, q_max=cfg.q_max)
+        q0 = np.random.default_rng(79).uniform(cfg.q_min, cfg.q_max)
+        assert np.all(q0[held] != 0.0)
+        traj = vv.simulate(sce42, partial, mats=sce42_mats, q0=q0)
+        np.testing.assert_array_equal(traj.q[:, held], np.tile(q0[held], (len(traj.times), 1)))
+        expect = traj.q @ sce42_mats.X.T + sce42_mats.vtilde
+        np.testing.assert_allclose(traj.v, expect, rtol=0, atol=1e-13)
+        tracked = vv.simulate(sce42, partial, mats=sce42_mats, q0=q0, track_objective=True)
+        direct = [vv.objective_f(sce42_mats, partial.curves, q) for q in tracked.q]
+        np.testing.assert_allclose(tracked.objective, direct, rtol=0, atol=1e-12)
 
     def test_distflow_trajectory_satisfies_model(self, sce42):
         cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=10.0)
@@ -169,6 +184,22 @@ class TestSimulate:
             vv.simulate(sce42, cfg, mats=sce42_mats, q0=q0)
         with pytest.raises(vv.InvalidRecord):
             vv.simulate(sce42, cfg, mats=sce42_mats, q0=np.full(sce42.n, bad))
+
+    @pytest.mark.parametrize("plant", ["dc", object()], ids=["dc", "object"])
+    def test_unknown_plant_rejected(self, sce42, sce42_mats, plant):
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=10.0)
+        with pytest.raises(vv.InvalidRecord):
+            vv.simulate(sce42, cfg, plant=plant, mats=sce42_mats)
+
+    @pytest.mark.parametrize("q_min, q_max", [(-np.inf, np.inf), (-1.0, np.nan), (0.1, -0.1)])
+    def test_nonfinite_or_inverted_box_rejected(self, feeder2, q_min, q_max):
+        # with an unbounded box this stiff d3 run once ended "converged" at q = nan
+        with pytest.raises(vv.InvalidRecord):
+            cfg = vv.ControllerConfig(
+                kind="d3", curves={0: vv.DroopCurve(alpha=1000.0, deadband=0.0)},
+                q_min=np.array([q_min]), q_max=np.array([q_max]), gamma3=0.9,
+            )
+            vv.simulate(feeder2, cfg, oscillation_window=None)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(vv.InvalidRecord):
