@@ -94,6 +94,12 @@ def _run_meta(args, feeder, extra=None):
     return meta
 
 
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def write_trajectory_csv(trajectory, path, include_objective=True):
     """CSV export: header ``t, q_1..q_n, v_1..v_n, residual[, F]``."""
     n = trajectory.q.shape[1]
@@ -127,16 +133,12 @@ def cmd_check(args):
     print(f"uniform-slope stability limit     : {report.uniform_alpha_limit:.4f}")
     print(f"pseudo-gradient stepsize bound    : {g3:.6f}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(
-                _run_meta(args, feeder, {
-                    "sigma": report.sigma,
-                    "corollary_value": report.corollary_value,
-                    "uniform_alpha_limit": report.uniform_alpha_limit,
-                    "gamma3_bound": g3,
-                }),
-                fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, _run_meta(args, feeder, {
+            "sigma": report.sigma,
+            "corollary_value": report.corollary_value,
+            "uniform_alpha_limit": report.uniform_alpha_limit,
+            "gamma3_bound": g3,
+        }))
     return 0 if report.sufficient else 2
 
 
@@ -167,9 +169,7 @@ def cmd_simulate(args):
             "converged_at": traj.converged_at,
             "final_max_voltage_deviation": dev,
         }
-        with open(args.out + ".json", "w") as fh:
-            json.dump(_run_meta(args, feeder, extra), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out + ".json", _run_meta(args, feeder, extra))
     return 0 if traj.verdict == "converged" else 2
 
 
@@ -193,7 +193,7 @@ def cmd_equilibrium(args):
     print(f"fixed-point residual: {report.fixed_point_residual:.3e}")
     print(f"max |v* - v_nom|    : {dev:.6f} p.u. ({report.iterations} iterations)")
     if args.out:
-        payload = _run_meta(args, feeder, {
+        _write_json(args.out, _run_meta(args, feeder, {
             "objective": report.objective,
             "cost_term": report.cost_term,
             "quadratic_term": report.quadratic_term,
@@ -202,10 +202,7 @@ def cmd_equilibrium(args):
             "max_voltage_deviation": dev,
             "q_star": [float(x) for x in report.q_star],
             "v_star": [float(x) for x in report.v_star],
-        })
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        }))
     return 0
 
 

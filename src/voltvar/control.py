@@ -75,6 +75,24 @@ def limits_arrays(feeder):
     return q_min, q_max
 
 
+def validate_box(q_min, q_max, n=None):
+    """The box ``[q_min, q_max]`` as float arrays, once it is checked.
+
+    Raises DimensionMismatch when ``n`` is given and a bound is not of
+    shape ``(n,)``, and InvalidRecord unless both bounds are finite, of one
+    shape, with ``q_min <= q_max``.
+    """
+    lo, hi = np.asarray(q_min, dtype=float), np.asarray(q_max, dtype=float)
+    if n is not None and not lo.shape == hi.shape == (n,):
+        raise DimensionMismatch(
+            f"expected q_min and q_max of shape ({n},), got {lo.shape} and {hi.shape}"
+        )
+    if not (lo.shape == hi.shape and np.isfinite(lo).all() and np.isfinite(hi).all()
+            and (lo <= hi).all()):
+        raise InvalidRecord("q_min and q_max must be finite with q_min <= q_max")
+    return lo, hi
+
+
 def project_box(q, q_min, q_max):
     """Componentwise projection onto the box [q_min, q_max]."""
     q = np.asarray(q, dtype=float)
@@ -340,6 +358,16 @@ class CurveBundle:
         return _cost(self._hinges, np.asarray(q)[self._grid])
 
 
+def _spectral_block(bundle, X):
+    """``X`` restricted to the curve buses, where the spectral tests act."""
+    return np.asarray(X)[np.ix_(bundle.positions, bundle.positions)]
+
+
+def _modulus(bundle, sub):
+    """Largest singular value of ``diag(alpha_bar) sub``."""
+    return float(np.linalg.svd(bundle.alpha_bar[:, None] * sub, compute_uv=False).max())
+
+
 def lipschitz_constant(curves, X):
     """Modulus of the voltage-to-control feedback map.
 
@@ -350,5 +378,4 @@ def lipschitz_constant(curves, X):
     bundle = CurveBundle.of(curves)
     if len(bundle) == 0:
         return 0.0
-    sub = np.asarray(X)[np.ix_(bundle.positions, bundle.positions)]
-    return float(np.linalg.svd(bundle.alpha_bar[:, None] * sub, compute_uv=False).max())
+    return _modulus(bundle, _spectral_block(bundle, X))

@@ -22,13 +22,15 @@ from . import powerflow
 from .control import (
     DEFAULT_DEADBAND,
     CurveBundle,
+    _modulus,
+    _spectral_block,
     curve_from_spec,
     limits_arrays,
-    lipschitz_constant,
     project_box,
+    validate_box,
 )
 from .exceptions import DimensionMismatch, InvalidRecord, MaxIterations
-from .network import sensitivity_matrices
+from .network import _deviation_terms, sensitivity_matrices
 
 CONTROLLER_KINDS = ("d1", "d2", "d3")
 PLANT_KINDS = ("linear", "distflow")
@@ -55,10 +57,7 @@ class ControllerConfig:
             raise InvalidRecord(f"d2 requires a positive finite gamma2, got {self.gamma2}")
         if self.kind == "d3" and not (self.gamma3 and 0 < self.gamma3 < np.inf):
             raise InvalidRecord(f"d3 requires a positive finite gamma3, got {self.gamma3}")
-        lo, hi = np.asarray(self.q_min, dtype=float), np.asarray(self.q_max, dtype=float)
-        if not (lo.shape == hi.shape and np.isfinite(lo).all() and np.isfinite(hi).all()
-                and (lo <= hi).all()):
-            raise InvalidRecord("q_min and q_max must be finite with q_min <= q_max")
+        validate_box(self.q_min, self.q_max)
 
     @cached_property
     def bundle(self):
@@ -429,8 +428,8 @@ def check_d1_condition(curves, X):
     interpolation inequality and is therefore more conservative.
     """
     bundle = CurveBundle.of(curves)
-    sub = np.asarray(X)[np.ix_(bundle.positions, bundle.positions)]
-    sigma = lipschitz_constant(bundle, X)
+    sub = _spectral_block(bundle, X)
+    sigma = _modulus(bundle, sub)
     corollary = float(bundle.alpha_bar.max() * np.abs(sub).sum(axis=1).max())
     return ConditionReport(
         sigma=sigma,
@@ -452,16 +451,10 @@ def d3_stepsize_bound(curves, X):
     bundle = CurveBundle.of(curves)
     if len(bundle) == 0:
         return 2.0
-    sub = np.asarray(X)[np.ix_(bundle.positions, bundle.positions)]
+    sub = _spectral_block(bundle, X)
     s = np.sqrt(bundle.alpha_bar)
     lam = float(np.linalg.eigvalsh(s[:, None] * sub * s).max())
     return 2.0 / (1.0 + lam)
-
-
-def _x_times(feeder, q):
-    """``X @ q`` in O(n) through ``X = D.T diag(x) D``: the flow each line
-    carries, weighted by its reactance and summed along every root path."""
-    return feeder.path_sum(feeder.x * feeder.subtree_sum(q))
 
 
 def _curve_block(mats, act, q):
@@ -471,7 +464,7 @@ def _curve_block(mats, act, q):
     Returns ``x_aa = X[act, act]`` and the full base voltages
     ``X q_o + vtilde``, where ``q_o`` is ``q`` with ``act`` zeroed.
     """
-    base = _x_times(mats.feeder, _scatter(q, act, 0.0)) + mats.vtilde
+    base = mats.voltage(_scatter(q, act, 0.0))
     return mats.X[np.ix_(act, act)], base
 
 
@@ -480,7 +473,7 @@ def objective_terms(mats, curves, q):
     bundle = CurveBundle.of(curves)
     q = np.asarray(q, dtype=float)
     cost = float(bundle.cost(q[bundle.positions]).sum()) if len(bundle) else 0.0
-    quad = float(0.5 * q @ _x_times(mats.feeder, q))
+    quad = float(0.5 * q @ mats.x_times(q))
     linear = float(q @ (mats.vtilde - mats.feeder.v_nom))
     return cost, quad, linear
 
@@ -490,25 +483,20 @@ def objective_f(mats, curves, q):
     return sum(objective_terms(mats, curves, q))
 
 
-def objective_tradeoff(mats, curves, q, x_inverse=None):
+def objective_tradeoff(mats, curves, q):
     """Equivalent cost-versus-deviation form of the objective.
 
     Returns ``(cost, deviation, constant)`` with ``deviation`` the
     half-quadratic of ``v - v_nom`` under the inverse reactance matrix and
     ``constant`` the q-independent offset; ``cost + deviation - constant``
-    equals :func:`objective_f`.
+    equals :func:`objective_f`.  Both quadratics are sums over the tree's
+    lines (``X`` inverse is the grounded tree Laplacian), O(n) on a slack
+    of any degree.
     """
-    if x_inverse is None:
-        from .network import explicit_inverse_x
-
-        x_inverse = explicit_inverse_x(mats.feeder)
-    bundle = CurveBundle.of(curves)
-    q = np.asarray(q, dtype=float)
-    cost = float(bundle.cost(q[bundle.positions]).sum()) if len(bundle) else 0.0
-    dev = mats.X @ q + mats.vtilde - mats.feeder.v_nom
-    deviation = float(0.5 * dev @ (x_inverse @ dev))
-    dv = mats.vtilde - mats.feeder.v_nom
-    constant = float(0.5 * dv @ (x_inverse @ dv))
+    feeder = mats.feeder
+    cost = objective_terms(mats, curves, q)[0]
+    deviation = 0.5 * sum(_deviation_terms(feeder, mats.voltage(q) - feeder.v_nom))
+    constant = 0.5 * sum(_deviation_terms(feeder, mats.vtilde - feeder.v_nom))
     return cost, deviation, constant
 
 
@@ -517,7 +505,7 @@ def objective_subgradient(mats, curves, q, v=None):
     bundle = CurveBundle.of(curves)
     q = np.asarray(q, dtype=float)
     if v is None:
-        v = mats.X @ q + mats.vtilde
+        v = mats.voltage(q)
     verr = np.asarray(v, dtype=float) - mats.feeder.v_nom
     g = verr.copy()
     act = bundle.positions
@@ -578,6 +566,7 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
         curves = ControllerConfig.from_feeder(feeder, "d1").curves
     if q_min is None or q_max is None:
         q_min, q_max = limits_arrays(feeder)
+    q_min, q_max = validate_box(q_min, q_max, feeder.n)
     bundle = CurveBundle.of(curves)
     act = bundle.positions
 
@@ -602,7 +591,7 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
             cost, quad, linear = objective_terms(mats, bundle, q)
             return EquilibriumReport(
                 q_star=q,
-                v_star=_x_times(feeder, q) + mats.vtilde,
+                v_star=mats.voltage(q),
                 objective=cost + quad + linear,
                 cost_term=cost,
                 quadratic_term=quad,

@@ -197,6 +197,8 @@ class SensitivityMatrices:
 
     ``v = X q + vtilde`` maps reactive injections to bus voltages in the
     linearized branch-flow model; R plays the same role for real power.
+    :meth:`voltage` and :meth:`x_times` apply the model in O(n) without
+    touching the dense X.
     """
 
     R: np.ndarray
@@ -207,6 +209,20 @@ class SensitivityMatrices:
     @property
     def n(self):
         return self.X.shape[0]
+
+    def x_times(self, q):
+        """The product ``X q`` along the last axis of ``q``, in O(n) through
+        ``X = D.T diag(x) D``: the flow each line carries, weighted by its
+        reactance and summed along every root path."""
+        feeder = self.feeder
+        q = np.asarray(q, dtype=float)
+        if q.shape[-1:] != (feeder.n,):
+            raise DimensionMismatch(f"expected q with last axis {feeder.n}, got {q.shape}")
+        return feeder.path_sum(feeder.x * feeder.subtree_sum(q))
+
+    def voltage(self, q):
+        """The linearized model's voltages ``X q + vtilde``, in O(n)."""
+        return self.x_times(q) + self.vtilde
 
 
 def build_feeder(
@@ -405,6 +421,18 @@ def explicit_inverse_x(feeder):
     return out
 
 
+def _deviation_terms(feeder, dev):
+    """The grounded-Laplacian quadratic ``dev^T X^{-1} dev`` in O(n), split
+    into ``(slack_term, line_term)``: ``dev_k^2 / x_k`` summed over the
+    buses adjacent to the slack, and ``(dev_k - dev_parent)^2 / x_k`` over
+    the internal lines."""
+    root = feeder.parent < 0
+    k = np.flatnonzero(~root)
+    slack_term = np.sum(dev[root] ** 2 / feeder.x[root])
+    line_term = np.sum((dev[k] - dev[feeder.parent[k]]) ** 2 / feeder.x[k])
+    return float(slack_term), float(line_term)
+
+
 def voltage_deviation_form(feeder, q, mats=None):
     """Split the voltage-deviation quadratic into root and neighbor terms.
 
@@ -425,9 +453,4 @@ def voltage_deviation_form(feeder, q, mats=None):
     q = np.asarray(q, dtype=float)
     if q.shape != (feeder.n,):
         raise DimensionMismatch(f"expected q of shape ({feeder.n},), got {q.shape}")
-    dev = mats.X @ q + mats.vtilde - feeder.v_nom
-    first = feeder.roots[0]
-    root_term = dev[first] ** 2 / feeder.x[first]
-    k = np.flatnonzero(feeder.parent >= 0)
-    neighbor_term = np.sum((dev[k] - dev[feeder.parent[k]]) ** 2 / feeder.x[k])
-    return float(root_term), float(neighbor_term)
+    return _deviation_terms(feeder, mats.voltage(q) - feeder.v_nom)

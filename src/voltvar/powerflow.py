@@ -63,10 +63,9 @@ def linear_voltage(mats, q):
     """Open-loop voltages of the linearized model: ``v = X q + vtilde``."""
     feeder = mats.feeder
     net_p, net_q = _net_consumption(feeder, q)
-    q = np.asarray(q, dtype=float)
     P, Q = branch_flows(feeder, net_p, net_q)
     return VoltageSolution(
-        v=mats.X @ q + mats.vtilde,
+        v=mats.voltage(q),
         P=P,
         Q=Q,
         ell=np.zeros(feeder.n),

@@ -374,6 +374,18 @@ class TestSolveEquilibrium:
                 tol=0.0, max_iter=50,
             )
 
+    @pytest.mark.parametrize("q_min, q_max, error", [
+        ([np.nan], [1.0], vv.InvalidRecord),  # once ran out its budget at residual nan
+        ([0.1], [-0.1], vv.InvalidRecord),
+        ([-1.0, -1.0], [1.0, 1.0], vv.DimensionMismatch),
+    ], ids=["nan", "inverted", "wrong-length"])
+    def test_bad_box_rejected(self, feeder2, q_min, q_max, error):
+        with pytest.raises(error):
+            vv.solve_equilibrium(
+                feeder2, curves={0: vv.DroopCurve(alpha=1.0, deadband=0.04)},
+                q_min=np.array(q_min), q_max=np.array(q_max), max_iter=50,
+            )
+
 
 @st.composite
 def feeders_with_curves(draw):
@@ -404,6 +416,40 @@ def feeders_with_curves(draw):
     feeder = vv.build_feeder(buses, lines, inverters=inverters, slack_label=0,
                              v0=draw(st.floats(0.95, 1.06)))
     return feeder, {feeder.position[b]: c for b, c in curves.items()}
+
+
+class TestVerdicts:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(feeders_with_curves(), st.sampled_from(["d1", "d2", "d3"]), st.floats(1e-3, 2.0),
+           st.booleans())
+    def test_never_converged_on_nonfinite_state(self, drawn, kind, share, tracked):
+        # shares above 1 put d3 past its stepsize bound; d1 may be unstable
+        feeder, curves = drawn
+        mats = vv.sensitivity_matrices(feeder)
+        q_min, q_max = vv.limits_arrays(feeder)
+        cfg = vv.ControllerConfig(
+            kind=kind, curves=curves, q_min=q_min, q_max=q_max, gamma2=share * 1e-2,
+            gamma3=min(share * vv.d3_stepsize_bound(curves, mats.X), 1.0),
+        )
+        traj = vv.simulate(feeder, cfg, mats=mats, tol=1e-9, max_iter=400,
+                           track_objective=tracked)
+        if traj.verdict == "converged":
+            for a in (traj.q, traj.v, traj.residuals, traj.q_average):
+                assert np.isfinite(a).all()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(feeders_with_curves(), st.floats(2e-3, 5e-2))
+    def test_slow_d3_is_not_oscillating(self, drawn, share):
+        feeder, curves = drawn
+        mats = vv.sensitivity_matrices(feeder)
+        q_min, q_max = vv.limits_arrays(feeder)
+        cfg = vv.ControllerConfig(
+            kind="d3", curves=curves, q_min=q_min, q_max=q_max,
+            gamma3=share * vv.d3_stepsize_bound(curves, mats.X),
+        )
+        traj = vv.simulate(feeder, cfg, mats=mats, tol=1e-9, max_iter=3000,
+                           record_every=3000)
+        assert traj.verdict != "oscillating"
 
 
 class TestSemismoothNewton:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -271,3 +272,47 @@ class TestTreePrimitives:
         X = vv.sensitivity_matrices(f).X
         resid = np.abs(vv.explicit_inverse_x(f) @ X - np.eye(f.n)).sum(axis=1).max()
         assert resid < 1e-8
+
+    @PROPERTY
+    @given(f=trees(), seed=st.integers(0, 2**32 - 1))
+    @example(f=FORKED_ROOT, seed=0)
+    def test_linear_model_matches_path_enumeration(self, f, seed):
+        rng = np.random.default_rng(seed)
+        f = with_loads(f, rng)
+        mats = vv.sensitivity_matrices(f)
+        R, X = brute_force_sensitivities(f)
+        vtilde = f.v0 + R @ (f.injected_real_power() - f.p_c) - X @ f.q_c
+        q = rng.uniform(-1.0, 1.0, (2, f.n))
+        # differences of prefix sums: error relative to the l1 norm of |X| |q|
+        scale = 1e-14 * (np.abs(q) @ X).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(mats.x_times(q) - q @ X) <= scale)
+        assert np.all(np.abs(mats.voltage(q[0]) - (X @ q[0] + vtilde))
+                      <= scale[0] + 1e-14 * np.abs(vtilde))
+        with pytest.raises(vv.DimensionMismatch):
+            mats.x_times(np.zeros(f.n + 1))
+
+    @PROPERTY
+    @given(f=trees(), seed=st.integers(0, 2**32 - 1))
+    @example(f=FORKED_ROOT, seed=0)
+    def test_tradeoff_identity_on_any_slack(self, f, seed):
+        rng = np.random.default_rng(seed)
+        f = with_loads(f, rng)
+        mats = vv.sensitivity_matrices(f)
+        act = rng.choice(f.n, size=int(rng.integers(1, f.n + 1)), replace=False)
+        curves = {int(k): vv.DroopCurve(alpha=float(rng.uniform(1.0, 50.0)), deadband=0.04)
+                  for k in act}
+        q = rng.uniform(-0.5, 0.5, f.n)
+        cost, deviation, constant = vv.objective_tradeoff(mats, curves, q)
+        # the tree-Laplacian sums against the dense closed-form inverse
+        x_inv = vv.explicit_inverse_x(f)
+        for dev, value in ((mats.voltage(q) - f.v_nom, deviation),
+                           (mats.vtilde - f.v_nom, constant)):
+            assert value == pytest.approx(0.5 * dev @ x_inv @ dev, rel=1e-12, abs=1e-14)
+        scale = abs(cost) + deviation + constant
+        assert cost + deviation - constant == pytest.approx(
+            vv.objective_f(mats, curves, q), rel=0, abs=1e-12 * scale)
+
+
+def with_loads(f, rng):
+    """``f`` with random loads, so that ``vtilde`` is not flat."""
+    return dataclasses.replace(f, p_c=rng.uniform(0.0, 0.1, f.n), q_c=rng.uniform(0.0, 0.05, f.n))
