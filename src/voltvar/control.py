@@ -94,13 +94,12 @@ def validate_box(q_min, q_max, n=None):
 
 
 def project_box(q, q_min, q_max):
-    """Componentwise projection onto the box [q_min, q_max]."""
-    q = np.asarray(q, dtype=float)
-    q_min = np.asarray(q_min, dtype=float)
-    q_max = np.asarray(q_max, dtype=float)
-    if np.any(q_min > q_max):
-        raise DimensionMismatch("q_min exceeds q_max somewhere")
-    return np.clip(q, q_min, q_max)
+    """Componentwise projection onto the box [q_min, q_max].
+
+    The box is checked by :func:`validate_box`: a non-finite or inverted
+    box raises InvalidRecord.
+    """
+    return np.asarray(q, dtype=float).clip(*validate_box(q_min, q_max))
 
 
 class _Hinges(NamedTuple):

@@ -100,7 +100,8 @@ class Trajectory:
     objective is tracked, ``cum_objective[i]`` holds the sum of objective
     values over the first ``times[i]`` states (the running-average
     numerator).  ``q_average`` averages the states entering each of the
-    ``steps`` updates.
+    ``steps`` updates.  ``sweep_iterations`` totals the power-flow sweep
+    iterations of a distflow run, and is None on the linear plant.
     """
 
     times: np.ndarray
@@ -113,6 +114,7 @@ class Trajectory:
     objective: np.ndarray | None = None
     cum_objective: np.ndarray | None = None
     q_average: np.ndarray | None = None
+    sweep_iterations: int | None = None
 
     @property
     def final_q(self):
@@ -319,8 +321,9 @@ def simulate(
 
     ``plant`` is ``"linear"`` (``v = X q + vtilde`` from ``mats``, built
     when omitted) or ``"distflow"`` (the full branch-flow sweep, solved to
-    1e-10 every step); anything else raises InvalidRecord.  Buses without
-    a curve stay at their projected ``q0``.
+    1e-10 every step and warm-started from the previous step's solution);
+    anything else raises InvalidRecord.  Buses without a curve stay at
+    their projected ``q0``.
 
     Returns a Trajectory whose verdict is ``converged`` once the step change
     drops below ``tol``, ``oscillating`` when the smallest residual of the
@@ -382,9 +385,15 @@ def simulate(
             def verr_of(qa):
                 return x_aa @ qa + base_err, None
         else:
+            sol, sweep_iterations = None, 0
+
             def verr_of(qa):
-                v_full = powerflow.distflow_sweep(feeder, _scatter(q, act, qa), tol=1e-10).v
-                return (v_full - v_nom)[act], v_full
+                # each state's solution warm-starts the next state's sweep
+                nonlocal sol, sweep_iterations
+                sol = powerflow.distflow_sweep(feeder, _scatter(q, act, qa), tol=1e-10,
+                                               start=sol)
+                sweep_iterations += sol.iterations
+                return (sol.v - v_nom)[act], sol.v
 
         q_sum = np.zeros(act.size)
         states = _array_kernel(config.kind, verr_of, qa, bundle, lo_box, hi_box,
@@ -399,6 +408,8 @@ def simulate(
     run["q"], run["q_average"] = q_full, q_avg
     if linear:
         run["v"] = qa_rec @ mats.X[:, act].T + base_full
+    else:
+        run["sweep_iterations"] = sweep_iterations
     return Trajectory(**run)
 
 
@@ -570,7 +581,7 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
     bundle = CurveBundle.of(curves)
     act = bundle.positions
 
-    q = project_box(np.zeros(feeder.n), q_min, q_max)
+    q = np.zeros(feeder.n).clip(q_min, q_max)
     qa = q[act].copy()
     x_aa, base = _curve_block(mats, act, q)
     base_a = (base - feeder.v_nom)[act]

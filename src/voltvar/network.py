@@ -167,15 +167,28 @@ class Feeder:
                 end[p] = end[k]
         return _readonly(pos, int), _readonly(end, int)
 
+    @cached_property
+    def preorder_end(self):
+        """The subtree ends of ``intervals`` in preorder coordinates: the
+        subtree of the bus at preorder position a fills ``[a, preorder_end[a])``."""
+        return _readonly(self.intervals[1].take(self.order), int)
+
+    @cached_property
+    def preorder_lines(self):
+        """Line impedances in preorder coordinates, read-only: the stacked
+        ``(r, x)`` and ``z2 = r^2 + x^2``."""
+        r, x = rx = np.array((self.r, self.x)).take(self.order, axis=1)
+        return _readonly(rx), _readonly(r * r + x * x)
+
     def subtree_sum(self, y):
         """``D @ y`` along the last axis of ``y``: each bus's subtree sum, O(n)."""
-        pos, end = self.intervals
-        return _subtree_sum(np.asarray(y, dtype=float)[..., self.order], end[self.order])[..., pos]
+        y = np.asarray(y, dtype=float)[..., self.order]
+        return _subtree_sum(y, self.preorder_end)[..., self.intervals[0]]
 
     def path_sum(self, y):
         """``D.T @ y`` along the last axis of ``y``: each bus's root-path sum, O(n)."""
-        pos, end = self.intervals
-        return _path_sum(np.asarray(y, dtype=float)[..., self.order], end[self.order])[..., pos]
+        y = np.asarray(y, dtype=float)[..., self.order]
+        return _path_sum(y, self.preorder_end)[..., self.intervals[0]]
 
     @cached_property
     def descendant_matrix(self):
@@ -189,6 +202,11 @@ class Feeder:
         for k, inv in self.inverters.items():
             p[k] += inv.p
         return p
+
+    @cached_property
+    def net_p(self):
+        """Net real consumption ``p_c - injected_real_power()``, read-only."""
+        return _readonly(self.p_c - self.injected_real_power())
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +394,7 @@ def sensitivity_matrices(feeder):
 
     ``X[i, j]`` sums line reactances over the common root path of buses i
     and j (likewise R with resistances); ``vtilde`` collects the effect of
-    the fixed injections: ``v0 + R (p_g - p_c) - X q_c``.
+    the fixed injections: ``v0 - R net_p - X q_c``.
 
     In preorder coordinates, row k copies its parent's row (the common
     path with any bus outside beta(k)) and sets beta(k) to k's depth sum.
@@ -397,7 +415,7 @@ def sensitivity_matrices(feeder):
         XR[:, a, a:end[k]] = dep[k, :, None]
     X, R = (m[np.ix_(pos, pos)] for m in XR)
 
-    vtilde = feeder.v0 + R @ (feeder.injected_real_power() - feeder.p_c) - X @ feeder.q_c
+    vtilde = feeder.v0 - R @ feeder.net_p - X @ feeder.q_c
     return SensitivityMatrices(
         R=_readonly(R), X=_readonly(X), vtilde=_readonly(vtilde), feeder=feeder
     )

@@ -54,9 +54,7 @@ def _net_consumption(feeder, q):
             f"reactive injections must be finite; non-finite at bus positions "
             f"{np.flatnonzero(~np.isfinite(q)).tolist()}"
         )
-    net_p = feeder.p_c - feeder.injected_real_power()
-    net_q = feeder.q_c - q
-    return net_p, net_q
+    return feeder.net_p, feeder.q_c - q
 
 
 def linear_voltage(mats, q):
@@ -73,15 +71,23 @@ def linear_voltage(mats, q):
     )
 
 
-def distflow_sweep(feeder, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def distflow_sweep(feeder, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, start=None):
     """Solve the full branch-flow recursion by backward/forward sweeps.
 
-    Starts flat (``ell = 0``, ``v = v0``) and alternates flow accumulation,
-    voltage propagation and current updates until the largest voltage change
-    drops below ``tol``.
+    Starts flat (``ell = 0``, ``v = v0``), or from the ``ell`` and ``v`` of
+    ``start``, an earlier VoltageSolution of the same feeder, and
+    alternates flow accumulation, voltage propagation and current updates
+    until the largest voltage change drops below ``tol``.  A start near the
+    solution, such as the previous step's solution in a closed loop, needs
+    fewer sweeps to the same stopping rule.
 
     Raises
     ------
+    DimensionMismatch
+        ``q``, ``start.v`` or ``start.ell`` is not of shape ``(n,)``.
+    InvalidRecord
+        ``q`` is not finite, or ``start`` holds a non-finite ``ell``/``v``
+        or a ``v <= 0``.
     NoConvergence
         Iteration budget exhausted; the loading may be beyond the solvable
         region.
@@ -91,19 +97,20 @@ def distflow_sweep(feeder, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     net_p, net_q = _net_consumption(feeder, q)
     # the sweep runs in preorder coordinates, where subtrees are intervals
     order = feeder.order
-    pos, end = feeder.intervals
-    end = end.take(order)
-    load_r_x = np.array((net_p, net_q, feeder.r, feeder.x)).take(order, axis=1)
-    load, rx = load_r_x[:2], load_r_x[2:]
+    end = feeder.preorder_end
+    rx, z2 = feeder.preorder_lines
     r, x = rx
-    z2 = r * r + x * x
+    load = np.array((net_p, net_q)).take(order, axis=1)
     v0sq = feeder.v0**2
 
-    ell = np.zeros(feeder.n)
-    v = feeder.v0  # flat start
+    if start is None:
+        ell = np.zeros(feeder.n)
+        v = feeder.v0  # flat start
+    else:
+        ell, v = _start_point(feeder, start)
     change = np.inf
     for it in range(1, max_iter + 1):
-        P, Q = flows = _subtree_sum(load + rx * ell, end)
+        P, Q = _subtree_sum(load + rx * ell, end)
         drop = 2.0 * (r * P + x * Q) - z2 * ell
         v2 = v0sq - _path_sum(drop, end)
         if v2.min() <= 0.0:
@@ -118,9 +125,24 @@ def distflow_sweep(feeder, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         change = float(np.abs(v_new - v).max())
         v = v_new
         if change < tol:
+            pos = feeder.intervals[0]
             v, P, Q, ell = np.array((v, P, Q, ell)).take(pos, axis=1)
             return VoltageSolution(v=v, P=P, Q=Q, ell=ell, model="distflow", iterations=it)
     raise NoConvergence(max_iter, change)
+
+
+def _start_point(feeder, start):
+    """The checked ``(ell, v)`` of a warm start, taken into preorder."""
+    ell = np.asarray(start.ell, dtype=float)
+    v = np.asarray(start.v, dtype=float)
+    if not ell.shape == v.shape == (feeder.n,):
+        raise DimensionMismatch(
+            f"expected start.ell and start.v of shape ({feeder.n},), "
+            f"got {ell.shape} and {v.shape}"
+        )
+    if not (np.isfinite(ell).all() and np.isfinite(v).all() and v.min() > 0.0):
+        raise InvalidRecord("a warm start needs finite ell and v with v > 0")
+    return ell.take(feeder.order), v.take(feeder.order)
 
 
 @dataclass(frozen=True, eq=False)

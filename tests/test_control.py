@@ -128,6 +128,18 @@ class TestProjection:
             pa, pb = vv.project_box(a, lo, hi), vv.project_box(b, lo, hi)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
+    def test_inverted_box_rejected(self):
+        with pytest.raises(vv.InvalidRecord):
+            vv.project_box(np.zeros(2), np.array([-0.3, 0.2]), np.array([0.3, 0.1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_box_rejected(self, bad):
+        # a NaN bound used to pass through np.clip into the projected q
+        with pytest.raises(vv.InvalidRecord):
+            vv.project_box(np.zeros(2), np.array([-0.3, bad]), np.array([0.3, 0.3]))
+        with pytest.raises(vv.InvalidRecord):
+            vv.project_box(np.zeros(2), np.array([-0.3, -0.3]), np.array([bad, 0.3]))
+
 
 class TestLipschitzConstant:
     def test_scalar_product(self):

@@ -17,6 +17,12 @@ def two_bus_config(kind="d1", alpha=1.0, deadband=0.04, **kw):
     )
 
 
+# sweep iterations of the sce42 d1 run (alpha 10, distflow, tol 1e-8):
+# every state swept flat, and each warm-started from the previous state
+SCE42_D1_COLD_SWEEPS = 134
+SCE42_D1_WARM_SWEEPS = 86
+
+
 @pytest.fixture
 def feeder2():
     return two_bus_feeder(r=0.1, x=0.5, v0=1.05)
@@ -135,6 +141,16 @@ class TestSimulate:
         for i in (0, len(traj.times) // 2, -1):
             sol = vv.distflow_sweep(sce42, traj.q[i], tol=1e-10)
             np.testing.assert_allclose(traj.v[i], sol.v, atol=1e-9)
+
+    def test_sweep_iterations_counted_on_distflow_only(self, sce42, sce42_mats):
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=10.0)
+        assert vv.simulate(sce42, cfg, mats=sce42_mats).sweep_iterations is None
+        traj = vv.simulate(sce42, cfg, plant="distflow", tol=1e-8)
+        assert traj.verdict == "converged" and len(traj.times) == traj.steps + 1
+        # every state's sweep run flat, as the plant did before it warm-started
+        cold = sum(vv.distflow_sweep(sce42, q, tol=1e-10).iterations for q in traj.q)
+        assert cold == SCE42_D1_COLD_SWEEPS
+        assert traj.sweep_iterations == SCE42_D1_WARM_SWEEPS
 
     def test_oscillation_detected_beyond_stability_limit(self, feeder2):
         cfg = two_bus_config("d1", alpha=3.0, deadband=0.0)
@@ -388,10 +404,13 @@ class TestSolveEquilibrium:
 
 
 @st.composite
-def feeders_with_curves(draw):
-    """A random small feeder with droop and table curves of slopes up to 2000."""
+def feeders_with_curves(draw, alpha_max=None, table_share=0.5):
+    """A random small feeder with droop and table curves of slopes up to
+    ``alpha_max`` (drawn up to 2000 when omitted); ``table_share`` of the
+    curves are tables on average."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    alpha_max = draw(st.floats(1.0, 2000.0))
+    if alpha_max is None:
+        alpha_max = draw(st.floats(1.0, 2000.0))
     n = draw(st.integers(2, 10))
     records, lines = random_tree_records(rng, n, z_lo=1e-4, z_hi=2e-2)
     buses = [records[0]] + [
@@ -406,7 +425,7 @@ def feeders_with_curves(draw):
         inverters[b] = vv.Inverter(s=s, p=float(rng.uniform(0.0, s)))
         a1, a2 = rng.uniform(1.0, alpha_max, size=2)
         h = float(rng.choice([0.0, 0.01, 0.02]))
-        if rng.random() < 0.5:
+        if rng.random() < 1.0 - table_share:
             curves[b] = vv.DroopCurve(alpha=float(a1), deadband=2 * h)
         else:
             h = max(h, 0.005)
@@ -416,6 +435,28 @@ def feeders_with_curves(draw):
     feeder = vv.build_feeder(buses, lines, inverters=inverters, slack_label=0,
                              v0=draw(st.floats(0.95, 1.06)))
     return feeder, {feeder.position[b]: c for b, c in curves.items()}
+
+
+class TestWarmStartedPlant:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(feeders_with_curves(alpha_max=20.0, table_share=1.0), st.floats(0.2, 1.0))
+    def test_d3_matches_cold_sweep_oracle(self, drawn, share):
+        # the oracle steps the law by hand on voltages from a cold sweep per state
+        feeder, curves = drawn
+        mats = vv.sensitivity_matrices(feeder)
+        q_min, q_max = vv.limits_arrays(feeder)
+        cfg = vv.ControllerConfig(kind="d3", curves=curves, q_min=q_min, q_max=q_max,
+                                  gamma3=share * vv.d3_stepsize_bound(curves, mats.X))
+        steps = 12
+        traj = vv.simulate(feeder, cfg, plant="distflow", tol=0.0, max_iter=steps,
+                           oscillation_window=None)
+        q = vv.project_box(np.zeros(feeder.n), q_min, q_max)
+        for t in range(steps + 1):
+            v = vv.distflow_sweep(feeder, q, tol=1e-12).v
+            np.testing.assert_allclose(traj.q[t], q, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(traj.v[t], v, rtol=0, atol=1e-9)
+            q = vv.step(q, v, cfg, feeder.v_nom)
+        assert traj.sweep_iterations >= steps + 1
 
 
 class TestVerdicts:

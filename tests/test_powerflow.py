@@ -1,10 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voltvar as vv
 from voltvar.powerflow import branch_flows
 
-from helpers import random_feeder, single_line_distflow_oracle, two_bus_feeder
+from helpers import (
+    random_feeder,
+    random_tree_records,
+    single_line_distflow_oracle,
+    two_bus_feeder,
+)
 
 
 class TestLinearVoltage:
@@ -102,6 +111,71 @@ class TestDistflowSweep:
         f = two_bus_feeder(p_c=0.5)
         with pytest.raises(vv.NoConvergence):
             vv.distflow_sweep(f, np.zeros(1), tol=1e-16, max_iter=1)
+
+
+class TestWarmStart:
+    def test_restart_from_solution_takes_one_iteration(self, sce42):
+        q_min, q_max = vv.limits_arrays(sce42)
+        q = np.random.default_rng(5).uniform(q_min, q_max)
+        sol = vv.distflow_sweep(sce42, q, tol=1e-13)
+        again = vv.distflow_sweep(sce42, q, tol=1e-12, start=sol)
+        assert again.iterations == 1
+        np.testing.assert_allclose(again.v, sol.v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(again.ell, sol.ell, rtol=1e-12)
+
+    def test_nearby_start_saves_iterations(self, sce42):
+        q_min, q_max = vv.limits_arrays(sce42)
+        rng = np.random.default_rng(7)
+        q1 = rng.uniform(q_min, q_max)
+        q2 = q1 + 0.01 * (rng.uniform(q_min, q_max) - q1)
+        cold = vv.distflow_sweep(sce42, q2, tol=1e-10)
+        warm = vv.distflow_sweep(sce42, q2, tol=1e-10,
+                                 start=vv.distflow_sweep(sce42, q1, tol=1e-10))
+        assert warm.iterations < cold.iterations
+        np.testing.assert_allclose(warm.v, cold.v, rtol=0, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 15), st.floats(0.0, 0.05),
+           st.floats(0.95, 1.05))
+    def test_matches_cold_sweep_on_random_trees(self, seed, n, scale, v0):
+        rng = np.random.default_rng(seed)
+        buses, lines = random_tree_records(rng, n, z_hi=0.1)
+        loaded = [buses[0]] + [
+            vv.Bus(b.id, p_c=float(rng.uniform(0.0, scale)), q_c=float(rng.uniform(0.0, scale)))
+            for b in buses[1:]
+        ]
+        f = vv.build_feeder(loaded, lines, slack_label=0, v0=v0)
+        q1, q2 = rng.uniform(-scale, scale, size=(2, n))
+        cold = vv.distflow_sweep(f, q2, tol=1e-12)
+        warm = vv.distflow_sweep(f, q2, tol=1e-12, start=vv.distflow_sweep(f, q1, tol=1e-12))
+        for a, b in ((warm.v, cold.v), (warm.ell, cold.ell), (warm.P, cold.P),
+                     (warm.Q, cold.Q)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+
+    def test_linear_solution_is_a_valid_start(self, sce42, sce42_mats):
+        q = np.zeros(sce42.n)
+        warm = vv.distflow_sweep(sce42, q, tol=1e-12, start=vv.linear_voltage(sce42_mats, q))
+        cold = vv.distflow_sweep(sce42, q, tol=1e-12)
+        np.testing.assert_allclose(warm.v, cold.v, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("field, size", [("v", 3), ("ell", 3), ("v", 0)])
+    def test_wrong_shape_start_rejected(self, sce42, field, size):
+        sol = vv.distflow_sweep(sce42, np.zeros(sce42.n))
+        bad = replace(sol, **{field: np.ones(size)})
+        with pytest.raises(vv.DimensionMismatch):
+            vv.distflow_sweep(sce42, np.zeros(sce42.n), start=bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("v", np.nan), ("v", np.inf), ("v", 0.0), ("v", -1.0),
+        ("ell", np.nan), ("ell", np.inf), ("ell", -np.inf),
+    ])
+    def test_nonfinite_or_nonpositive_start_rejected(self, sce42, field, value):
+        sol = vv.distflow_sweep(sce42, np.zeros(sce42.n))
+        arr = getattr(sol, field).copy()
+        arr[4] = value
+        bad = replace(sol, **{field: arr})
+        with pytest.raises(vv.InvalidRecord):
+            vv.distflow_sweep(sce42, np.zeros(sce42.n), start=bad, max_iter=1)
 
 
 class TestLinearizationError:

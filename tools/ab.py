@@ -11,12 +11,14 @@ the two trees flips every round (A B, B A, A B, ...), so a slow spell of
 the host lands on both sides.
 
 A process prepares the workload at seed 1, runs one warm-up request, then
-runs every request of the pool three times.  Its sample is the sum over
-the pool of each entry's fastest request, in ms: the same fastest-repeat
-rule as ``bench/run.py``.  The report gives each side's median and
-quartiles over the rounds, the ratio of the medians (B over A) and the
-number of rounds in which B was faster.  A request that fails its checks
-stops the run with that process's error.
+runs every request of the pool three times.  Its samples are the sum over
+the pool of each entry's fastest request, in ms, and its steps/s: the
+pool's closed-loop steps over the sum of each entry's fastest ``sim_s``.
+Both follow the fastest-repeat rule of ``bench/run.py``.  The report gives
+each side's median and quartiles over the rounds, the ratio of the medians
+(B over A) and the number of rounds in which B was better, for each
+sample.  A request that fails its checks stops the run with that
+process's error.
 """
 
 from __future__ import annotations
@@ -47,11 +49,16 @@ def child(tree, workload):
         state = wl.prepare(SEED, Path(workdir))
         wl.request(state, 0)
         best = [float("inf")] * wl.POOL
+        best_sim = [float("inf")] * wl.POOL
+        steps = [0] * wl.POOL
         for i in range(1, REPEATS * wl.POOL + 1):
             t0 = time.perf_counter()
-            wl.request(state, i)
-            best[i % wl.POOL] = min(best[i % wl.POOL], time.perf_counter() - t0)
-    print(json.dumps({"pool_ms": sum(best) * 1e3}))
+            s = wl.request(state, i)
+            k = i % wl.POOL
+            best[k] = min(best[k], time.perf_counter() - t0)
+            best_sim[k] = min(best_sim[k], s["sim_s"])
+            steps[k] = s["steps"]
+    print(json.dumps({"pool_ms": sum(best) * 1e3, "steps_per_s": sum(steps) / sum(best_sim)}))
 
 
 def run_side(tree, workload):
@@ -62,7 +69,7 @@ def run_side(tree, workload):
     )
     if proc.returncode != 0:
         sys.exit(f"{tree}: workload process failed\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])["pool_ms"]
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def summary(xs):
@@ -88,14 +95,19 @@ def main(argv=None):
         order = ((args.tree_a, a), (args.tree_b, b))
         for tree, out in order if r % 2 == 0 else order[::-1]:
             out.append(run_side(tree, args.workload))
-        print(f"round {r + 1}: A {a[-1]:.2f} ms  B {b[-1]:.2f} ms", flush=True)
-    won = sum(y < x for x, y in zip(a, b))
-    print(f"{args.workload}, {args.rounds} rounds, seed {SEED}: each sample sums the "
-          f"fastest of {REPEATS} requests per pool entry (ms)")
-    print(f"A {args.tree_a}: {summary(a)}")
-    print(f"B {args.tree_b}: {summary(b)}")
-    print(f"median ratio B/A {statistics.median(b) / statistics.median(a):.4f}; "
-          f"B faster in {won}/{args.rounds} rounds")
+        print(f"round {r + 1}: A {a[-1]['pool_ms']:.2f} ms {a[-1]['steps_per_s']:.1f} steps/s"
+              f"  B {b[-1]['pool_ms']:.2f} ms {b[-1]['steps_per_s']:.1f} steps/s", flush=True)
+    print(f"{args.workload}, {args.rounds} rounds, seed {SEED}: each sample takes the "
+          f"fastest of {REPEATS} requests per pool entry")
+    for key, label, lower in (("pool_ms", "pool time (ms)", True),
+                              ("steps_per_s", "steps/s", False)):
+        xa, xb = [s[key] for s in a], [s[key] for s in b]
+        won = sum((y < x) if lower else (y > x) for x, y in zip(xa, xb))
+        print(f"{label}:")
+        print(f"  A {args.tree_a}: {summary(xa)}")
+        print(f"  B {args.tree_b}: {summary(xb)}")
+        print(f"  median ratio B/A {statistics.median(xb) / statistics.median(xa):.4f}; "
+              f"B better in {won}/{args.rounds} rounds")
 
 
 if __name__ == "__main__":
