@@ -30,13 +30,9 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _add_common(p):
+def _add_feeder_options(p):
     p.add_argument("--feeder", default="builtin:sce42",
                    help="feeder JSON path or builtin:<name> (default builtin:sce42)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="override droop slope at every inverter bus")
-    p.add_argument("--deadband", type=float, default=None,
-                   help=f"override droop deadband width (default {DEFAULT_DEADBAND} p.u.)")
     p.add_argument("--load-scale", type=float, default=1.0)
     p.add_argument("--power-factor", type=float, default=0.9)
     p.add_argument("--pv-fraction", type=float, default=1.0,
@@ -45,10 +41,26 @@ def _add_common(p):
                    help="inverter apparent capacity as a multiple of nameplate")
     p.add_argument("--tan-rho", type=float, default=None,
                    help="power-factor limit tan(rho); omitted = capacity circle only")
+    p.add_argument("--out", default=None, help="output file or prefix")
+
+
+def _add_curve_options(p):
+    p.add_argument("--alpha", type=float, default=None,
+                   help="override droop slope at every inverter bus")
+    p.add_argument("--deadband", type=float, default=None,
+                   help=f"override droop deadband width (default {DEFAULT_DEADBAND} p.u.)")
+
+
+def _add_run_options(p):
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="output file or prefix")
+
+
+def _add_law_options(p):
+    p.add_argument("--controller", choices=("d1", "d2", "d3"), default="d1")
+    p.add_argument("--plant", choices=("linear", "distflow"), default="linear")
+    p.add_argument("--gamma2", type=float, default=None)
+    p.add_argument("--gamma3", type=float, default=None)
 
 
 def _load(args, load_scale=None):
@@ -73,24 +85,15 @@ def _config(args, feeder, kind="d1"):
     )
 
 
-def _run_meta(args, feeder, extra=None):
-    meta = {
-        "version": __version__,
-        "feeder": args.feeder,
-        "feeder_hash": feeder_hash(feeder),
-        "alpha": args.alpha,
-        "deadband": args.deadband,
-        "load_scale": args.load_scale,
-        "power_factor": args.power_factor,
-        "pv_fraction": args.pv_fraction,
-        "oversize": args.oversize,
-        "tan_rho": args.tan_rho,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "seed": args.seed,
-        "floored_lines": list(feeder.meta.get("floored_lines", [])),
-    }
-    meta.update(extra or {})
+def _run_meta(args, feeder, extra):
+    """The parsed options, less dispatch and output, plus version and feeder facts."""
+    meta = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    meta.update(
+        version=__version__,
+        feeder_hash=feeder_hash(feeder),
+        floored_lines=list(feeder.meta.get("floored_lines", [])),
+        **extra,
+    )
     return meta
 
 
@@ -100,12 +103,12 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def write_trajectory_csv(trajectory, path, include_objective=True):
+def write_trajectory_csv(trajectory, path):
     """CSV export: header ``t, q_1..q_n, v_1..v_n, residual[, F]``."""
     n = trajectory.q.shape[1]
     cols = ["t"] + [f"q_{i}" for i in range(1, n + 1)] + [f"v_{i}" for i in range(1, n + 1)]
     cols.append("residual")
-    with_f = include_objective and trajectory.objective is not None
+    with_f = trajectory.objective is not None
     if with_f:
         cols.append("F")
     with open(path, "w") as fh:
@@ -157,13 +160,8 @@ def cmd_simulate(args):
     if args.out:
         write_trajectory_csv(traj, args.out + ".csv")
         extra = {
-            "controller": args.controller,
-            "plant": args.plant,
             "plant_note": "full model is the radial branch-flow sweep"
             if args.plant == "distflow" else "linearized branch flow",
-            "gamma2": args.gamma2,
-            "gamma3": args.gamma3,
-            "record_every": args.record_every,
             "verdict": traj.verdict,
             "steps": traj.steps,
             "converged_at": traj.converged_at,
@@ -180,7 +178,7 @@ def cmd_equilibrium(args):
     try:
         report = solve_equilibrium(
             feeder, curves=config.bundle, q_min=config.q_min, q_max=config.q_max,
-            tol=args.tol, mats=mats,
+            tol=args.tol, max_iter=args.max_iter, mats=mats,
         )
     except MaxIterations as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -273,40 +271,27 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="evaluate the convergence conditions")
-    _add_common(p)
-    p.set_defaults(func=cmd_check)
+    def command(name, func, summary, *groups):
+        p = sub.add_parser(name, help=summary)
+        for add in (_add_feeder_options, *groups):
+            add(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="run a closed-loop trajectory")
-    _add_common(p)
-    p.add_argument("--controller", choices=("d1", "d2", "d3"), default="d1")
-    p.add_argument("--plant", choices=("linear", "distflow"), default="linear")
-    p.add_argument("--gamma2", type=float, default=None)
-    p.add_argument("--gamma3", type=float, default=None)
+    command("check", cmd_check, "evaluate the convergence conditions", _add_curve_options)
+    p = command("simulate", cmd_simulate, "run a closed-loop trajectory",
+                _add_curve_options, _add_run_options, _add_law_options)
     p.add_argument("--record-every", type=int, default=1)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("equilibrium", help="solve for the closed-loop equilibrium")
-    _add_common(p)
-    p.set_defaults(func=cmd_equilibrium)
-
-    p = sub.add_parser("sweep", help="equilibrium and verdict over a parameter grid")
-    _add_common(p)
+    command("equilibrium", cmd_equilibrium, "solve for the closed-loop equilibrium",
+            _add_curve_options, _add_run_options)
+    p = command("sweep", cmd_sweep, "equilibrium and verdict over a parameter grid",
+                _add_curve_options, _add_run_options, _add_law_options)
     p.add_argument("parameter", choices=("alpha", "gamma2", "gamma3", "load_scale"))
     p.add_argument("--grid", required=True,
                    help="comma list '1,5,10' or range 'lo:hi:n'")
-    p.add_argument("--controller", choices=("d1", "d2", "d3"), default="d1")
-    p.add_argument("--plant", choices=("linear", "distflow"), default="linear")
-    p.add_argument("--gamma2", type=float, default=None)
-    p.add_argument("--gamma3", type=float, default=None)
     p.add_argument("--jobs", type=int, default=1,
                    help="ignored: sweeps run in process; kept so existing scripts parse")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("export-feeder", help="write the canonical per-unit JSON")
-    _add_common(p)
-    p.set_defaults(func=cmd_export_feeder)
-
+    command("export-feeder", cmd_export_feeder, "write the canonical per-unit JSON")
     return parser
 
 

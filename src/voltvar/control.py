@@ -196,11 +196,6 @@ class ControlCurve:
     def cost(self, q):
         return self._apply(_cost, q)
 
-    @property
-    def deadband(self):
-        lo, hi = self.deadband_edges
-        return hi - lo
-
 
 @dataclass(frozen=True)
 class DroopCurve(ControlCurve):

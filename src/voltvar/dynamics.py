@@ -462,7 +462,11 @@ def d3_stepsize_bound(curves, X):
     bundle = CurveBundle.of(curves)
     if len(bundle) == 0:
         return 2.0
-    sub = _spectral_block(bundle, X)
+    return _d3_bound(bundle, _spectral_block(bundle, X))
+
+
+def _d3_bound(bundle, sub):
+    """``2 / (1 + lambda_max)`` from ``sub``, X on the curve buses."""
     s = np.sqrt(bundle.alpha_bar)
     lam = float(np.linalg.eigvalsh(s[:, None] * sub * s).max())
     return 2.0 / (1.0 + lam)
@@ -511,13 +515,11 @@ def objective_tradeoff(mats, curves, q):
     return cost, deviation, constant
 
 
-def objective_subgradient(mats, curves, q, v=None):
+def objective_subgradient(mats, curves, q):
     """A subgradient of the objective at q (selection used by the d2 law)."""
     bundle = CurveBundle.of(curves)
     q = np.asarray(q, dtype=float)
-    if v is None:
-        v = mats.voltage(q)
-    verr = np.asarray(v, dtype=float) - mats.feeder.v_nom
+    verr = mats.voltage(q) - mats.feeder.v_nom
     g = verr.copy()
     act = bundle.positions
     if act.size:
@@ -569,7 +571,9 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
     converges from anywhere.  The solver stops once the fixed-point
     residual ``max |F|`` drops below ``tol``; the residual doubles as the
     optimality certificate of the equivalent convex problem.
-    ``iterations`` counts the updates, Newton or d3, that it took.
+    ``iterations`` counts the updates, Newton or d3, that it took; when
+    ``max_iter`` updates leave the residual at or above ``tol``, the solver
+    raises MaxIterations.
     """
     if mats is None:
         mats = sensitivity_matrices(feeder)
@@ -595,21 +599,12 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
         return verr, u, res, float(np.abs(res).max()) if act.size else 0.0
 
     verr, u, res, residual = state(qa)
-    best, gamma3 = residual, None
-    for it in range(max_iter):
-        if residual < tol:
-            q[act] = qa
-            cost, quad, linear = objective_terms(mats, bundle, q)
-            return EquilibriumReport(
-                q_star=q,
-                v_star=mats.voltage(q),
-                objective=cost + quad + linear,
-                cost_term=cost,
-                quadratic_term=quad,
-                linear_term=linear,
-                fixed_point_residual=residual,
-                iterations=it,
-            )
+    best, gamma3, it = residual, None, 0
+    while not residual < tol:  # a nan residual never counts as converged
+        if it == max_iter:
+            raise MaxIterations(f"equilibrium solver still at residual {residual:.3e} "
+                                f"after {max_iter} iterations")
+        it += 1
         # J = I + diag(d) x_aa, d = -curve' where the output is inside the box
         d = np.where((u > lo_box) & (u < hi_box), -bundle.slope(verr), 0.0)
         cand = qa - np.linalg.solve(eye + d[:, None] * x_aa, res)
@@ -618,12 +613,21 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
             qa, (verr, u, res, residual) = cand, trial
         else:
             if gamma3 is None:
-                gamma3 = 0.9 * d3_stepsize_bound(bundle, mats.X)
+                gamma3 = 0.9 * _d3_bound(bundle, x_aa)
             qa = _active_update("d3", qa, u, None, bundle, lo_box, hi_box, gamma3=gamma3)
             verr, u, res, residual = state(qa)
         best = min(best, residual)
-    raise MaxIterations(
-        f"equilibrium solver still at residual {residual:.3e} after {max_iter} iterations"
+    q[act] = qa
+    cost, quad, linear = objective_terms(mats, bundle, q)
+    return EquilibriumReport(
+        q_star=q,
+        v_star=mats.voltage(q),
+        objective=cost + quad + linear,
+        cost_term=cost,
+        quadratic_term=quad,
+        linear_term=linear,
+        fixed_point_residual=residual,
+        iterations=it,
     )
 
 

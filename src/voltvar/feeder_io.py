@@ -48,7 +48,6 @@ def load_feeder(
     pv_operating_fraction=DEFAULT_PV_OPERATING_FRACTION,
     inverter_oversize=DEFAULT_INVERTER_OVERSIZE,
     tan_rho=None,
-    min_impedance_ohm=DEFAULT_MIN_IMPEDANCE_OHM,
 ):
     """Load and validate a feeder from a path, builtin name, or parsed dict.
 
@@ -69,10 +68,10 @@ def load_feeder(
     tan_rho : float, optional
         Power-factor limit applied to capacity-style inverters; None keeps
         the capacity circle as the only bound.
-    min_impedance_ohm : float
-        Zero impedance entries (present in some published datasets) are
-        lifted to this floor before per-unit conversion; the substitution
-        is recorded in the feeder metadata.
+
+    In ``"ohm"`` documents, impedances below ``DEFAULT_MIN_IMPEDANCE_OHM``
+    (zeros appear in some published datasets) are lifted to it before
+    per-unit conversion; ``meta`` records the floor and the lifted lines.
     """
     if isinstance(source, dict):
         doc, origin = source, "<dict>"
@@ -137,6 +136,7 @@ def load_feeder(
             Bus(id=bid, v_nom=v_nom, p_c=load_scale * p_c, q_c=load_scale * q_c, p_g=p_g)
         )
 
+    floor = DEFAULT_MIN_IMPEDANCE_OHM
     floored = []
     lines = []
     for rec in _require(doc, "lines", "document"):
@@ -145,10 +145,10 @@ def load_feeder(
         r = float(_require(rec, "r", "line record"))
         x = float(_require(rec, "x", "line record"))
         if unit == "ohm":
-            if 0.0 <= r < min_impedance_ohm or 0.0 <= x < min_impedance_ohm:
+            if 0.0 <= r < floor or 0.0 <= x < floor:
                 floored.append((a, b))
-                r = max(r, min_impedance_ohm) if r >= 0 else r
-                x = max(x, min_impedance_ohm) if x >= 0 else x
+                r = max(r, floor) if r >= 0 else r
+                x = max(x, floor) if x >= 0 else x
             r, x = r / z_base, x / z_base
         lines.append(Line(from_bus=a, to_bus=b, r=r, x=x))
 
@@ -183,7 +183,7 @@ def load_feeder(
         "inverter_oversize": inverter_oversize,
         "tan_rho": tan_rho,
         "floored_lines": floored,
-        "min_impedance_ohm": min_impedance_ohm,
+        "min_impedance_ohm": DEFAULT_MIN_IMPEDANCE_OHM,
     }
     return build_feeder(
         buses,

@@ -224,10 +224,6 @@ class SensitivityMatrices:
     vtilde: np.ndarray
     feeder: Feeder
 
-    @property
-    def n(self):
-        return self.X.shape[0]
-
     def x_times(self, q):
         """The product ``X q`` along the last axis of ``q``, in O(n) through
         ``X = D.T diag(x) D``: the flow each line carries, weighted by its

@@ -156,12 +156,12 @@ class LinearizationReport:
     v_distflow: np.ndarray
 
 
-def linearization_error(feeder, q, mats=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Quantify the linearization gap at injection ``q``."""
+def linearization_error(feeder, q, mats=None):
+    """Quantify the linearization gap at injection ``q`` (sweep at its defaults)."""
     if mats is None:
         mats = sensitivity_matrices(feeder)
     lin = linear_voltage(mats, q)
-    full = distflow_sweep(feeder, q, tol=tol, max_iter=max_iter)
+    full = distflow_sweep(feeder, q)
     err = full.v - lin.v
     return LinearizationReport(
         error=err,

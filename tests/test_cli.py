@@ -51,6 +51,14 @@ class TestCheck:
         corollary = float(out.split("row-sum sufficient value")[1].split(":")[1].split()[0])
         assert corollary >= sigma
 
+    def test_report_file(self, tmp_path, capsys):
+        out = tmp_path / "check.json"
+        assert main(["check", "--alpha", "10", "--out", str(out)]) == 0
+        meta = json.loads(out.read_text())
+        assert 0.0 < meta["sigma"] < 1.0
+        assert meta["alpha"] == 10.0
+        assert not {"tol", "max_iter", "seed", "out", "func", "command"} & meta.keys()
+
 
 class TestSimulate:
     def test_converged_run_writes_outputs(self, tmp_path, capsys):
@@ -101,6 +109,15 @@ class TestEquilibrium:
         payload = json.loads(out.read_text())
         assert len(payload["q_star"]) == 41
         assert payload["fixed_point_residual"] < 1e-6
+        assert payload["max_iter"] == 10000
+        assert "seed" not in payload
+
+    def test_iteration_budget_is_passed_on(self, capsys):
+        # alpha 2000 takes about 20 solver updates
+        assert main(["equilibrium", "--alpha", "2000", "--max-iter", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: equilibrium solver still at residual" in err
+        assert "after 1 iterations" in err
 
 
 class TestSweep:
@@ -135,6 +152,15 @@ class TestSweep:
         assert values == [5.0, 10.0, 15.0]
         assert main(["sweep", "alpha", "--grid", "5,10,15", "--jobs", "1"]) == 0
         assert capsys.readouterr().out == text
+
+    def test_range_grid(self, capsys):
+        assert main(["sweep", "alpha", "--grid", "1:10:3"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [1.0, 5.5, 10.0]
+
+    def test_empty_grid_exits_1(self, capsys):
+        assert main(["sweep", "alpha", "--grid", "1:2:0"]) == 1
+        assert "error: empty grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", SWEEP_GOLDEN, ids=lambda c: " ".join(c["argv"][1:]))
     def test_matches_golden(self, case, capsys):
@@ -176,6 +202,21 @@ class TestExportFeeder:
         assert main(["export-feeder", "--out", str(out)]) == 0
         again = vv.load_feeder(str(out))
         assert vv.feeders_equal(sce42, again)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--seed", "3"],
+    ["check", "--tol", "1e-8"],
+    ["check", "--max-iter", "5"],
+    ["export-feeder", "--alpha", "10"],
+    ["export-feeder", "--max-iter", "5"],
+    ["simulate", "--seed", "0"],
+], ids=lambda a: " ".join(a))
+def test_options_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_runtime_error_exit_code(capsys):

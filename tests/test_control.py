@@ -108,6 +108,8 @@ class TestReactiveLimits:
             vv.Inverter(s=1.0, p=1.2)
         with pytest.raises(vv.InvalidRecord):
             vv.Inverter(s=math.inf, p=0.5)
+        with pytest.raises(vv.InvalidRecord):
+            vv.Inverter(s=1.0, p=0.5, rho=2.0)
 
 
 class TestProjection:
@@ -216,6 +218,15 @@ class TestTableCurve:
             with pytest.raises(vv.InvalidRecord):
                 vv.TableCurve([[v, u], [0.0, 0.0], [0.5, -1.0]])
 
+    @pytest.mark.parametrize("points", [
+        [[0.0, 0.0]],
+        [[-0.1, 1.0], [-0.1, 0.5], [0.1, -1.0]],
+        [[-0.1, 1.0], [0.1, -0.5]],
+    ], ids=["one-point", "repeated-v_err", "nonzero-at-zero"])
+    def test_rejects_degenerate_points(self, points):
+        with pytest.raises(vv.InvalidRecord):
+            vv.TableCurve(points)
+
     def test_rejects_malformed_points(self):
         with pytest.raises(vv.InvalidRecord):
             vv.TableCurve([[-0.5, 1.0], [0.0], [0.5, -1.0]])
@@ -261,6 +272,22 @@ def test_curve_from_spec_roundtrip():
 def test_curve_from_spec_rejects_bad_input(spec):
     with pytest.raises(vv.InvalidRecord):
         vv.curve_from_spec(spec)
+
+
+@pytest.mark.parametrize("override", [{"alpha": 10.0}, {"deadband": 0.02}])
+def test_table_spec_rejects_droop_overrides(override):
+    spec = {"type": "table", "points": [[-0.1, 1.0], [0.0, 0.0], [0.1, -1.0]]}
+    with pytest.raises(vv.InvalidRecord):
+        vv.curve_from_spec(spec, **override)
+
+
+def test_inverter_without_curve_or_alpha_is_invalid_record(sce42):
+    doc = vv.feeder_to_dict(sce42)
+    del doc["inverters"][0]["curve"]
+    feeder = vv.load_feeder(doc)
+    with pytest.raises(vv.InvalidRecord):
+        vv.ControllerConfig.from_feeder(feeder, "d1")
+    assert 0 in vv.ControllerConfig.from_feeder(feeder, "d1", alpha=10.0).curves
 
 
 def test_feeder_curve_without_alpha_is_invalid_record(sce42):

@@ -201,6 +201,22 @@ class TestSimulate:
         with pytest.raises(vv.InvalidRecord):
             vv.simulate(sce42, cfg, mats=sce42_mats, q0=np.full(sce42.n, bad))
 
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"record_every": 0}, vv.InvalidRecord),
+        ({"max_iter": 0}, vv.InvalidRecord),
+        ({"q0": np.zeros(3)}, vv.DimensionMismatch),
+    ], ids=["record_every", "max_iter", "q0-shape"])
+    def test_bad_run_arguments_rejected(self, sce42, sce42_mats, kwargs, error):
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=10.0)
+        with pytest.raises(error):
+            vv.simulate(sce42, cfg, mats=sce42_mats, **kwargs)
+
+    def test_empty_curve_set_rejected(self, sce42, sce42_mats):
+        q_min, q_max = vv.limits_arrays(sce42)
+        cfg = vv.ControllerConfig(kind="d1", curves={}, q_min=q_min, q_max=q_max)
+        with pytest.raises(vv.InvalidRecord, match="no controllable buses"):
+            vv.simulate(sce42, cfg, mats=sce42_mats)
+
     @pytest.mark.parametrize("plant", ["dc", object()], ids=["dc", "object"])
     def test_unknown_plant_rejected(self, sce42, sce42_mats, plant):
         cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=10.0)
@@ -390,6 +406,19 @@ class TestSolveEquilibrium:
                 tol=0.0, max_iter=50,
             )
 
+    def test_last_allowed_update_may_converge(self, sce42, sce42_mats):
+        # on sce42 at alpha 27 one Newton update meets tol 1e-6: a budget of
+        # one update must return it, a budget of none must not
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=27.0)
+        kw = dict(curves=cfg.curves, q_min=cfg.q_min, q_max=cfg.q_max, mats=sce42_mats)
+        free = vv.solve_equilibrium(sce42, **kw)
+        assert free.iterations == 1
+        tight = vv.solve_equilibrium(sce42, max_iter=1, **kw)
+        assert tight.iterations == 1
+        np.testing.assert_array_equal(tight.q_star, free.q_star)
+        with pytest.raises(vv.MaxIterations, match="after 0 iterations"):
+            vv.solve_equilibrium(sce42, max_iter=0, **kw)
+
     @pytest.mark.parametrize("q_min, q_max, error", [
         ([np.nan], [1.0], vv.InvalidRecord),  # once ran out its budget at residual nan
         ([0.1], [-0.1], vv.InvalidRecord),
@@ -541,11 +570,12 @@ class TestSemismoothNewton:
 
     @pytest.mark.parametrize("alpha, bound_calls", [(27.0, 0), (2000.0, 1)])
     def test_d3_fallback_is_lazy(self, sce42, sce42_mats, monkeypatch, alpha, bound_calls):
-        # the stepsize bound is computed on the first d3 step only
+        # the stepsize bound is computed on the first d3 step only, from the
+        # curve-bus block the solver already holds
         calls = []
-        bound = vv.dynamics.d3_stepsize_bound
-        monkeypatch.setattr(vv.dynamics, "d3_stepsize_bound",
-                            lambda *a: calls.append(a) or bound(*a))
+        bound = vv.dynamics._d3_bound
+        monkeypatch.setattr(vv.dynamics, "_d3_bound", lambda *a: calls.append(a) or bound(*a))
+        monkeypatch.setattr(vv.dynamics, "d3_stepsize_bound", None)
         cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=alpha)
         eq = vv.solve_equilibrium(sce42, curves=cfg.curves, q_min=cfg.q_min, q_max=cfg.q_max,
                                   tol=1e-12, mats=sce42_mats)

@@ -112,6 +112,13 @@ class TestErrors:
             vv.load_feeder(doc)
         assert err.value.field == "r"
 
+    def test_ohm_document_needs_bases(self):
+        doc = {"unit": "ohm", "buses": [{"id": 0}, {"id": 1}],
+               "lines": [{"from": 0, "to": 1, "r": 0.1, "x": 0.1}]}
+        with pytest.raises(vv.ParseError) as err:
+            vv.load_feeder(doc)
+        assert err.value.field == "bases"
+
     def test_bad_unit(self):
         with pytest.raises(vv.ParseError):
             vv.load_feeder({"unit": "kV", "buses": [], "lines": []})

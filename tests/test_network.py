@@ -67,6 +67,21 @@ def test_disconnected_rejected():
         )
 
 
+@pytest.mark.parametrize("buses, lines, kw, error", [
+    ([Bus(1), Bus(2)], [Line(1, 2, 0.1, 0.1)], {}, vv.Disconnected),
+    ([Bus(0), Bus(1)], [Line(0, 7, 0.1, 0.1)], {}, vv.Disconnected),
+    ([Bus(0), Bus(1)], [Line(1, 1, 0.1, 0.1)], {}, vv.CycleDetected),
+    ([Bus(i) for i in range(5)],
+     [Line(0, 1, 0.1, 0.1), Line(1, 2, 0.1, 0.1), Line(2, 3, 0.1, 0.1), Line(3, 1, 0.1, 0.1)],
+     {}, vv.CycleDetected),
+    ([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.1)],
+     {"curve_specs": {5: {"type": "droop", "alpha": 1.0}}}, vv.InvalidRecord),
+], ids=["no-slack", "unknown-bus", "self-line", "cycle-from-slack", "curve-on-unknown-bus"])
+def test_malformed_records_rejected(buses, lines, kw, error):
+    with pytest.raises(error):
+        vv.build_feeder(buses, lines, **kw)
+
+
 def test_nonpositive_impedance_rejected():
     with pytest.raises(vv.NonPositiveImpedance):
         vv.build_feeder([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.0)])
@@ -206,6 +221,11 @@ def test_deviation_form_equals_quadratic_form(sce42, sce42_mats):
         dev = sce42_mats.X @ q + sce42_mats.vtilde - sce42.v_nom
         quad = 0.5 * dev @ (inv @ dev)
         assert 0.5 * (root + neighbors) == pytest.approx(quad, rel=1e-10)
+
+
+def test_deviation_form_rejects_wrong_shape():
+    with pytest.raises(vv.DimensionMismatch):
+        vv.voltage_deviation_form(two_bus_feeder(), np.zeros(2))
 
 
 def test_deviation_form_requires_single_root_child():
