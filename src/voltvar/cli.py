@@ -7,6 +7,7 @@ Exit codes: 0 success (condition holds / run converged), 1 runtime error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -175,14 +176,10 @@ def cmd_equilibrium(args):
     feeder = _load(args)
     mats = sensitivity_matrices(feeder)
     config = _config(args, feeder, kind="d1")  # curves/limits only; solver picks gamma3
-    try:
-        report = solve_equilibrium(
-            feeder, curves=config.bundle, q_min=config.q_min, q_max=config.q_max,
-            tol=args.tol, max_iter=args.max_iter, mats=mats,
-        )
-    except MaxIterations as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = solve_equilibrium(
+        feeder, curves=config.bundle, q_min=config.q_min, q_max=config.q_max,
+        tol=args.tol, max_iter=args.max_iter, mats=mats,
+    )
     dev = float(np.abs(report.v_star - feeder.v_nom).max())
     print(f"objective           : {report.objective:.8e}")
     print(f"  curve cost        : {report.cost_term:.8e}")
@@ -224,7 +221,8 @@ def _sweep_point(args, feeder, mats, value):
     )
     report = check_d1_condition(config.bundle, mats.X)
     eq = solve_equilibrium(
-        feeder, curves=config.bundle, q_min=config.q_min, q_max=config.q_max, mats=mats
+        feeder, curves=config.bundle, q_min=config.q_min, q_max=config.q_max,
+        tol=args.tol, max_iter=args.max_iter, mats=mats,
     )
     traj = simulate(feeder, config, plant=args.plant, tol=args.tol, max_iter=args.max_iter,
                     mats=mats, record_every=args.max_iter)
@@ -295,12 +293,22 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of :func:`main`, built once per process: parsing leaves
+    it unchanged, and building it costs more than a parse."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:
         return 1
+    except MaxIterations as exc:  # the equilibrium solver ran out of budget
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # surface a clean one-liner, scriptable exit code
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -407,7 +407,7 @@ def simulate(
     q_avg[act] = np.array(q_sum) / max(run["steps"], 1)
     run["q"], run["q_average"] = q_full, q_avg
     if linear:
-        run["v"] = qa_rec @ mats.X[:, act].T + base_full
+        run["v"] = qa_rec @ mats.columns(act) + base_full
     else:
         run["sweep_iterations"] = sweep_iterations
     return Trajectory(**run)
@@ -477,10 +477,11 @@ def _curve_block(mats, act, q):
     at ``q``: ``v[act] = x_aa @ q[act] + base[act]``.
 
     Returns ``x_aa = X[act, act]`` and the full base voltages
-    ``X q_o + vtilde``, where ``q_o`` is ``q`` with ``act`` zeroed.
+    ``X q_o + vtilde``, where ``q_o`` is ``q`` with ``act`` zeroed; neither
+    needs the dense X.
     """
     base = mats.voltage(_scatter(q, act, 0.0))
-    return mats.X[np.ix_(act, act)], base
+    return mats.block(act), base
 
 
 def objective_terms(mats, curves, q):

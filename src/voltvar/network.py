@@ -180,6 +180,23 @@ class Feeder:
         r, x = rx = np.array((self.r, self.x)).take(self.order, axis=1)
         return _readonly(rx), _readonly(r * r + x * x)
 
+    @cached_property
+    def depth(self):
+        """Line impedances summed over each bus's root path, read-only:
+        ``depth[0]`` sums x (the diagonal of X) and ``depth[1]`` sums r.
+
+        Each bus adds its own line to its parent's sum, in preorder.
+        """
+        parent = self.parent.tolist()
+        x, r = self.x.tolist(), self.r.tolist()
+        dx, dr = x[:], r[:]
+        for k in self.order.tolist():
+            p = parent[k]
+            if p >= 0:
+                dx[k] += dx[p]
+                dr[k] += dr[p]
+        return _readonly((dx, dr))
+
     def subtree_sum(self, y):
         """``D @ y`` along the last axis of ``y``: each bus's subtree sum, O(n)."""
         y = np.asarray(y, dtype=float)[..., self.order]
@@ -211,18 +228,108 @@ class Feeder:
 
 @dataclass(frozen=True, eq=False)
 class SensitivityMatrices:
-    """The n-by-n voltage sensitivity matrices and the constant vector.
+    """The linearized branch-flow model ``v = X q + vtilde`` of a feeder.
 
-    ``v = X q + vtilde`` maps reactive injections to bus voltages in the
-    linearized branch-flow model; R plays the same role for real power.
-    :meth:`voltage` and :meth:`x_times` apply the model in O(n) without
-    touching the dense X.
+    X maps reactive injections to bus voltages; R plays the same role for
+    real power.  :meth:`voltage` and :meth:`x_times` apply the model, and
+    :meth:`block` and :meth:`columns` give X on a set of buses, all without
+    the dense n-by-n matrices; ``X`` and ``R`` are built on first access
+    only.
     """
 
-    R: np.ndarray
-    X: np.ndarray
     vtilde: np.ndarray
     feeder: Feeder
+
+    def _row_copy(self, dep):
+        """The n-by-n matrix whose entry (i, j) is ``dep`` at the deepest
+        common bus of the root paths of i and j (0 when only the slack is
+        shared).  Row k copies its parent's row, the common path with any
+        bus outside beta(k), and sets beta(k) to k's depth sum."""
+        feeder = self.feeder
+        order = feeder.order
+        parent = feeder.parent.tolist()
+        out = np.zeros((feeder.n, feeder.n))
+        for a, (k, b) in enumerate(zip(order.tolist(), feeder.preorder_end.tolist())):
+            if parent[k] >= 0:
+                out[k] = out[parent[k]]
+            out[k, order[a:b]] = dep[k]
+        return _readonly(out)
+
+    @cached_property
+    def X(self):
+        """The dense reactance sensitivity matrix, built on first access."""
+        return self._row_copy(self.feeder.depth[0])
+
+    @cached_property
+    def R(self):
+        """The dense resistance sensitivity matrix, built on first access."""
+        return self._row_copy(self.feeder.depth[1])
+
+    @cached_property
+    def _parent_depth(self):
+        """In preorder coordinates, the x-depth sum of each bus's parent (0
+        under the slack): the depth of every branch point a preorder walk
+        passes."""
+        feeder = self.feeder
+        parent = feeder.parent.take(feeder.order)
+        return _readonly(np.where(parent >= 0, feeder.depth[0].take(parent), 0.0))
+
+    def block(self, act):
+        """``X[act, act]`` for distinct bus positions ``act``, read-only, in
+        O(n + m^2) without the dense X.
+
+        For buses i and j at preorder positions ``a < b``, ``X[i, j]`` is the
+        x-depth of their deepest common bus, the smallest parent depth that
+        a preorder walk passes over positions ``(a, b]``.  The result for the
+        last ``act`` is kept, since a run asks for the same block repeatedly.
+        A repeated bus raises :class:`InvalidRecord`.
+        """
+        act = np.asarray(act, dtype=int)
+        memo = self.__dict__.get("_block_memo")
+        if memo is not None and np.array_equal(memo[0], act):
+            return memo[1]
+        m = act.size
+        pos = self.feeder.intervals[0].take(act)
+        # act's places in preorder, by one pass over the feeder
+        place = np.full(self.feeder.n, -1)
+        place[pos] = np.arange(m)
+        srt = place[place >= 0]
+        if srt.size < m:
+            raise InvalidRecord(f"block needs distinct buses, got {act.tolist()}")
+        rank = np.empty(m, dtype=int)
+        rank[srt] = np.arange(m)
+        a = pos[srt]
+        # gap[b] is the common x-depth of the buses at sorted places b - 1 and b
+        gap = np.full(m, np.inf)
+        if m > 1:
+            gap[1:] = np.minimum.reduceat(self._parent_depth[:a[-1] + 1], a[:-1] + 1)
+        upper = np.where(np.arange(m)[:, None] < np.arange(m), gap, np.inf)
+        upper = np.minimum.accumulate(upper, axis=1)
+        sorted_block = np.minimum(upper, upper.T)
+        np.fill_diagonal(sorted_block, self.feeder.depth[0].take(act[srt]))
+        out = _readonly(sorted_block.take(rank, axis=0).take(rank, axis=1))
+        self.__dict__["_block_memo"] = (act.copy(), out)
+        return out
+
+    def columns(self, act):
+        """``X[act, :]``, which is ``X[:, act].T``, for bus positions ``act``
+        in O(n m) without the dense X.
+
+        By :meth:`block`'s rule, row i at preorder position b holds the
+        smallest parent depth over ``(b, a]`` at each later position a, and
+        over ``(a, b]`` at each earlier one.
+        """
+        feeder = self.feeder
+        act = np.asarray(act, dtype=int)
+        pd = self._parent_depth
+        b = feeder.intervals[0].take(act)[:, None]
+        at = np.arange(feeder.n)
+        after = np.minimum.accumulate(np.where(at > b, pd, np.inf), axis=1)
+        ahead = np.append(pd[1:], np.inf)  # ahead[a] = pd[a + 1]
+        before = np.minimum.accumulate(np.where(at < b, ahead, np.inf)[:, ::-1], axis=1)
+        out = np.minimum(after, before[:, ::-1])
+        out[np.arange(act.size), b[:, 0]] = feeder.depth[0].take(act)
+        return out.take(feeder.intervals[0], axis=1)
 
     def x_times(self, q):
         """The product ``X q`` along the last axis of ``q``, in O(n) through
@@ -386,35 +493,17 @@ def build_feeder(
 
 
 def sensitivity_matrices(feeder):
-    """Build R, X and the constant vector of the linearized model.
+    """The linearized model of ``feeder``, in O(n) time and memory.
 
     ``X[i, j]`` sums line reactances over the common root path of buses i
-    and j (likewise R with resistances); ``vtilde`` collects the effect of
-    the fixed injections: ``v0 - R net_p - X q_c``.
-
-    In preorder coordinates, row k copies its parent's row (the common
-    path with any bus outside beta(k)) and sets beta(k) to k's depth sum.
+    and j (likewise R with resistances).  ``vtilde`` collects the effect of
+    the fixed injections, ``v0 - R net_p - X q_c``, and is computed as the
+    path sums of each line's impedance times its subtree's load.  The
+    dense X and R are built only when first read.
     """
-    n = feeder.n
-    pos, end = feeder.intervals
-    parent = feeder.parent.tolist()
-    z = np.column_stack((feeder.x, feeder.r))
-    dep = np.zeros((n, 2))  # (x, r) summed over the root path of each bus
-    XR = np.zeros((2, n, n))  # X and R in preorder coordinates
-    for a, k in enumerate(feeder.order.tolist()):
-        p = parent[k]
-        if p >= 0:
-            dep[k] = z[k] + dep[p]
-            XR[:, a] = XR[:, pos[p]]
-        else:
-            dep[k] = z[k]
-        XR[:, a, a:end[k]] = dep[k, :, None]
-    X, R = (m[np.ix_(pos, pos)] for m in XR)
-
-    vtilde = feeder.v0 - R @ feeder.net_p - X @ feeder.q_c
-    return SensitivityMatrices(
-        R=_readonly(R), X=_readonly(X), vtilde=_readonly(vtilde), feeder=feeder
-    )
+    loads = feeder.subtree_sum(np.array((feeder.net_p, feeder.q_c)))
+    rp, xq = feeder.path_sum(np.array((feeder.r, feeder.x)) * loads)
+    return SensitivityMatrices(vtilde=_readonly(feeder.v0 - rp - xq), feeder=feeder)
 
 
 def explicit_inverse_x(feeder):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import voltvar as vv
+from voltvar import cli
 from voltvar.cli import build_parser, main
+from voltvar.dynamics import solve_equilibrium
 
 from helpers import d3_oracle
 
@@ -121,6 +123,26 @@ class TestEquilibrium:
 
 
 class TestSweep:
+    def test_run_options_reach_the_equilibrium_solver(self, monkeypatch, capsys):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs["tol"], kwargs["max_iter"]))
+            return solve_equilibrium(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_equilibrium", spy)
+        argv = ["sweep", "alpha", "--grid", "5,10", "--tol", "1e-9", "--max-iter", "300"]
+        assert main(argv) == 0
+        assert seen == [(1e-9, 300)] * 2
+
+    def test_equilibrium_budget_exhausted_exits_2(self, capsys):
+        # alpha 2000 takes about 20 solver updates
+        assert main(["sweep", "alpha", "--grid", "10,2000", "--max-iter", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: equilibrium solver still at residual" in captured.err
+        assert "after 1 iterations" in captured.err
+
     def test_alpha_grid_monotone_deviation(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "alpha", "--grid", "1,5,10", "--out", str(out)])
@@ -217,6 +239,22 @@ def test_options_a_command_does_not_read_are_rejected(argv, capsys):
         main(argv)
     assert exit_.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["", "check", "simulate", "equilibrium", "sweep",
+                                     "export-feeder"])
+def test_shared_parser_prints_the_same_help(command, capsys, monkeypatch):
+    fresh = build_parser()
+    cli._parser()  # main's parser exists from here on
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main rebuilt its parser"))
+    helps = []
+    for parse in (fresh.parse_args, main, main):
+        with pytest.raises(SystemExit) as exit_:
+            parse([command, "--help"] if command else ["--help"])
+        assert exit_.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0].startswith("usage: voltvar")
+    assert helps[1] == helps[2] == helps[0]
 
 
 def test_runtime_error_exit_code(capsys):

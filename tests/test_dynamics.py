@@ -665,3 +665,23 @@ def test_two_bus_controllers_share_equilibrium(feeder2):
     for traj in (d1, d2, d3):
         assert traj.verdict == "converged"
         np.testing.assert_allclose(traj.final_q, eq.q_star, atol=1e-9)
+
+
+def test_closed_loop_and_solver_never_build_dense_matrices(sce42):
+    # the library reads X only through block/x_times/voltage; the dense
+    # n-by-n X and R are for public callers that ask for them
+    mats = vv.sensitivity_matrices(sce42)
+    droops = vv.ControllerConfig.from_feeder(sce42, "d2", alpha=27.0, gamma2=0.005)
+    tables = {k: vv.TableCurve([(-0.08, 3.0), (-0.03, 0.5), (-0.02, 0.0), (0.02, 0.0),
+                                (0.03, -0.5), (0.08, -3.0)]) for k in droops.curves}
+    table_d3 = vv.ControllerConfig(kind="d3", curves=tables, q_min=droops.q_min,
+                                   q_max=droops.q_max, gamma3=0.2)
+    assert droops.bundle.end_slopes() is not None  # the float kernel
+    assert table_d3.bundle.end_slopes() is None  # the array kernel
+    eq = vv.solve_equilibrium(sce42, curves=droops.curves, q_min=droops.q_min,
+                              q_max=droops.q_max, mats=mats)
+    for config in (droops, table_d3):
+        for tracked in (False, True):
+            vv.simulate(sce42, config, mats=mats, max_iter=50, track_objective=tracked)
+    vv.linearization_error(sce42, eq.q_star, mats=mats)
+    assert "X" not in mats.__dict__ and "R" not in mats.__dict__

@@ -314,6 +314,54 @@ class TestTreePrimitives:
     @PROPERTY
     @given(f=trees(), seed=st.integers(0, 2**32 - 1))
     @example(f=FORKED_ROOT, seed=0)
+    def test_vtilde_matches_dense_model(self, f, seed):
+        f = with_loads(f, np.random.default_rng(seed))
+        mats = vv.sensitivity_matrices(f)
+        expect = f.v0 - mats.R @ f.net_p - mats.X @ f.q_c
+        # relative to the largest term: v0 or a bus's load drop
+        scale = f.v0 + (mats.R @ np.abs(f.net_p) + mats.X @ np.abs(f.q_c)).max()
+        assert np.all(np.abs(mats.vtilde - expect) <= 1e-15 * scale)
+
+    @PROPERTY
+    @given(f=trees(), seed=st.integers(0, 2**32 - 1))
+    @example(f=FORKED_ROOT, seed=0)
+    def test_block_equals_dense_gather(self, f, seed):
+        rng = np.random.default_rng(seed)
+        sizes = (0, 1, int(rng.integers(0, f.n + 1)), f.n)
+        acts = [rng.permutation(f.n)[:m] for m in sizes] + [np.arange(m) for m in sizes]
+        mats = vv.sensitivity_matrices(f)
+        blocks = []
+        for act in acts:
+            blocks.append(mats.block(act))
+            assert mats.block(act) is blocks[-1]  # kept for a repeated act
+            assert not blocks[-1].flags.writeable
+        assert "X" not in mats.__dict__
+        R, X = brute_force_sensitivities(f)
+        for act, block in zip(acts, blocks):
+            sub = np.ix_(act, act)
+            np.testing.assert_array_equal(block, mats.X[sub])
+            np.testing.assert_allclose(block, X[sub], rtol=1e-14, atol=0)
+        with pytest.raises(vv.InvalidRecord):  # a repeated bus has no place of its own
+            mats.block(np.append(acts[3], acts[3][-1]))
+
+    @PROPERTY
+    @given(f=trees(), seed=st.integers(0, 2**32 - 1))
+    @example(f=FORKED_ROOT, seed=0)
+    def test_columns_equal_dense_rows(self, f, seed):
+        rng = np.random.default_rng(seed)
+        # unsorted, repeats allowed
+        acts = [rng.integers(0, f.n, m) for m in (0, 1, int(rng.integers(0, 2 * f.n)))]
+        mats = vv.sensitivity_matrices(f)
+        cols = [mats.columns(act) for act in acts]
+        assert "X" not in mats.__dict__
+        _, X = brute_force_sensitivities(f)
+        for act, c in zip(acts, cols):
+            np.testing.assert_array_equal(c, mats.X[act])
+            np.testing.assert_allclose(c, X[act], rtol=1e-14, atol=0)
+
+    @PROPERTY
+    @given(f=trees(), seed=st.integers(0, 2**32 - 1))
+    @example(f=FORKED_ROOT, seed=0)
     def test_tradeoff_identity_on_any_slack(self, f, seed):
         rng = np.random.default_rng(seed)
         f = with_loads(f, rng)

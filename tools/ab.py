@@ -14,8 +14,10 @@ A process prepares the workload at seed 1, runs one warm-up request, then
 runs every request of the pool three times.  Its samples are the sum over
 the pool of each entry's fastest request, in ms, and its steps/s: the
 pool's closed-loop steps over the sum of each entry's fastest ``sim_s``.
-Both follow the fastest-repeat rule of ``bench/run.py``.  The report gives
-each side's median and quartiles over the rounds, the ratio of the medians
+Both follow the fastest-repeat rule of ``bench/run.py``.  Each process
+also reports its own peak resident set size (``ru_maxrss``) at the end,
+as ``bench/run.py`` does for ``peak_rss_mb``.  The report gives each
+side's median and quartiles over the rounds, the ratio of the medians
 (B over A) and the number of rounds in which B was better, for each
 sample.  A request that fails its checks stops the run with that
 process's error.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -58,7 +61,9 @@ def child(tree, workload):
             best[k] = min(best[k], time.perf_counter() - t0)
             best_sim[k] = min(best_sim[k], s["sim_s"])
             steps[k] = s["steps"]
-    print(json.dumps({"pool_ms": sum(best) * 1e3, "steps_per_s": sum(steps) / sum(best_sim)}))
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps({"pool_ms": sum(best) * 1e3, "steps_per_s": sum(steps) / sum(best_sim),
+                      "peak_rss_mb": rss_mb}))
 
 
 def run_side(tree, workload):
@@ -95,12 +100,15 @@ def main(argv=None):
         order = ((args.tree_a, a), (args.tree_b, b))
         for tree, out in order if r % 2 == 0 else order[::-1]:
             out.append(run_side(tree, args.workload))
-        print(f"round {r + 1}: A {a[-1]['pool_ms']:.2f} ms {a[-1]['steps_per_s']:.1f} steps/s"
-              f"  B {b[-1]['pool_ms']:.2f} ms {b[-1]['steps_per_s']:.1f} steps/s", flush=True)
+        print(f"round {r + 1}: " + "  ".join(
+            f"{side} {s['pool_ms']:.2f} ms {s['steps_per_s']:.1f} steps/s "
+            f"{s['peak_rss_mb']:.1f} MB" for side, s in (("A", a[-1]), ("B", b[-1]))),
+            flush=True)
     print(f"{args.workload}, {args.rounds} rounds, seed {SEED}: each sample takes the "
           f"fastest of {REPEATS} requests per pool entry")
     for key, label, lower in (("pool_ms", "pool time (ms)", True),
-                              ("steps_per_s", "steps/s", False)):
+                              ("steps_per_s", "steps/s", False),
+                              ("peak_rss_mb", "peak RSS (MB)", True)):
         xa, xb = [s[key] for s in a], [s[key] for s in b]
         won = sum((y < x) if lower else (y > x) for x, y in zip(xa, xb))
         print(f"{label}:")
