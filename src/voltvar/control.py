@@ -21,6 +21,7 @@ zero-weight hinges to a common count.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -163,19 +164,21 @@ class ControlCurve:
         it.  A breakpoint where the inverse slope does not change adds no
         hinge.
         """
-        rows = []  # one per hinge, in _Hinges field order up to b
+        rows = []  # one per hinge, in _Hinges field order
         for sigma, edge, side in ((-1.0, lo, left), (1.0, hi, right)):
             tau = -sigma
             knot, value, prev = side[0]
+            d = tau * prev
             rows.append((sigma, sigma * knot, sigma * prev, tau, tau * value,
-                         tau * prev, edge, -tau * edge))
+                         d, edge, -tau * edge, -tau / (2.0 * d)))
             for knot, value, slope in side[1:]:
                 if 1.0 / slope != 1.0 / prev:
+                    d = tau / (1.0 / slope - 1.0 / prev)
                     rows.append((sigma, sigma * knot, sigma * (slope - prev), tau,
-                                 tau * value, tau / (1.0 / slope - 1.0 / prev), 0.0, 0.0))
+                                 tau * value, d, 0.0, 0.0, -tau / (2.0 * d)))
                     prev = slope
-        table = np.array(rows).T
-        table = np.vstack([table, -table[3] / (2.0 * table[5])])
+        # order="F" makes the transpose C-contiguous, one row per field
+        table = np.array(rows, order="F").T
         slopes = [s for side in (left, right) for _, _, s in side]
         # object.__setattr__ because DroopCurve is a frozen dataclass
         object.__setattr__(self, "_table", table)
@@ -218,10 +221,12 @@ class DroopCurve(ControlCurve):
 class TableCurve(ControlCurve):
     """Monotone curve given as breakpoints [(v_err, q), ...].
 
-    Points must be finite, strictly increasing in v_err and non-increasing
-    in q; the only flat stretch allowed is the zero-output deadband, and the
-    end segments extrapolate with their own slopes so the curve keeps
-    strictly decreasing toward +-infinity.
+    Points must be finite, strictly increasing in v_err, span v_err = 0
+    with zero output there, and be non-increasing in q; the only flat
+    stretch allowed is the zero-output deadband, and the end segments
+    extrapolate with their own slopes so the curve keeps strictly
+    decreasing toward +-infinity.  The checks and the hinge table run on
+    plain floats: numpy's per-call cost dominates at a handful of points.
     """
 
     def __init__(self, points):
@@ -233,27 +238,34 @@ class TableCurve(ControlCurve):
             ) from exc
         if len(pts) < 2:
             raise InvalidRecord("table curve needs at least two points")
-        v = np.array([p[0] for p in pts])
-        u = np.array([p[1] for p in pts])
-        if not (np.isfinite(v).all() and np.isfinite(u).all()):
+        v, u = zip(*pts)
+        if not all(map(math.isfinite, v + u)):
             raise InvalidRecord("table breakpoints must be finite")
-        if np.any(np.diff(v) <= 0):
+        dv = [b - a for a, b in zip(v, v[1:])]
+        du = [b - a for a, b in zip(u, u[1:])]
+        if min(dv) <= 0:
             raise InvalidRecord("table v_err values must be strictly increasing")
-        if np.any(np.diff(u) > 1e-15):
+        if max(du) > 1e-15:
             raise InvalidRecord("table curve must be non-increasing")
-        slopes = np.diff(u) / np.diff(v)
-        flat = slopes > -1e-15
-        if np.any(flat & ((u[:-1] != 0.0) | (u[1:] != 0.0))):
+        slopes = [a / b for a, b in zip(du, dv)]
+        flat = [s > -1e-15 for s in slopes]
+        if any(f and (a != 0.0 or b != 0.0) for f, a, b in zip(flat, u, u[1:])):
             raise InvalidRecord("flat table segments are only allowed at zero output")
         if flat[0] or flat[-1]:
             raise InvalidRecord("end segments must be strictly decreasing")
-        if abs(float(np.interp(0.0, v, u))) > 1e-12:
+        if not v[0] <= 0.0 <= v[-1]:
+            raise InvalidRecord("table v_err values must span zero")
+        # the value at zero as np.interp computes it, from the segment
+        # [v[j], v[j + 1]) holding zero
+        j = bisect.bisect_right(v, 0.0) - 1
+        at_zero = u[j] if v[j] == 0.0 else slopes[j] * -v[j] + u[j]
+        if abs(at_zero) > 1e-12:
             raise InvalidRecord("table curve must be zero at zero voltage error")
         # the sides start where the curve leaves zero output; p - 1 is the
         # last positive point (else the first) and n the first negative one
         # (else the last)
-        p = max(np.count_nonzero(u > 0), 1)
-        n = int(np.argmax(u < 0)) if u[-1] < 0 else len(u) - 1
+        p = max(sum(x > 0 for x in u), 1)
+        n = next(i for i, x in enumerate(u) if x < 0) if u[-1] < 0 else len(u) - 1
         lo = v[p - 1] - u[p - 1] / slopes[p - 1] if u[0] > 0 else v[0]
         hi = v[n] - u[n] / slopes[n - 1] if u[-1] < 0 else v[-1]
         left = [(lo, 0.0, slopes[p - 1])]

@@ -99,3 +99,66 @@ def single_line_distflow_oracle(r, x, p_net, q_net, v0=1.0):
     q = q_net + x * ell
     v1sq = v0**2 - 2 * (r * p + x * q) + (r * r + x * x) * ell
     return np.sqrt(v1sq), ell
+
+
+def numpy_hinge_sides(lo, hi, left, right):
+    """Reference hinge table of a curve with plateau ``[lo, hi]``, built
+    with whole-array numpy steps: the rows of ``_Hinges`` as one array, the
+    slope bound and the plateau edges.  ``left`` and ``right`` are the
+    ``(knot, value, slope)`` lists of ``ControlCurve._set_sides``."""
+    rows = []
+    for sigma, edge, side in ((-1.0, lo, left), (1.0, hi, right)):
+        tau = -sigma
+        knot, value, prev = side[0]
+        rows.append((sigma, sigma * knot, sigma * prev, tau, tau * value,
+                     tau * prev, edge, -tau * edge))
+        for knot, value, slope in side[1:]:
+            if 1.0 / slope != 1.0 / prev:
+                rows.append((sigma, sigma * knot, sigma * (slope - prev), tau,
+                             tau * value, tau / (1.0 / slope - 1.0 / prev), 0.0, 0.0))
+                prev = slope
+    table = np.array(rows).T
+    table = np.vstack([table, -table[3] / (2.0 * table[5])])
+    slopes = [s for side in (left, right) for _, _, s in side]
+    return table, -float(min(slopes)), (float(lo), float(hi))
+
+
+def numpy_droop_table(alpha, deadband):
+    """Reference ``numpy_hinge_sides`` of ``DroopCurve(alpha, deadband)``."""
+    h = deadband / 2.0
+    return numpy_hinge_sides(-h, h, [(-h, 0.0, -alpha)], [(h, 0.0, -alpha)])
+
+
+def numpy_hinge_table(points):
+    """Reference ``numpy_hinge_sides`` of ``TableCurve(points)``, checked
+    with numpy array tests and ``np.interp`` at zero.  It raises
+    InvalidRecord with the library's messages, except that it does not
+    require the points to span ``v_err = 0``."""
+    pts = sorted((float(v), float(u)) for v, u in points)
+    if len(pts) < 2:
+        raise vv.InvalidRecord("table curve needs at least two points")
+    v = np.array([p[0] for p in pts])
+    u = np.array([p[1] for p in pts])
+    if not (np.isfinite(v).all() and np.isfinite(u).all()):
+        raise vv.InvalidRecord("table breakpoints must be finite")
+    if np.any(np.diff(v) <= 0):
+        raise vv.InvalidRecord("table v_err values must be strictly increasing")
+    if np.any(np.diff(u) > 1e-15):
+        raise vv.InvalidRecord("table curve must be non-increasing")
+    slopes = np.diff(u) / np.diff(v)
+    flat = slopes > -1e-15
+    if np.any(flat & ((u[:-1] != 0.0) | (u[1:] != 0.0))):
+        raise vv.InvalidRecord("flat table segments are only allowed at zero output")
+    if flat[0] or flat[-1]:
+        raise vv.InvalidRecord("end segments must be strictly decreasing")
+    if abs(float(np.interp(0.0, v, u))) > 1e-12:
+        raise vv.InvalidRecord("table curve must be zero at zero voltage error")
+    p = max(np.count_nonzero(u > 0), 1)
+    n = int(np.argmax(u < 0)) if u[-1] < 0 else len(u) - 1
+    lo = v[p - 1] - u[p - 1] / slopes[p - 1] if u[0] > 0 else v[0]
+    hi = v[n] - u[n] / slopes[n - 1] if u[-1] < 0 else v[-1]
+    left = [(lo, 0.0, slopes[p - 1])]
+    left += [(v[i], u[i], slopes[i - 1]) for i in range(p - 1, 0, -1)]
+    right = [(hi, 0.0, slopes[n - 1])]
+    right += [(v[i], u[i], slopes[i]) for i in range(n, len(v) - 1)]
+    return numpy_hinge_sides(lo, hi, left, right)

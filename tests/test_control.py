@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import voltvar as vv
 from voltvar.control import CurveBundle
 
-from helpers import random_feeder
+from helpers import numpy_droop_table, numpy_hinge_table, random_feeder
 
 
 @pytest.fixture
@@ -203,6 +203,9 @@ class TestTableCurve:
     def test_rejects_increasing_output(self):
         with pytest.raises(vv.InvalidRecord):
             vv.TableCurve([[-0.1, -1.0], [0.1, 1.0]])
+        # a rise of 5e-15 is past the 1e-15 tolerance
+        with pytest.raises(vv.InvalidRecord, match="non-increasing"):
+            vv.TableCurve([[-0.1, 1.0], [0.0, 0.0], [0.05, 5e-15], [0.1, -1.0]])
 
     def test_rejects_offset_plateau(self):
         with pytest.raises(vv.InvalidRecord):
@@ -222,8 +225,21 @@ class TestTableCurve:
         [[0.0, 0.0]],
         [[-0.1, 1.0], [-0.1, 0.5], [0.1, -1.0]],
         [[-0.1, 1.0], [0.1, -0.5]],
-    ], ids=["one-point", "repeated-v_err", "nonzero-at-zero"])
+        [[0.1, 0.0], [0.2, -1.0]],
+        [[-0.3, 1.0], [-0.1, 0.0]],
+    ], ids=["one-point", "repeated-v_err", "nonzero-at-zero", "right-of-zero", "left-of-zero"])
     def test_rejects_degenerate_points(self, points):
+        with pytest.raises(vv.InvalidRecord):
+            vv.TableCurve(points)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "outputs of one sign that pass the 1e-12 zero-at-zero test are not rejected: "
+        "all positive raises IndexError, all negative builds an inverted plateau"))
+    @pytest.mark.parametrize("points", [
+        [[-0.3, 1e-13], [0.1, 5e-15]],
+        [[-0.1, -5e-15], [0.3, -1e-13]],
+    ], ids=["all-positive", "all-negative"])
+    def test_rejects_one_signed_tiny_outputs(self, points):
         with pytest.raises(vv.InvalidRecord):
             vv.TableCurve(points)
 
@@ -473,3 +489,84 @@ class TestCurveProperties:
         np.testing.assert_allclose(
             curve.cost(x), x * x / (2.0 * alpha) + h * np.abs(x), rtol=1e-14, atol=0
         )
+
+
+# ---------------------------------------------------------------------------
+# The hinge tables are built on plain floats; they must equal, bit for bit,
+# the whole-array numpy construction kept in helpers as a reference.
+
+def _assert_same_table(curve, reference):
+    table, alpha_bar, edges = reference
+    assert curve._table.flags.c_contiguous
+    assert curve._table.shape == table.shape
+    assert curve._table.tobytes() == table.tobytes()
+    assert np.float64(curve.alpha_bar).tobytes() == np.float64(alpha_bar).tobytes()
+    assert np.array(curve.deadband_edges).tobytes() == np.array(edges).tobytes()
+
+
+def _synthetic_tables(seed, count):
+    """Six-point tables that saturate past a 0.04 deadband, as on the
+    seeded synthetic feeders: q1 at 0.06 beyond each plateau edge."""
+    rng = np.random.default_rng(seed)
+    h, e = 0.02, 0.08
+    for q1 in rng.uniform(1e-4, 2.0, count):
+        yield [[-e, q1], [-h - 0.04, 0.6 * q1], [-h, 0.0],
+               [h, 0.0], [h + 0.04, -0.6 * q1], [e, -q1]]
+
+
+@st.composite
+def near_tables(draw):
+    """Breakpoints near the edge of validity: distinct v_err that may miss
+    zero, q mostly non-increasing, with zeros, tiny values and repeats."""
+    v = draw(st.lists(st.sampled_from([-0.3, -0.1, -0.02, -1e-9, 0.0, 1e-9, 0.02, 0.1, 0.3]),
+                      min_size=1, max_size=6, unique=True))
+    u = draw(st.lists(st.sampled_from([-2.0, -1.0, -1e-13, 0.0, 0.0, 5e-15, 1e-13, 0.5, 1.0, 2.0]),
+                      min_size=len(v), max_size=len(v)))
+    if draw(st.integers(0, 4)):
+        u.sort(reverse=True)
+    return list(zip(sorted(v), u))
+
+
+class TestHingeTableOracle:
+    @PROPERTY
+    @given(tables())
+    def test_tables_match_numpy_construction(self, drawn):
+        pts = drawn[0]
+        _assert_same_table(vv.TableCurve(pts), numpy_hinge_table(pts))
+
+    @PROPERTY
+    @given(droops_as_tables())
+    def test_droops_match_numpy_construction(self, drawn):
+        curve, pts = drawn[:2]
+        _assert_same_table(curve, numpy_droop_table(curve.alpha, curve.deadband))
+        _assert_same_table(vv.TableCurve(pts), numpy_hinge_table(pts))
+
+    def test_synthetic_feeder_tables_match_numpy_construction(self):
+        for pts in _synthetic_tables(seed=7, count=200):
+            _assert_same_table(vv.TableCurve(pts), numpy_hinge_table(pts))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(near_tables())
+    def test_rejections_match_numpy_construction(self, pts):
+        """The same tables fail with the same message, except that the
+        library also rejects points that do not span v_err = 0."""
+        try:
+            reference = numpy_hinge_table(pts)
+        except vv.InvalidRecord as exc:
+            reference = str(exc)
+        except IndexError as exc:
+            reference = exc  # outputs of one sign: see test_rejects_one_signed_tiny_outputs
+        vs = sorted(v for v, _ in pts)
+        # the span test runs last but one, just before zero-at-zero
+        if not vs[0] <= 0.0 <= vs[-1] and (
+            not isinstance(reference, str)
+            or reference == "table curve must be zero at zero voltage error"
+        ):
+            reference = "table v_err values must span zero"
+        assume(not isinstance(reference, IndexError))
+        if isinstance(reference, str):
+            with pytest.raises(vv.InvalidRecord) as exc:
+                vv.TableCurve(pts)
+            assert str(exc.value) == reference
+        else:
+            _assert_same_table(vv.TableCurve(pts), reference)

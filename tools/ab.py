@@ -19,7 +19,8 @@ also reports its own peak resident set size (``ru_maxrss``) at the end,
 as ``bench/run.py`` does for ``peak_rss_mb``.  The report gives each
 side's median and quartiles over the rounds, the ratio of the medians
 (B over A) and the number of rounds in which B was better, for each
-sample.  A request that fails its checks stops the run with that
+sample.  ``--json FILE`` also writes every round's samples and that
+summary as JSON.  A request that fails its checks stops the run with that
 process's error.
 """
 
@@ -88,6 +89,7 @@ def main(argv=None):
     p.add_argument("tree_b", nargs="?", help="source tree B (the change)")
     p.add_argument("--workload", required=True)
     p.add_argument("--rounds", type=int, default=10)
+    p.add_argument("--json", metavar="FILE", help="also write every round's samples here")
     p.add_argument("--child", metavar="TREE", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child:
@@ -106,16 +108,23 @@ def main(argv=None):
             flush=True)
     print(f"{args.workload}, {args.rounds} rounds, seed {SEED}: each sample takes the "
           f"fastest of {REPEATS} requests per pool entry")
+    record = {"workload": args.workload, "rounds": args.rounds, "seed": SEED,
+              "repeats": REPEATS, "a": a, "b": b, "summary": {}}
     for key, label, lower in (("pool_ms", "pool time (ms)", True),
                               ("steps_per_s", "steps/s", False),
                               ("peak_rss_mb", "peak RSS (MB)", True)):
         xa, xb = [s[key] for s in a], [s[key] for s in b]
         won = sum((y < x) if lower else (y > x) for x, y in zip(xa, xb))
+        ratio = statistics.median(xb) / statistics.median(xa)
+        record["summary"][key] = {"median_a": statistics.median(xa),
+                                  "median_b": statistics.median(xb),
+                                  "ratio_b_over_a": ratio, "b_better_rounds": won}
         print(f"{label}:")
         print(f"  A {args.tree_a}: {summary(xa)}")
         print(f"  B {args.tree_b}: {summary(xb)}")
-        print(f"  median ratio B/A {statistics.median(xb) / statistics.median(xa):.4f}; "
-              f"B better in {won}/{args.rounds} rounds")
+        print(f"  median ratio B/A {ratio:.4f}; B better in {won}/{args.rounds} rounds")
+    if args.json:
+        Path(args.json).write_text(json.dumps(record, indent=1) + "\n")
 
 
 if __name__ == "__main__":
