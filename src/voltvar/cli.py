@@ -128,8 +128,8 @@ def cmd_check(args):
     feeder = _load(args)
     mats = sensitivity_matrices(feeder)
     config = _config(args, feeder)
-    report = check_d1_condition(config.bundle, mats.X)
-    g3 = d3_stepsize_bound(config.bundle, mats.X)
+    report = check_d1_condition(config.bundle, mats)
+    g3 = d3_stepsize_bound(config.bundle, mats)
     print(f"feedback modulus sigma            : {report.sigma:.6f}")
     print(f"contraction condition (sigma < 1) : {'holds' if report.sufficient else 'FAILS'}")
     print(f"row-sum sufficient value          : {report.corollary_value:.6f}"
@@ -219,7 +219,7 @@ def _sweep_point(args, feeder, mats, value):
     config = ControllerConfig.from_feeder(
         feeder, controller, alpha=alpha, deadband=args.deadband, gamma2=gamma2, gamma3=gamma3
     )
-    report = check_d1_condition(config.bundle, mats.X)
+    report = check_d1_condition(config.bundle, mats)
     eq = solve_equilibrium(
         feeder, curves=config.bundle, q_min=config.q_min, q_max=config.q_max,
         tol=args.tol, max_iter=args.max_iter, mats=mats,

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import DimensionMismatch, InvalidRecord
+from .network import SensitivityMatrices
 
 DEFAULT_DEADBAND = 0.04  # total width, i.e. a 0.98..1.02 p.u. band
 
@@ -221,8 +223,9 @@ class DroopCurve(ControlCurve):
 class TableCurve(ControlCurve):
     """Monotone curve given as breakpoints [(v_err, q), ...].
 
-    Points must be finite, strictly increasing in v_err, span v_err = 0
-    with zero output there, and be non-increasing in q; the only flat
+    Points and segment slopes must be finite; points must be strictly
+    increasing in v_err, span v_err = 0 with zero output there (outputs of
+    one sign fail, however small), and be non-increasing in q; the only flat
     stretch allowed is the zero-output deadband, and the end segments
     extrapolate with their own slopes so the curve keeps strictly
     decreasing toward +-infinity.  The checks and the hinge table run on
@@ -248,6 +251,8 @@ class TableCurve(ControlCurve):
         if max(du) > 1e-15:
             raise InvalidRecord("table curve must be non-increasing")
         slopes = [a / b for a, b in zip(du, dv)]
+        if not all(map(math.isfinite, slopes)):
+            raise InvalidRecord("table segment slopes must be finite")
         flat = [s > -1e-15 for s in slopes]
         if any(f and (a != 0.0 or b != 0.0) for f, a, b in zip(flat, u, u[1:])):
             raise InvalidRecord("flat table segments are only allowed at zero output")
@@ -259,7 +264,8 @@ class TableCurve(ControlCurve):
         # [v[j], v[j + 1]) holding zero
         j = bisect.bisect_right(v, 0.0) - 1
         at_zero = u[j] if v[j] == 0.0 else slopes[j] * -v[j] + u[j]
-        if abs(at_zero) > 1e-12:
+        # outputs of one sign are nonzero at zero, however small
+        if abs(at_zero) > 1e-12 or u[0] < 0.0 or u[-1] > 0.0:
             raise InvalidRecord("table curve must be zero at zero voltage error")
         # the sides start where the curve leaves zero output; p - 1 is the
         # last positive point (else the first) and n the first negative one
@@ -282,6 +288,8 @@ def curve_from_spec(spec, alpha=None, deadband=None):
     ``{"type": "table", "points": [[v_err, q], ...]}``; the keyword
     arguments override the stored droop parameters.
     """
+    if not isinstance(spec, Mapping):
+        raise InvalidRecord(f"a curve spec must be a mapping, got {type(spec).__name__}")
     kind = spec.get("type")
     if kind == "droop":
         return DroopCurve(
@@ -365,7 +373,9 @@ class CurveBundle:
 
 
 def _spectral_block(bundle, X):
-    """``X`` restricted to the curve buses, where the spectral tests act."""
+    """``X``, the linear model or a dense array, on the curve buses."""
+    if isinstance(X, SensitivityMatrices):
+        return X.block(bundle.positions)
     return np.asarray(X)[np.ix_(bundle.positions, bundle.positions)]
 
 
@@ -379,7 +389,8 @@ def lipschitz_constant(curves, X):
 
     Largest singular value of ``diag(alpha_bar) X`` restricted to the buses
     that actually carry a curve: buses with a singleton feasible set neither
-    move nor respond, so they drop out of the feedback loop.
+    move nor respond, so they drop out of the feedback loop.  ``X`` is the
+    linear model or a dense reactance matrix.
     """
     bundle = CurveBundle.of(curves)
     if len(bundle) == 0:

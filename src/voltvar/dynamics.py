@@ -203,15 +203,9 @@ def _float_kernel(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi_box, gam
     an ndarray per element costs about a quarter of the step.
     """
     m = qa0.size
-    rows = [tuple(float(v) for v in x_aa[i]) for i in range(m)]
-    base = [float(v) for v in base_err]
-    a_lo = [float(v) for v in slopes[0]]
-    a_hi = [float(v) for v in slopes[1]]
-    lo = [float(v) for v in bundle.lo]
-    hi = [float(v) for v in bundle.hi]
-    lob = [float(v) for v in lo_box]
-    hib = [float(v) for v in hi_box]
-    q = [float(v) for v in qa0]
+    rows, base, a_lo, a_hi, lo, hi, lob, hib, q = (
+        np.asarray(a, dtype=float).tolist()
+        for a in (x_aa, base_err, *slopes, bundle.lo, bundle.hi, lo_box, hi_box, qa0))
     rng = range(m)
     res = 0.0
     while True:
@@ -322,8 +316,8 @@ def simulate(
     ``plant`` is ``"linear"`` (``v = X q + vtilde`` from ``mats``, built
     when omitted) or ``"distflow"`` (the full branch-flow sweep, solved to
     1e-10 every step and warm-started from the previous step's solution);
-    anything else raises InvalidRecord.  Buses without a curve stay at
-    their projected ``q0``.
+    anything else raises InvalidRecord, as does a nan or negative ``tol``.
+    Buses without a curve stay at their projected ``q0``.
 
     Returns a Trajectory whose verdict is ``converged`` once the step change
     drops below ``tol``, ``oscillating`` when the smallest residual of the
@@ -340,6 +334,8 @@ def simulate(
     """
     if record_every < 1 or max_iter < 1:
         raise InvalidRecord("record_every and max_iter must be at least 1")
+    if not tol >= 0.0:  # a nan tol fails this too
+        raise InvalidRecord(f"tol must be a non-negative number, got {tol}")
     if not (isinstance(plant, str) and plant in PLANT_KINDS):
         raise InvalidRecord(f"plant must be one of {PLANT_KINDS}, got {plant!r}")
     linear = plant == "linear"
@@ -350,7 +346,6 @@ def simulate(
     if act.size == 0:
         raise InvalidRecord("no controllable buses: nothing to simulate")
     n = feeder.n
-    v_nom = feeder.v_nom
 
     q = np.zeros(n) if q0 is None else np.asarray(q0, dtype=float).copy()
     if q.shape != (n,):
@@ -362,8 +357,7 @@ def simulate(
     lo_box, hi_box = config.q_min[act], config.q_max[act]
 
     if linear or track_objective:
-        x_aa, base_full = _curve_block(mats, act, q)
-        base_err = base_full[act] - v_nom[act]
+        x_aa, base_err = _curve_block(mats, act, q)
 
     f_active = None
     if track_objective:
@@ -393,21 +387,20 @@ def simulate(
                 sol = powerflow.distflow_sweep(feeder, _scatter(q, act, qa), tol=1e-10,
                                                start=sol)
                 sweep_iterations += sol.iterations
-                return (sol.v - v_nom)[act], sol.v
+                return (sol.v - feeder.v_nom)[act], sol.v
 
         q_sum = np.zeros(act.size)
         states = _array_kernel(config.kind, verr_of, qa, bundle, lo_box, hi_box,
                                config.gamma2, config.gamma3, f_active, q_sum)
     run = _iterate(states, tol, max_iter, record_every, oscillation_window)
 
-    qa_rec = run["q"]
-    q_full = np.tile(q, (qa_rec.shape[0], 1))
-    q_full[:, act] = qa_rec
+    q_full = np.tile(q, (len(run["q"]), 1))
+    q_full[:, act] = run["q"]
     q_avg = q.copy()
     q_avg[act] = np.array(q_sum) / max(run["steps"], 1)
     run["q"], run["q_average"] = q_full, q_avg
     if linear:
-        run["v"] = qa_rec @ mats.columns(act) + base_full
+        run["v"] = mats.voltage(q_full)
     else:
         run["sweep_iterations"] = sweep_iterations
     return Trajectory(**run)
@@ -436,7 +429,8 @@ def check_d1_condition(curves, X):
     ``sigma`` is the feedback modulus (largest singular value of
     ``diag(alpha_bar) X`` over the controllable block); the corollary value
     is the row-sum sufficient test, which upper-bounds sigma by the norm
-    interpolation inequality and is therefore more conservative.
+    interpolation inequality and is therefore more conservative.  ``X`` is
+    the linear model or a dense reactance matrix.
     """
     bundle = CurveBundle.of(curves)
     sub = _spectral_block(bundle, X)
@@ -457,7 +451,8 @@ def d3_stepsize_bound(curves, X):
     ``lambda_max`` is the top eigenvalue of ``diag(alpha_bar) X`` on the
     controllable block, computed through the symmetric similar matrix
     ``diag(s) X diag(s)`` with ``s = sqrt(alpha_bar)``, whose eigenvalues
-    are real and non-negative.
+    are real and non-negative.  ``X`` is the linear model or a dense
+    reactance matrix.
     """
     bundle = CurveBundle.of(curves)
     if len(bundle) == 0:
@@ -474,14 +469,14 @@ def _d3_bound(bundle, sub):
 
 def _curve_block(mats, act, q):
     """The linear model on the curve buses ``act``, with the other buses held
-    at ``q``: ``v[act] = x_aa @ q[act] + base[act]``.
+    at ``q``: ``v[act] - v_nom[act] = x_aa @ q[act] + base_err``.
 
-    Returns ``x_aa = X[act, act]`` and the full base voltages
-    ``X q_o + vtilde``, where ``q_o`` is ``q`` with ``act`` zeroed; neither
-    needs the dense X.
+    Returns ``x_aa = X[act, act]`` and the base error
+    ``(X q_o + vtilde - v_nom)[act]``, where ``q_o`` is ``q`` with ``act``
+    zeroed; neither needs the dense X.
     """
     base = mats.voltage(_scatter(q, act, 0.0))
-    return mats.block(act), base
+    return mats.block(act), (base - mats.feeder.v_nom)[act]
 
 
 def objective_terms(mats, curves, q):
@@ -520,11 +515,10 @@ def objective_subgradient(mats, curves, q):
     """A subgradient of the objective at q (selection used by the d2 law)."""
     bundle = CurveBundle.of(curves)
     q = np.asarray(q, dtype=float)
-    verr = mats.voltage(q) - mats.feeder.v_nom
-    g = verr.copy()
+    g = mats.voltage(q) - mats.feeder.v_nom
     act = bundle.positions
     if act.size:
-        g[act] = _d2_subgradient(q[act], verr[act], bundle)
+        g[act] = _d2_subgradient(q[act], g[act], bundle)
     return g
 
 
@@ -570,12 +564,15 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
     most half the smallest one seen so far; otherwise the iterate takes one
     pseudo-gradient (d3) step at 0.9 times its safe stepsize bound, which
     converges from anywhere.  The solver stops once the fixed-point
-    residual ``max |F|`` drops below ``tol``; the residual doubles as the
-    optimality certificate of the equivalent convex problem.
+    residual ``max |F|`` drops below ``tol`` (a nan or negative ``tol``
+    raises InvalidRecord); the residual doubles as the optimality
+    certificate of the equivalent convex problem.
     ``iterations`` counts the updates, Newton or d3, that it took; when
     ``max_iter`` updates leave the residual at or above ``tol``, the solver
     raises MaxIterations.
     """
+    if not tol >= 0.0:
+        raise InvalidRecord(f"tol must be a non-negative number, got {tol}")
     if mats is None:
         mats = sensitivity_matrices(feeder)
     if curves is None:
@@ -588,8 +585,7 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
 
     q = np.zeros(feeder.n).clip(q_min, q_max)
     qa = q[act].copy()
-    x_aa, base = _curve_block(mats, act, q)
-    base_a = (base - feeder.v_nom)[act]
+    x_aa, base_a = _curve_block(mats, act, q)
     lo_box, hi_box = q_min[act], q_max[act]
     eye = np.eye(act.size)
 

@@ -88,6 +88,8 @@ def load_feeder(
         except json.JSONDecodeError as exc:
             raise ParseError(f"{source}: invalid JSON at line {exc.lineno}") from exc
         origin = str(source)
+    if not isinstance(doc, Mapping):
+        raise ParseError(f"{origin}: a feeder document must be a JSON object")
 
     unit = doc.get("unit", "pu")
     if unit not in ("ohm", "pu"):

@@ -86,12 +86,17 @@ def _path_sum(y, end):
     """Root-path sums in preorder coordinates: entry b sums ``y[..., a]`` over
     every a whose subtree ``[a, end[a])`` contains b.
 
-    Entry a joins the running sum at a and leaves it at ``end[a]``.
+    Entry a joins the running sum at a and leaves it at ``end[a]``.  Stacked
+    rows are laid end to end, each with its own ``n + 1`` bins, so one
+    ``bincount`` serves them all.
     """
-    if y.ndim > 1:
-        rows = y.reshape(-1, y.shape[-1])
-        return np.array([_path_sum(row, end) for row in rows]).reshape(y.shape)
-    return np.add.accumulate(y - np.bincount(end, y, y.size + 1)[:-1])
+    if y.ndim == 1:
+        return np.add.accumulate(y - np.bincount(end, y, y.size + 1)[:-1])
+    n = y.shape[-1]
+    rows = y.reshape(-1, n)
+    bins = (end + (n + 1) * np.arange(len(rows))[:, None]).ravel()
+    leave = np.bincount(bins, rows.ravel(), rows.size + len(rows)).reshape(-1, n + 1)
+    return np.add.accumulate(rows - leave[:, :-1], axis=-1).reshape(y.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,9 +237,8 @@ class SensitivityMatrices:
 
     X maps reactive injections to bus voltages; R plays the same role for
     real power.  :meth:`voltage` and :meth:`x_times` apply the model, and
-    :meth:`block` and :meth:`columns` give X on a set of buses, all without
-    the dense n-by-n matrices; ``X`` and ``R`` are built on first access
-    only.
+    :meth:`block` gives X on a set of buses, all without the dense n-by-n
+    matrices; ``X`` and ``R`` are built on first access only.
     """
 
     vtilde: np.ndarray
@@ -265,15 +269,6 @@ class SensitivityMatrices:
         """The dense resistance sensitivity matrix, built on first access."""
         return self._row_copy(self.feeder.depth[1])
 
-    @cached_property
-    def _parent_depth(self):
-        """In preorder coordinates, the x-depth sum of each bus's parent (0
-        under the slack): the depth of every branch point a preorder walk
-        passes."""
-        feeder = self.feeder
-        parent = feeder.parent.take(feeder.order)
-        return _readonly(np.where(parent >= 0, feeder.depth[0].take(parent), 0.0))
-
     def block(self, act):
         """``X[act, act]`` for distinct bus positions ``act``, read-only, in
         O(n + m^2) without the dense X.
@@ -299,10 +294,13 @@ class SensitivityMatrices:
         rank = np.empty(m, dtype=int)
         rank[srt] = np.arange(m)
         a = pos[srt]
-        # gap[b] is the common x-depth of the buses at sorted places b - 1 and b
+        # gap[b] is the common x-depth of the buses at sorted places b - 1 and
+        # b: the least x-depth of a parent (0 for the slack) on the walk
         gap = np.full(m, np.inf)
         if m > 1:
-            gap[1:] = np.minimum.reduceat(self._parent_depth[:a[-1] + 1], a[:-1] + 1)
+            parent = self.feeder.parent.take(self.feeder.order[:a[-1] + 1])
+            walk = np.where(parent >= 0, self.feeder.depth[0].take(parent), 0.0)
+            gap[1:] = np.minimum.reduceat(walk, a[:-1] + 1)
         upper = np.where(np.arange(m)[:, None] < np.arange(m), gap, np.inf)
         upper = np.minimum.accumulate(upper, axis=1)
         sorted_block = np.minimum(upper, upper.T)
@@ -310,26 +308,6 @@ class SensitivityMatrices:
         out = _readonly(sorted_block.take(rank, axis=0).take(rank, axis=1))
         self.__dict__["_block_memo"] = (act.copy(), out)
         return out
-
-    def columns(self, act):
-        """``X[act, :]``, which is ``X[:, act].T``, for bus positions ``act``
-        in O(n m) without the dense X.
-
-        By :meth:`block`'s rule, row i at preorder position b holds the
-        smallest parent depth over ``(b, a]`` at each later position a, and
-        over ``(a, b]`` at each earlier one.
-        """
-        feeder = self.feeder
-        act = np.asarray(act, dtype=int)
-        pd = self._parent_depth
-        b = feeder.intervals[0].take(act)[:, None]
-        at = np.arange(feeder.n)
-        after = np.minimum.accumulate(np.where(at > b, pd, np.inf), axis=1)
-        ahead = np.append(pd[1:], np.inf)  # ahead[a] = pd[a + 1]
-        before = np.minimum.accumulate(np.where(at < b, ahead, np.inf)[:, ::-1], axis=1)
-        out = np.minimum(after, before[:, ::-1])
-        out[np.arange(act.size), b[:, 0]] = feeder.depth[0].take(act)
-        return out.take(feeder.intervals[0], axis=1)
 
     def x_times(self, q):
         """The product ``X q`` along the last axis of ``q``, in O(n) through
@@ -362,7 +340,8 @@ def build_feeder(
     ----------
     buses : iterable of Bus
         Must include the slack bus; the slack may carry no load, generation
-        or inverter.
+        or inverter.  The other buses need finite loads and generation and
+        a positive finite ``v_nom``.
     lines : iterable of Line
         Exactly one line per non-slack bus; endpoint order is irrelevant.
     inverters : dict, optional
@@ -371,7 +350,7 @@ def build_feeder(
     slack_label : int
         Label of the fixed-voltage substation bus.
     v0 : float
-        Slack-bus voltage in per unit.
+        Slack-bus voltage in per unit, positive and finite.
     curve_specs : dict, optional
         Bus label -> control-curve description (kept verbatim, see control
         module for the schema).
@@ -380,7 +359,7 @@ def build_feeder(
 
     Raises
     ------
-    DuplicateId, Disconnected, CycleDetected, NonPositiveImpedance
+    DuplicateId, Disconnected, CycleDetected, NonPositiveImpedance, InvalidRecord
     """
     buses = list(buses)
     lines = list(lines)
@@ -470,6 +449,14 @@ def build_feeder(
     q_c = np.array([by_id[lab].q_c for lab in nonslack])
     p_g = np.array([by_id[lab].p_g for lab in nonslack])
     v_nom = np.array([by_id[lab].v_nom for lab in nonslack])
+    bad = ~np.isfinite((p_c, q_c, p_g, v_nom)).all(axis=0) | ~(v_nom > 0.0)
+    if bad.any():
+        b = by_id[nonslack[int(np.argmax(bad))]]
+        raise InvalidRecord(f"bus {b.id} has p_c={b.p_c}, q_c={b.q_c}, p_g={b.p_g}, "
+                            f"v_nom={b.v_nom}: all must be finite, and v_nom positive")
+    v0 = float(v0)
+    if not 0.0 < v0 < np.inf:
+        raise InvalidRecord(f"slack voltage v0 must be positive and finite, got {v0}")
     parent.setflags(write=False)
 
     return Feeder(
@@ -482,7 +469,7 @@ def build_feeder(
         q_c=_readonly(q_c),
         p_g=_readonly(p_g),
         v_nom=_readonly(v_nom),
-        v0=float(v0),
+        v0=v0,
         inverters=MappingProxyType({pos[lab]: inv for lab, inv in inverters.items()}),
         curve_specs=MappingProxyType(
             {pos[lab]: dict(spec) for lab, spec in curve_specs.items()}

@@ -146,12 +146,14 @@ def numpy_hinge_table(points):
     if np.any(np.diff(u) > 1e-15):
         raise vv.InvalidRecord("table curve must be non-increasing")
     slopes = np.diff(u) / np.diff(v)
+    if not np.isfinite(slopes).all():
+        raise vv.InvalidRecord("table segment slopes must be finite")
     flat = slopes > -1e-15
     if np.any(flat & ((u[:-1] != 0.0) | (u[1:] != 0.0))):
         raise vv.InvalidRecord("flat table segments are only allowed at zero output")
     if flat[0] or flat[-1]:
         raise vv.InvalidRecord("end segments must be strictly decreasing")
-    if abs(float(np.interp(0.0, v, u))) > 1e-12:
+    if abs(float(np.interp(0.0, v, u))) > 1e-12 or u[0] < 0 or u[-1] > 0:
         raise vv.InvalidRecord("table curve must be zero at zero voltage error")
     p = max(np.count_nonzero(u > 0), 1)
     n = int(np.argmax(u < 0)) if u[-1] < 0 else len(u) - 1

@@ -260,3 +260,21 @@ def test_shared_parser_prints_the_same_help(command, capsys, monkeypatch):
 def test_runtime_error_exit_code(capsys):
     assert main(["check", "--feeder", "/nonexistent/feeder.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--alpha", "10"],
+    ["simulate", "--alpha", "10", "--controller", "d3", "--gamma3", "0.5"],
+    ["equilibrium", "--alpha", "10"],
+    ["sweep", "alpha", "--grid", "1,10,27"],
+    ["sweep", "load_scale", "--grid", "0.5,1", "--alpha", "10"],
+], ids=lambda a: " ".join(a[:2]))
+def test_commands_never_build_dense_matrices(argv, tmp_path, monkeypatch, capsys):
+    # every command reads the linear model through block/x_times/voltage;
+    # the dense n-by-n X and R come only from _row_copy
+    def refuse(self, dep):
+        raise AssertionError("a command built a dense n-by-n matrix")
+
+    monkeypatch.setattr(vv.SensitivityMatrices, "_row_copy", refuse)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""

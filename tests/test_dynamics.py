@@ -205,7 +205,9 @@ class TestSimulate:
         ({"record_every": 0}, vv.InvalidRecord),
         ({"max_iter": 0}, vv.InvalidRecord),
         ({"q0": np.zeros(3)}, vv.DimensionMismatch),
-    ], ids=["record_every", "max_iter", "q0-shape"])
+        ({"tol": np.nan}, vv.InvalidRecord),
+        ({"tol": -1e-6}, vv.InvalidRecord),
+    ], ids=["record_every", "max_iter", "q0-shape", "nan-tol", "negative-tol"])
     def test_bad_run_arguments_rejected(self, sce42, sce42_mats, kwargs, error):
         cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=10.0)
         with pytest.raises(error):
@@ -286,6 +288,24 @@ class TestConditionChecks:
             sce42_mats.X,
         )
         assert below.sufficient and not above.sufficient
+
+    def test_model_gives_the_dense_values(self, sce42):
+        rng = np.random.default_rng(67)
+        feeders = [sce42] + [random_feeder(rng, int(rng.integers(1, 30))) for _ in range(20)]
+        for f in feeders:
+            mats = vv.sensitivity_matrices(f)
+            sites = rng.choice(f.n, size=int(rng.integers(1, f.n + 1)), replace=False)
+            curves = {int(k): vv.DroopCurve(alpha=float(rng.uniform(0.5, 40.0)), deadband=0.04)
+                      for k in sites}
+
+            def spectral(X):
+                rep = vv.check_d1_condition(curves, X)
+                return (rep.sigma, rep.corollary_value, rep.uniform_alpha_limit,
+                        vv.d3_stepsize_bound(curves, X), vv.lipschitz_constant(curves, X))
+
+            from_model = spectral(mats)
+            assert "X" not in mats.__dict__
+            assert from_model == spectral(mats.X)
 
 
 class TestD3Bound:
@@ -418,6 +438,13 @@ class TestSolveEquilibrium:
         np.testing.assert_array_equal(tight.q_star, free.q_star)
         with pytest.raises(vv.MaxIterations, match="after 0 iterations"):
             vv.solve_equilibrium(sce42, max_iter=0, **kw)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-6])
+    def test_bad_tol_rejected(self, feeder2, tol):
+        with pytest.raises(vv.InvalidRecord, match="tol"):
+            vv.solve_equilibrium(
+                feeder2, curves={0: vv.DroopCurve(alpha=1.0, deadband=0.04)}, tol=tol,
+            )
 
     @pytest.mark.parametrize("q_min, q_max, error", [
         ([np.nan], [1.0], vv.InvalidRecord),  # once ran out its budget at residual nan

@@ -106,6 +106,13 @@ class TestErrors:
         with pytest.raises(vv.ParseError):
             vv.load_feeder(str(p))
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3.5", "null", '"builtin:sce42"'])
+    def test_json_file_not_an_object(self, tmp_path, text):
+        p = tmp_path / "not_an_object.json"
+        p.write_text(text)
+        with pytest.raises(vv.ParseError, match="JSON object"):
+            vv.load_feeder(str(p))
+
     def test_missing_field(self):
         doc = {"unit": "pu", "buses": [{"id": 0}, {"id": 1}], "lines": [{"from": 0, "to": 1}]}
         with pytest.raises(vv.ParseError) as err:
