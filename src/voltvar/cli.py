@@ -112,16 +112,13 @@ def write_trajectory_csv(trajectory, path):
     with_f = trajectory.objective is not None
     if with_f:
         cols.append("F")
+    # repr of a Python float is _fmt's text, without a call per cell
+    rows = np.column_stack([trajectory.q, trajectory.v, trajectory.residuals]
+                           + ([trajectory.objective] if with_f else [])).tolist()
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for i, t in enumerate(trajectory.times):
-            row = [str(int(t))]
-            row += [_fmt(x) for x in trajectory.q[i]]
-            row += [_fmt(x) for x in trajectory.v[i]]
-            row.append(_fmt(trajectory.residuals[i]))
-            if with_f:
-                row.append(_fmt(trajectory.objective[i]))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(f"{t},{','.join(map(repr, row))}\n"
+                      for t, row in zip(trajectory.times.tolist(), rows))
 
 
 def cmd_check(args):

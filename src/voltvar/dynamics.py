@@ -193,23 +193,43 @@ def _array_kernel(kind, verr_of, qa, bundle, lo_box, hi_box, gamma2, gamma3, f_a
 
 
 def _float_kernel(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi_box, gamma2, gamma3,
-                  q_sum):
+                  q_sum, const_obj=None):
     """Plain-float step for small systems of one-segment-per-side curves on
     the linear plant; ``slopes`` are the (left, right) slope magnitudes.
 
     Same yields and arithmetic as ``_array_kernel``; numpy's per-call
     overhead dominates on five-dimensional arrays, and million-step
     subgradient runs need the ~10x headroom.  ``q_sum`` is a list: indexing
-    an ndarray per element costs about a quarter of the step.
+    an ndarray per element costs about a quarter of the step.  Given
+    ``const_obj``, the objective less its curve-bus terms, each state comes
+    with ``const_obj + sum_i [cost_i(q_i) + q_i ((x_aa q)_i / 2 + base_err_i)]``.
     """
     m = qa0.size
     rows, base, a_lo, a_hi, lo, hi, lob, hib, q = (
         np.asarray(a, dtype=float).tolist()
         for a in (x_aa, base_err, *slopes, bundle.lo, bundle.hi, lo_box, hi_box, qa0))
+    if const_obj is not None:
+        # hinges[i]: the (tau_j, tau_j Q_j, a_j, b_j) of curve i's two hinges
+        h = bundle._hinges
+        hinges = np.stack((h.tq, h.tkq, h.a, h.b), axis=-1).transpose(1, 0, 2).tolist()
     rng = range(m)
     res = 0.0
     while True:
-        yield q, res, None, None
+        obj = None
+        if const_obj is not None:
+            obj = const_obj
+            for i in rng:
+                row = rows[i]
+                xq = 0.0
+                for j in rng:
+                    xq += row[j] * q[j]
+                qi = q[i]
+                obj += qi * (0.5 * xq + base[i])
+                for tq, tkq, a, b in hinges[i]:
+                    z = tq * qi - tkq
+                    if z > 0.0:
+                        obj += (a + b * z) * z
+        yield q, res, None, obj
         res = 0.0
         nxt = [0.0] * m
         for i in rng:
@@ -324,12 +344,14 @@ def simulate(
     latest window stopped improving on the previous window's (both above
     tolerance), and ``max_iterations`` otherwise.  ``record_every`` thins
     the stored states; the initial and final states are always kept.
-    ``oscillation_window=None`` disables the detector.
+    ``oscillation_window=None`` disables the detector.  A non-finite final
+    ``q`` or ``v`` raises InvalidRecord instead.
 
     Linear-plant runs iterate on the curve buses only, through the reduced
     model of ``_curve_block``, and small systems whose curves have one
     segment per side of the plateau (droops) step with a plain-float
-    kernel, so long runs on feeders with few inverters stay cheap.  Either
+    kernel, tracked or not, so long runs on feeders with few inverters stay
+    cheap.  Tracking the objective leaves the states unchanged.  Either
     kernel runs under one time loop.
     """
     if record_every < 1 or max_iter < 1:
@@ -359,7 +381,7 @@ def simulate(
     if linear or track_objective:
         x_aa, base_err = _curve_block(mats, act, q)
 
-    f_active = None
+    f_active = const_obj = None
     if track_objective:
         # the constant part: the quadratic and linear terms at q with act zeroed
         const_obj = objective_f(mats, {}, _scatter(q, act, 0.0))
@@ -370,10 +392,10 @@ def simulate(
             )
 
     slopes = bundle.end_slopes()
-    if linear and f_active is None and slopes is not None and act.size <= _FLOAT_KERNEL_LIMIT:
+    if linear and slopes is not None and act.size <= _FLOAT_KERNEL_LIMIT:
         q_sum = [0.0] * act.size
         states = _float_kernel(config.kind, x_aa, base_err, bundle, slopes, qa, lo_box,
-                               hi_box, config.gamma2, config.gamma3, q_sum)
+                               hi_box, config.gamma2, config.gamma3, q_sum, const_obj)
     else:
         if linear:
             def verr_of(qa):
@@ -403,7 +425,15 @@ def simulate(
         run["v"] = mats.voltage(q_full)
     else:
         run["sweep_iterations"] = sweep_iterations
+    _require_finite(q_full[-1], run["v"][-1], "simulate")
     return Trajectory(**run)
+
+
+def _require_finite(q, v, where):
+    # the verdicts compare residuals, and every comparison with NaN is false
+    if not (np.isfinite(q).all() and np.isfinite(v).all()):
+        raise InvalidRecord(f"{where} reached a non-finite state; "
+                            "check the feeder's loads and impedances")
 
 
 def _scatter(q, act, qa):
@@ -615,10 +645,12 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
             verr, u, res, residual = state(qa)
         best = min(best, residual)
     q[act] = qa
+    v_star = mats.voltage(q)
+    _require_finite(q, v_star, "solve_equilibrium")
     cost, quad, linear = objective_terms(mats, bundle, q)
     return EquilibriumReport(
         q_star=q,
-        v_star=mats.voltage(q),
+        v_star=v_star,
         objective=cost + quad + linear,
         cost_term=cost,
         quadratic_term=quad,

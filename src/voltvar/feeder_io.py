@@ -59,7 +59,7 @@ def load_feeder(
         Lagging power factor in (0, 1] used to split ``load_mva`` entries
         into real and reactive consumption.
     load_scale : float
-        Multiplier on all loads.
+        Multiplier on all loads; finite and non-negative (0 is valid).
     pv_operating_fraction : float
         Inverter real output as a fraction of nameplate capacity.
     inverter_oversize : float
@@ -87,6 +87,8 @@ def load_feeder(
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{source}: invalid JSON at line {exc.lineno}") from exc
+        except FileNotFoundError as exc:
+            raise ParseError(f"{source}: no such feeder file") from exc
         origin = str(source)
     if not isinstance(doc, Mapping):
         raise ParseError(f"{origin}: a feeder document must be a JSON object")
@@ -113,6 +115,8 @@ def load_feeder(
                         ("inverter_oversize", inverter_oversize)):
         if not math.isfinite(value):
             raise InvalidRecord(f"{knob} must be finite, got {value}")
+    if load_scale < 0:
+        raise InvalidRecord(f"load_scale must be non-negative, got {load_scale}")
     if not 0 < power_factor <= 1:
         raise ParseError(f"power factor must lie in (0, 1], got {power_factor}",
                          field="power_factor")

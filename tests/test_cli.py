@@ -96,6 +96,24 @@ class TestSimulate:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_csv_matches_per_cell_formatting(self, sce42, sce42_mats, tmp_path, tracked):
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d2", alpha=10.0, gamma2=1e-2)
+        traj = vv.simulate(sce42, cfg, mats=sce42_mats, max_iter=300, record_every=6,
+                           track_objective=tracked)
+        # the one-call-per-cell export this writer replaced
+        lines = ["t," + ",".join(f"q_{i}" for i in range(1, sce42.n + 1)) + ","
+                 + ",".join(f"v_{i}" for i in range(1, sce42.n + 1)) + ",residual"
+                 + (",F" if tracked else "")]
+        for i, t in enumerate(traj.times):
+            row = [str(int(t))] + [cli._fmt(x) for x in traj.q[i]]
+            row += [cli._fmt(x) for x in traj.v[i]] + [cli._fmt(traj.residuals[i])]
+            if tracked:
+                row.append(cli._fmt(traj.objective[i]))
+            lines.append(",".join(row))
+        cli.write_trajectory_csv(traj, tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestEquilibrium:
     def test_two_bus_report(self, two_bus_file, capsys):

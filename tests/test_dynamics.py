@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voltvar as vv
+from voltvar import dynamics
 from voltvar.control import CurveBundle
 
 from helpers import d3_oracle, random_feeder, random_tree_records, two_bus_feeder
@@ -164,8 +167,8 @@ class TestSimulate:
         assert traj.times[-1] == traj.converged_at
         assert np.all(np.diff(traj.times) > 0)
 
-    def test_scalar_and_array_paths_agree(self, sce42, sce42_mats):
-        # track_objective forces the array kernel; default takes the float one
+    def test_scalar_and_array_paths_agree(self, sce42, sce42_mats, monkeypatch):
+        # the default takes the float kernel; a zero size limit forces the array one
         runs = [
             (kind, 20.0, g2, g3, dict(tol=0.0, max_iter=250))
             for kind, g2, g3 in (("d1", None, None), ("d2", 1e-2, None), ("d3", None, 0.7))
@@ -180,7 +183,9 @@ class TestSimulate:
                 sce42, kind, alpha=alpha, gamma2=g2, gamma3=g3
             )
             fast = vv.simulate(sce42, cfg, mats=sce42_mats, **kw)
-            slow = vv.simulate(sce42, cfg, mats=sce42_mats, track_objective=True, **kw)
+            with monkeypatch.context() as mp:
+                mp.setattr(dynamics, "_FLOAT_KERNEL_LIMIT", 0)
+                slow = vv.simulate(sce42, cfg, mats=sce42_mats, **kw)
             verdicts.add(fast.verdict)
             assert fast.verdict == slow.verdict
             assert fast.steps == slow.steps
@@ -190,6 +195,37 @@ class TestSimulate:
             np.testing.assert_allclose(fast.residuals, slow.residuals, rtol=0, atol=5e-13)
             np.testing.assert_allclose(fast.q_average, slow.q_average, rtol=0, atol=5e-13)
         assert verdicts == {"converged", "oscillating", "max_iterations"}
+
+    @pytest.mark.parametrize("case", ["d1", "d2", "d3", "partial"])
+    def test_tracked_droop_run_takes_the_float_kernel(self, sce42, sce42_mats, monkeypatch,
+                                                      case):
+        kind = "d1" if case == "partial" else case
+        cfg = vv.ControllerConfig.from_feeder(sce42, kind, alpha=10.0, gamma2=1e-2,
+                                              gamma3=0.5)
+        kw = dict(mats=sce42_mats)
+        if case == "d2":
+            kw.update(max_iter=3000, record_every=10)
+        if case == "partial":
+            # curves on 3 of the 5 inverters; the other two hold a non-zero q0
+            curved = sorted(cfg.curves)[:3]
+            cfg = vv.ControllerConfig(kind="d1", curves={k: cfg.curves[k] for k in curved},
+                                      q_min=cfg.q_min, q_max=cfg.q_max)
+            kw["q0"] = np.random.default_rng(79).uniform(cfg.q_min, cfg.q_max)
+        with monkeypatch.context() as mp:
+            mp.setattr(dynamics, "_array_kernel", None)  # any use of it fails
+            plain = vv.simulate(sce42, cfg, **kw)
+            tracked = vv.simulate(sce42, cfg, track_objective=True, **kw)
+        assert plain.objective is None
+        for name in ("times", "q", "residuals", "q_average", "verdict", "converged_at"):
+            assert np.array_equal(getattr(tracked, name), getattr(plain, name)), name
+        direct = [vv.objective_f(sce42_mats, cfg.curves, q) for q in tracked.q]
+        np.testing.assert_allclose(tracked.objective, direct, rtol=0, atol=1e-15)
+
+        monkeypatch.setattr(dynamics, "_FLOAT_KERNEL_LIMIT", 0)
+        array = vv.simulate(sce42, cfg, track_objective=True, **kw)
+        np.testing.assert_array_equal(array.times, tracked.times)
+        np.testing.assert_allclose(tracked.objective, array.objective, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(tracked.cum_objective, array.cum_objective, rtol=1e-13)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_q0_rejected(self, sce42, sce42_mats, bad):
@@ -533,6 +569,35 @@ class TestVerdicts:
         if traj.verdict == "converged":
             for a in (traj.q, traj.v, traj.residuals, traj.q_average):
                 assert np.isfinite(a).all()
+
+    @pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
+    def test_overflowing_loads_raise(self, kind):
+        # finite records whose vtilde overflows to -inf once converged with v = -inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            feeder = two_bus_feeder(r=10, x=10, p_c=1e308, q_c=1e308)
+            cfg = two_bus_config(kind, gamma2=0.1, gamma3=0.5)
+            with pytest.raises(vv.InvalidRecord, match="non-finite"):
+                vv.simulate(feeder, cfg)
+            if kind == "d1":
+                with pytest.raises(vv.InvalidRecord, match="non-finite"):
+                    vv.solve_equilibrium(feeder, cfg.curves, cfg.q_min, cfg.q_max)
+
+    # two segments a side make a table curve, which the array kernel steps
+    @pytest.mark.parametrize("curve", [
+        vv.DroopCurve(alpha=1.0, deadband=0.04),
+        vv.TableCurve([[-0.2, 0.3], [-0.1, 0.1], [-0.02, 0.0], [0.02, 0.0], [0.1, -0.1],
+                       [0.2, -0.3]]),
+    ], ids=["droop", "table"])
+    @pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
+    def test_nan_load_around_build_feeder_raises(self, feeder2, curve, kind):
+        # build_feeder rejects a nan load; a Feeder made around it once
+        # converged at step 1 with v = nan
+        feeder = dataclasses.replace(feeder2, p_c=np.array([np.nan]))
+        cfg = vv.ControllerConfig(kind=kind, curves={0: curve}, q_min=np.array([-1e6]),
+                                  q_max=np.array([1e6]), gamma2=0.1, gamma3=0.5)
+        assert (cfg.bundle.end_slopes() is None) == isinstance(curve, vv.TableCurve)
+        with np.errstate(invalid="ignore"), pytest.raises(vv.InvalidRecord, match="non-finite"):
+            vv.simulate(feeder, cfg)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(feeders_with_curves(), st.floats(2e-3, 5e-2))

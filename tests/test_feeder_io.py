@@ -89,6 +89,12 @@ class TestErrors:
         with pytest.raises(vv.InvalidRecord, match=knob):
             vv.load_feeder("builtin:sce42", **{knob: bad})
 
+    def test_negative_load_scale_rejected(self):
+        with pytest.raises(vv.InvalidRecord, match="load_scale"):
+            vv.load_feeder("builtin:sce42", load_scale=-0.5)
+        empty = vv.load_feeder("builtin:sce42", load_scale=0.0)
+        assert not np.any(empty.p_c) and not np.any(empty.q_c)
+
     def test_curve_not_an_object(self, sce42):
         doc = vv.feeder_to_dict(sce42)
         doc["inverters"][0]["curve"] = [1, 2]
@@ -99,6 +105,11 @@ class TestErrors:
     def test_unknown_builtin(self):
         with pytest.raises(vv.ParseError):
             vv.load_feeder("builtin:nope")
+
+    def test_missing_file_is_named(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(vv.ParseError, match="absent.json"):
+            vv.load_feeder(str(path))
 
     def test_bad_json_file(self, tmp_path):
         p = tmp_path / "broken.json"
