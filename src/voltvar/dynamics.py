@@ -13,8 +13,10 @@ Buses whose feasible set is a singleton stay pinned throughout.
 
 from __future__ import annotations
 
+import linecache
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -197,78 +199,120 @@ def _float_kernel(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi_box, gam
     """Plain-float step for small systems of one-segment-per-side curves on
     the linear plant; ``slopes`` are the (left, right) slope magnitudes.
 
-    Same yields and arithmetic as ``_array_kernel``; numpy's per-call
-    overhead dominates on five-dimensional arrays, and million-step
-    subgradient runs need the ~10x headroom.  ``q_sum`` is a list: indexing
-    an ndarray per element costs about a quarter of the step.  Given
+    Same yields as ``_array_kernel``, from straight-line code that
+    ``_float_step`` generates once per law, curve-bus count and tracked
+    flag in each process (about 0.2-6 ms on first use).  numpy's per-call
+    overhead dominates on five-dimensional arrays, and the generated step
+    gives sce42's d2 runs about 1.9x the steps per second of an indexed
+    double loop over lists (``reference_float_kernel`` in the tests); its
+    arithmetic keeps that loop's order, so the states are bit-identical to
+    it.  ``q_sum`` is a list.  Given
     ``const_obj``, the objective less its curve-bus terms, each state comes
     with ``const_obj + sum_i [cost_i(q_i) + q_i ((x_aa q)_i / 2 + base_err_i)]``.
     """
-    m = qa0.size
-    rows, base, a_lo, a_hi, lo, hi, lob, hib, q = (
-        np.asarray(a, dtype=float).tolist()
-        for a in (x_aa, base_err, *slopes, bundle.lo, bundle.hi, lo_box, hi_box, qa0))
+    hinges = None
     if const_obj is not None:
-        # hinges[i]: the (tau_j, tau_j Q_j, a_j, b_j) of curve i's two hinges
+        # hinges[i]: the (tau_j, tau_j Q_j, a_j, b_j) of curve i's hinges
         h = bundle._hinges
         hinges = np.stack((h.tq, h.tkq, h.a, h.b), axis=-1).transpose(1, 0, 2).tolist()
+    kernel = _float_step(kind, qa0.size, 0 if hinges is None else len(hinges[0]))
+    return kernel(*(np.asarray(a, dtype=float).tolist() for a in (
+        x_aa, base_err, *slopes, bundle.lo, bundle.hi, lo_box, hi_box, qa0)),
+        gamma2, gamma3, q_sum, const_obj, hinges)
+
+
+@cache
+def _float_step(kind, m, n_hinges):
+    """The compiled step generator of ``_float_step_source``, under a file
+    name that gives its shape, such as ``<voltvar float kernel d2 m=5
+    tracked>``, so profiles and tracebacks name it."""
+    src = _float_step_source(kind, m, n_hinges)
+    where = f"<voltvar float kernel {kind} m={m} {'tracked' if n_hinges else 'untracked'}>"
+    linecache.cache[where] = (len(src), None, src.splitlines(True), where)
+    namespace = {}
+    exec(compile(src, where, "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _float_step_source(kind, m, n_hinges):
+    """Source text of ``kind``'s step generator on ``m`` curve buses, which
+    also yields each state's objective when ``n_hinges``, the hinges per
+    curve, is non-zero.
+
+    The text depends on the shape alone: state i lives in the local ``q{i}``,
+    row i of ``x`` in ``x{i}_{j}``, and every coefficient is unpacked from
+    the arguments, never written into the code.
+    """
     rng = range(m)
-    res = 0.0
-    while True:
-        obj = None
-        if const_obj is not None:
-            obj = const_obj
-            for i in rng:
-                row = rows[i]
-                xq = 0.0
-                for j in rng:
-                    xq += row[j] * q[j]
-                qi = q[i]
-                obj += qi * (0.5 * xq + base[i])
-                for tq, tkq, a, b in hinges[i]:
-                    z = tq * qi - tkq
-                    if z > 0.0:
-                        obj += (a + b * z) * z
-        yield q, res, None, obj
-        res = 0.0
-        nxt = [0.0] * m
+
+    def names(prefix):  # "prefix0, prefix1, ...,": a tuple target or value
+        return "".join(f"{prefix}{i}, " for i in rng)
+
+    def hinge(i, k):
+        return f"(t{i}_{k}, s{i}_{k}, a{i}_{k}, c{i}_{k})"
+
+    def x_times_q(i):
+        return " + ".join(f"x{i}_{j} * q{j}" for j in rng)
+
+    out = [
+        "def kernel(x, base, a_lo, a_hi, lo, hi, lob, hib, q, gamma2, gamma3, q_sum,",
+        "           const_obj, hinges):",
+        "    " + "".join(f"({names(f'x{i}_')}), " for i in rng) + "= x",
+    ]
+    for local, arg in (("b", "base"), ("al", "a_lo"), ("ah", "a_hi"), ("lo", "lo"),
+                       ("hi", "hi"), ("lb", "lob"), ("hb", "hib"), ("q", "q")):
+        out.append(f"    {names(local)}= {arg}")
+    if n_hinges:
+        out.append("    " + "".join(
+            "(" + "".join(hinge(i, k) + ", " for k in range(n_hinges)) + "), " for i in rng)
+            + "= hinges")
+    if kind == "d3":
+        out.append("    g3c = 1.0 - gamma3")
+    out += ["    res = 0.0", "    while True:"]
+    if n_hinges:
+        out.append("        obj = const_obj")
         for i in rng:
-            q_sum[i] += q[i]
-            row = rows[i]
-            verr = base[i]
-            for j in rng:
-                verr += row[j] * q[j]
-            qi = q[i]
-            d_hi = verr - hi[i]
-            d_lo = lo[i] - verr
-            u = ((-a_hi[i] * d_hi if d_hi > 0.0 else 0.0)
-                 + (a_lo[i] * d_lo if d_lo > 0.0 else 0.0))
-            if kind == "d1":
-                val = u
-            elif kind == "d3":
-                val = (1.0 - gamma3) * qi + gamma3 * u
-            else:
-                if qi != 0.0:
-                    finv = -qi / a_hi[i] + hi[i] if qi < 0.0 else -qi / a_lo[i] + lo[i]
-                    grad = -finv + verr
-                elif d_hi > 0.0:
-                    grad = d_hi
-                elif d_lo > 0.0:
-                    grad = verr - lo[i]
-                else:
-                    grad = verr
-                val = qi - gamma2 * grad
-            if val < lob[i]:
-                val = lob[i]
-            elif val > hib[i]:
-                val = hib[i]
-            nxt[i] = val
-            d = val - qi
-            if d < 0.0:
-                d = -d
-            if d > res:
-                res = d
-        q = nxt
+            out += [f"        xq = 0.0 + {x_times_q(i)}",
+                    f"        obj += q{i} * (0.5 * xq + b{i})"]
+            for k in range(n_hinges):
+                out += [f"        z = t{i}_{k} * q{i} - s{i}_{k}",
+                        "        if z > 0.0:",
+                        f"            obj += (a{i}_{k} + c{i}_{k} * z) * z"]
+    out += [f"        yield ({names('q')}), res, None, {'obj' if n_hinges else 'None'}",
+            "        res = 0.0"]
+    for i in rng:
+        out += [f"        q_sum[{i}] += q{i}",
+                f"        v = b{i} + {x_times_q(i)}"]
+        # v - hi > 0.0 exactly when v > hi, so the plateau tests skip the difference
+        if kind == "d2":
+            out += [f"        if q{i} != 0.0:",
+                    f"            if q{i} < 0.0:",
+                    f"                g = -(-q{i} / ah{i} + hi{i}) + v",
+                    "            else:",
+                    f"                g = -(-q{i} / al{i} + lo{i}) + v",
+                    f"        elif v > hi{i}:",
+                    f"            g = v - hi{i}",
+                    f"        elif v < lo{i}:",
+                    f"            g = v - lo{i}",
+                    "        else:",
+                    "            g = v",
+                    f"        n{i} = q{i} - gamma2 * g"]
+        else:
+            u = (f"(-ah{i} * (v - hi{i}) if v > hi{i} else 0.0)"
+                 f" + (al{i} * (lo{i} - v) if v < lo{i} else 0.0)")
+            out.append(f"        n{i} = {u}" if kind == "d1" else
+                       f"        n{i} = g3c * q{i} + gamma3 * ({u})")
+        out += [f"        if n{i} < lb{i}:",
+                f"            n{i} = lb{i}",
+                f"        elif n{i} > hb{i}:",
+                f"            n{i} = hb{i}",
+                f"        d = n{i} - q{i}",
+                "        if d < 0.0:",
+                "            d = -d",
+                "        if d > res:",
+                "            res = d"]
+    out.append(f"        {names('q')}= {names('n')}")
+    return "\n".join(out) + "\n"
 
 
 def _iterate(states, tol, max_iter, record_every, window):
@@ -348,11 +392,14 @@ def simulate(
     ``q`` or ``v`` raises InvalidRecord instead.
 
     Linear-plant runs iterate on the curve buses only, through the reduced
-    model of ``_curve_block``, and small systems whose curves have one
-    segment per side of the plateau (droops) step with a plain-float
-    kernel, tracked or not, so long runs on feeders with few inverters stay
-    cheap.  Tracking the objective leaves the states unchanged.  Either
-    kernel runs under one time loop.
+    model of ``_curve_block``, and systems of at most 16 curve buses whose
+    curves have one segment per side of the plateau (droops) step with a
+    plain-float kernel, tracked or not, so long runs on feeders with few
+    inverters stay cheap.  That kernel is straight-line code generated once
+    per law, curve-bus count and tracked flag in each process, at about
+    0.2-6 ms on first use; its states are bit-identical to those of the
+    indexed reference loop in the tests.  Tracking the objective leaves
+    the states unchanged.  Either kernel runs under one time loop.
     """
     if record_every < 1 or max_iter < 1:
         raise InvalidRecord("record_every and max_iter must be at least 1")
@@ -432,8 +479,12 @@ def simulate(
 def _require_finite(q, v, where):
     # the verdicts compare residuals, and every comparison with NaN is false
     if not (np.isfinite(q).all() and np.isfinite(v).all()):
-        raise InvalidRecord(f"{where} reached a non-finite state; "
-                            "check the feeder's loads and impedances")
+        raise _non_finite(where)
+
+
+def _non_finite(where):
+    return InvalidRecord(f"{where} reached a non-finite state; "
+                         "check the feeder's loads and impedances")
 
 
 def _scatter(q, act, qa):
@@ -599,7 +650,8 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
     certificate of the equivalent convex problem.
     ``iterations`` counts the updates, Newton or d3, that it took; when
     ``max_iter`` updates leave the residual at or above ``tol``, the solver
-    raises MaxIterations.
+    raises MaxIterations.  A non-finite residual, from a NaN or overflow in
+    the model, raises InvalidRecord at once.
     """
     if not tol >= 0.0:
         raise InvalidRecord(f"tol must be a non-negative number, got {tol}")
@@ -628,6 +680,8 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
     verr, u, res, residual = state(qa)
     best, gamma3, it = residual, None, 0
     while not residual < tol:  # a nan residual never counts as converged
+        if not math.isfinite(residual):
+            raise _non_finite("solve_equilibrium")
         if it == max_iter:
             raise MaxIterations(f"equilibrium solver still at residual {residual:.3e} "
                                 f"after {max_iter} iterations")

@@ -164,3 +164,76 @@ def numpy_hinge_table(points):
     right = [(hi, 0.0, slopes[n - 1])]
     right += [(v[i], u[i], slopes[i]) for i in range(n, len(v) - 1)]
     return numpy_hinge_sides(lo, hi, left, right)
+
+
+def reference_float_kernel(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi_box, gamma2,
+                           gamma3, q_sum, const_obj=None):
+    """Reference ``dynamics._float_kernel``: the same step as an indexed
+    double loop over Python lists, with the same arguments and yields.  Given
+    ``const_obj``, each state comes with its objective
+    ``const_obj + sum_i [cost_i(q_i) + q_i ((x_aa q)_i / 2 + base_err_i)]``."""
+    m = qa0.size
+    rows, base, a_lo, a_hi, lo, hi, lob, hib, q = (
+        np.asarray(a, dtype=float).tolist()
+        for a in (x_aa, base_err, *slopes, bundle.lo, bundle.hi, lo_box, hi_box, qa0))
+    if const_obj is not None:
+        # hinges[i]: the (tau_j, tau_j Q_j, a_j, b_j) of curve i's two hinges
+        h = bundle._hinges
+        hinges = np.stack((h.tq, h.tkq, h.a, h.b), axis=-1).transpose(1, 0, 2).tolist()
+    rng = range(m)
+    res = 0.0
+    while True:
+        obj = None
+        if const_obj is not None:
+            obj = const_obj
+            for i in rng:
+                row = rows[i]
+                xq = 0.0
+                for j in rng:
+                    xq += row[j] * q[j]
+                qi = q[i]
+                obj += qi * (0.5 * xq + base[i])
+                for tq, tkq, a, b in hinges[i]:
+                    z = tq * qi - tkq
+                    if z > 0.0:
+                        obj += (a + b * z) * z
+        yield q, res, None, obj
+        res = 0.0
+        nxt = [0.0] * m
+        for i in rng:
+            q_sum[i] += q[i]
+            row = rows[i]
+            verr = base[i]
+            for j in rng:
+                verr += row[j] * q[j]
+            qi = q[i]
+            d_hi = verr - hi[i]
+            d_lo = lo[i] - verr
+            u = ((-a_hi[i] * d_hi if d_hi > 0.0 else 0.0)
+                 + (a_lo[i] * d_lo if d_lo > 0.0 else 0.0))
+            if kind == "d1":
+                val = u
+            elif kind == "d3":
+                val = (1.0 - gamma3) * qi + gamma3 * u
+            else:
+                if qi != 0.0:
+                    finv = -qi / a_hi[i] + hi[i] if qi < 0.0 else -qi / a_lo[i] + lo[i]
+                    grad = -finv + verr
+                elif d_hi > 0.0:
+                    grad = d_hi
+                elif d_lo > 0.0:
+                    grad = verr - lo[i]
+                else:
+                    grad = verr
+                val = qi - gamma2 * grad
+            if val < lob[i]:
+                val = lob[i]
+            elif val > hib[i]:
+                val = hib[i]
+            nxt[i] = val
+            d = val - qi
+            if d < 0.0:
+                d = -d
+            if d > res:
+                res = d
+        q = nxt

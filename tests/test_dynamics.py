@@ -1,4 +1,6 @@
 import dataclasses
+import traceback
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +11,13 @@ import voltvar as vv
 from voltvar import dynamics
 from voltvar.control import CurveBundle
 
-from helpers import d3_oracle, random_feeder, random_tree_records, two_bus_feeder
+from helpers import (
+    d3_oracle,
+    random_feeder,
+    random_tree_records,
+    reference_float_kernel,
+    two_bus_feeder,
+)
 
 
 def two_bus_config(kind="d1", alpha=1.0, deadband=0.04, **kw):
@@ -282,6 +290,105 @@ class TestSimulate:
     def test_nonfinite_stepsize_rejected(self, sce42, kind, gamma):
         with pytest.raises(vv.InvalidRecord):
             vv.ControllerConfig.from_feeder(sce42, kind, alpha=10.0, gamma2=gamma, gamma3=gamma)
+
+
+def kernel_inputs(sce42_mats, m, kind, start, tracked):
+    """The ``_float_kernel`` arguments less ``q_sum`` for ``m`` droop buses:
+    X on sce42's first ``m`` inverters, or on 16 buses of a random feeder,
+    random base errors on both sides of the plateaus and boxes narrow
+    enough to saturate.  ``start`` is ``zero`` (d2's kink), ``saturated``
+    (a box corner) or ``interior``."""
+    rng = np.random.default_rng([m, ("zero", "saturated", "interior").index(start)])
+    if m == 16:
+        feeder = random_feeder(np.random.default_rng(16), 40)
+        mats = vv.sensitivity_matrices(feeder)
+        act = np.sort(rng.choice(feeder.n, size=m, replace=False))
+    else:
+        mats, act = sce42_mats, np.array(sorted(sce42_mats.feeder.inverters)[:m])
+    bundle = CurveBundle({int(k): vv.DroopCurve(alpha=float(rng.uniform(5.0, 40.0)),
+                                                deadband=float(rng.choice([0.0, 0.02, 0.04])))
+                          for k in act})
+    hi_box = rng.uniform(0.05, 0.3, m)
+    lo_box = -rng.uniform(0.05, 0.3, m)
+    qa0 = {"zero": np.zeros(m), "saturated": np.where(rng.random(m) < 0.5, lo_box, hi_box),
+           "interior": 0.9 * rng.uniform(lo_box, hi_box)}[start]
+    return (kind, mats.block(act), rng.uniform(-0.06, 0.06, m), bundle, bundle.end_slopes(),
+            qa0, lo_box, hi_box, 0.05 if kind == "d2" else None,
+            0.5 if kind == "d3" else None), (float(rng.uniform(-1.0, 1.0)) if tracked else None)
+
+
+class TestGeneratedFloatKernel:
+    @pytest.mark.parametrize("tracked", [False, True], ids=["untracked", "tracked"])
+    @pytest.mark.parametrize("m", [1, 2, 5, 16])
+    @pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
+    def test_matches_reference_loop_bit_for_bit(self, sce42_mats, kind, m, tracked):
+        moved = set()
+        for start in ("zero", "saturated", "interior"):
+            args, const_obj = kernel_inputs(sce42_mats, m, kind, start, tracked)
+            sums = [0.0] * m, [0.0] * m
+            runs = (dynamics._float_kernel(*args, sums[0], const_obj),
+                    reference_float_kernel(*args, sums[1], const_obj))
+            for _, (q, res, v, obj), (q_ref, res_ref, v_ref, obj_ref) in zip(range(400), *runs):
+                # hex tells -0.0 from 0.0, which == does not
+                assert list(map(float.hex, q)) == list(map(float.hex, q_ref)), start
+                assert res.hex() == res_ref.hex() and obj == obj_ref, start
+                assert v is v_ref is None and (obj is None) == (not tracked)
+                moved.add(res > 0.0)
+            assert sums[0] == sums[1], start
+        assert True in moved  # the states changed
+
+    def test_compiled_once_per_shape(self, sce42, sce42_mats):
+        dynamics._float_step.cache_clear()
+        for alpha, gamma2, seed in ((10.0, 1e-2, 1), (27.0, 5e-3, 2)):
+            cfg = vv.ControllerConfig.from_feeder(sce42, "d2", alpha=alpha, gamma2=gamma2)
+            q0 = np.random.default_rng(seed).uniform(cfg.q_min, cfg.q_max)
+            vv.simulate(sce42, cfg, mats=sce42_mats, q0=q0, max_iter=50, track_objective=True)
+        info = dynamics._float_step.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_seventeen_buses_never_reach_the_generator(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        feeder = random_feeder(rng, 30)
+        curves = {int(k): vv.DroopCurve(alpha=10.0, deadband=0.02)
+                  for k in rng.choice(feeder.n, size=17, replace=False)}
+        cfg = vv.ControllerConfig(kind="d2", curves=curves, q_min=np.full(feeder.n, -0.1),
+                                  q_max=np.full(feeder.n, 0.1), gamma2=0.01)
+        assert cfg.bundle.end_slopes() is not None
+        monkeypatch.setattr(dynamics, "_float_step", None)  # any use of it fails
+        for tracked in (False, True):
+            vv.simulate(feeder, cfg, max_iter=20, track_objective=tracked)
+
+    @pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
+    def test_source_holds_no_coefficients(self, sce42_mats, kind):
+        # the text depends on the shape alone: no number of the run is written into it
+        args, const_obj = kernel_inputs(sce42_mats, 5, kind, "interior", True)
+        h = args[3]._hinges
+        coefs = np.concatenate([np.ravel(a) for a in (
+            *args[1:3], *args[4], args[3].lo, args[3].hi, *args[5:8], h.tq, h.tkq, h.a, h.b)])
+        gammas = [g for g in args[8:10] if g is not None]
+        coefs = {*coefs.tolist(), *gammas, const_obj} - {0.0, 0.5, 1.0}
+        src = dynamics._float_step_source(kind, 5, 2)
+        assert coefs and not [c for c in coefs if repr(c) in src]
+
+        def constants(code):
+            for c in code.co_consts:
+                yield from constants(c) if isinstance(c, types.CodeType) else (c,)
+
+        code = dynamics._float_step(kind, 5, 2).__code__
+        assert {c for c in constants(code) if isinstance(c, float)} <= {0.0, 0.5, 1.0}
+
+    def test_profiles_and_tracebacks_name_the_shape(self):
+        where = "<voltvar float kernel d1 m=2 untracked>"
+        kernel = dynamics._float_step("d1", 2, 0)
+        assert kernel.__code__.co_filename == where
+        assert dynamics._float_step("d2", 5, 2).__code__.co_filename == (
+            "<voltvar float kernel d2 m=5 tracked>")
+        states = kernel([[1.0]], *[[0.0, 0.0]] * 7, [0.0, 0.0], None, None, [0.0, 0.0], None,
+                        None)
+        with pytest.raises(ValueError) as err:
+            next(states)  # one row where the shape needs two
+        frame = traceback.extract_tb(err.value.__traceback__)[-1]
+        assert frame.filename == where and frame.line.startswith("(x0_0, x0_1, )")
 
 
 class TestConditionChecks:
@@ -598,6 +705,15 @@ class TestVerdicts:
         assert (cfg.bundle.end_slopes() is None) == isinstance(curve, vv.TableCurve)
         with np.errstate(invalid="ignore"), pytest.raises(vv.InvalidRecord, match="non-finite"):
             vv.simulate(feeder, cfg)
+
+    def test_nan_model_stops_the_solver_at_once(self, feeder2, monkeypatch):
+        # the solver once ran its whole 50 000-update budget on a nan
+        # residual, about 2 s, before raising MaxIterations
+        feeder = dataclasses.replace(feeder2, p_c=np.array([np.nan]))
+        cfg = two_bus_config()
+        monkeypatch.setattr(dynamics, "_active_update", None)  # no d3 fallback may run
+        with np.errstate(invalid="ignore"), pytest.raises(vv.InvalidRecord, match="non-finite"):
+            vv.solve_equilibrium(feeder, cfg.curves, cfg.q_min, cfg.q_max)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(feeders_with_curves(), st.floats(2e-3, 5e-2))
