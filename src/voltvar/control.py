@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionMismatch, InvalidRecord
-from .network import SensitivityMatrices
+from .network import _INTEGRAL, _REAL, SensitivityMatrices
 
 DEFAULT_DEADBAND = 0.04  # total width, i.e. a 0.98..1.02 p.u. band
 
@@ -82,10 +82,13 @@ def validate_box(q_min, q_max, n=None):
     """The box ``[q_min, q_max]`` as float arrays, once it is checked.
 
     Raises DimensionMismatch when ``n`` is given and a bound is not of
-    shape ``(n,)``, and InvalidRecord unless both bounds are finite, of one
-    shape, with ``q_min <= q_max``.
+    shape ``(n,)``, and InvalidRecord unless both bounds are numeric and
+    finite, of one shape, with ``q_min <= q_max``.
     """
-    lo, hi = np.asarray(q_min, dtype=float), np.asarray(q_max, dtype=float)
+    try:
+        lo, hi = np.asarray(q_min, dtype=float), np.asarray(q_max, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidRecord(f"q_min and q_max must be numeric arrays: {exc}") from exc
     if n is not None and not lo.shape == hi.shape == (n,):
         raise DimensionMismatch(
             f"expected q_min and q_max of shape ({n},), got {lo.shape} and {hi.shape}"
@@ -211,7 +214,8 @@ class DroopCurve(ControlCurve):
     deadband: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.alpha < math.inf and 0 <= self.deadband < math.inf):
+        if not (isinstance(self.alpha, _REAL) and isinstance(self.deadband, _REAL)
+                and 0 < self.alpha < math.inf and 0 <= self.deadband < math.inf):
             raise InvalidRecord(
                 f"droop needs finite alpha > 0 and deadband >= 0, "
                 f"got {self.alpha}, {self.deadband}"
@@ -370,6 +374,16 @@ class CurveBundle:
 
     def cost(self, q):
         return _cost(self._hinges, np.asarray(q)[self._grid])
+
+
+def validate_positions(curves, n):
+    """Raise InvalidRecord unless every curve position, a key of the dict or
+    :class:`CurveBundle` ``curves``, is an integer in ``[0, n)``: numpy would
+    wrap a negative one onto another bus."""
+    keys = curves.curves if isinstance(curves, CurveBundle) else curves
+    bad = [k for k in keys if not (isinstance(k, _INTEGRAL) and 0 <= k < n)]
+    if bad:
+        raise InvalidRecord(f"curve positions must be integers in [0, {n}), got {bad}")
 
 
 def _spectral_block(bundle, X):

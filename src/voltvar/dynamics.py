@@ -30,9 +30,11 @@ from .control import (
     limits_arrays,
     project_box,
     validate_box,
+    validate_positions,
 )
 from .exceptions import DimensionMismatch, InvalidRecord, MaxIterations
-from .network import _deviation_terms, sensitivity_matrices
+from .network import _INTEGRAL, _REAL, _deviation_terms, sensitivity_matrices
+from .powerflow import _check_count, _check_tol
 
 CONTROLLER_KINDS = ("d1", "d2", "d3")
 PLANT_KINDS = ("linear", "distflow")
@@ -55,11 +57,11 @@ class ControllerConfig:
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
             raise InvalidRecord(f"controller kind must be one of {CONTROLLER_KINDS}")
-        if self.kind == "d2" and not (self.gamma2 and 0 < self.gamma2 < np.inf):
-            raise InvalidRecord(f"d2 requires a positive finite gamma2, got {self.gamma2}")
-        if self.kind == "d3" and not (self.gamma3 and 0 < self.gamma3 < np.inf):
-            raise InvalidRecord(f"d3 requires a positive finite gamma3, got {self.gamma3}")
-        validate_box(self.q_min, self.q_max)
+        for kind, name, gamma in (("d2", "gamma2", self.gamma2), ("d3", "gamma3", self.gamma3)):
+            if self.kind == kind and not (isinstance(gamma, _REAL) and 0 < gamma < np.inf):
+                raise InvalidRecord(f"{kind} requires a positive finite {name}, got {gamma}")
+        lo, _ = validate_box(self.q_min, self.q_max)
+        validate_positions(self.curves, lo.size)
 
     @cached_property
     def bundle(self):
@@ -389,7 +391,10 @@ def simulate(
     tolerance), and ``max_iterations`` otherwise.  ``record_every`` thins
     the stored states; the initial and final states are always kept.
     ``oscillation_window=None`` disables the detector.  A non-finite final
-    ``q`` or ``v`` raises InvalidRecord instead.
+    ``q`` or ``v`` raises InvalidRecord instead.  So do ``max_iter`` or
+    ``record_every`` other than integers of at least 1, and an
+    ``oscillation_window`` other than None or such an integer; a box of
+    ``config`` whose length is not ``feeder.n`` raises DimensionMismatch.
 
     Linear-plant runs iterate on the curve buses only, through the reduced
     model of ``_curve_block``, and systems of at most 16 curve buses whose
@@ -401,10 +406,14 @@ def simulate(
     indexed reference loop in the tests.  Tracking the objective leaves
     the states unchanged.  Either kernel runs under one time loop.
     """
+    if not (isinstance(record_every, _INTEGRAL) and isinstance(max_iter, _INTEGRAL)):
+        raise InvalidRecord(f"record_every and max_iter must be integers, "
+                            f"got {record_every!r} and {max_iter!r}")
     if record_every < 1 or max_iter < 1:
         raise InvalidRecord("record_every and max_iter must be at least 1")
-    if not tol >= 0.0:  # a nan tol fails this too
-        raise InvalidRecord(f"tol must be a non-negative number, got {tol}")
+    if oscillation_window is not None:
+        _check_count("oscillation_window", oscillation_window, 1)
+    _check_tol(tol)
     if not (isinstance(plant, str) and plant in PLANT_KINDS):
         raise InvalidRecord(f"plant must be one of {PLANT_KINDS}, got {plant!r}")
     linear = plant == "linear"
@@ -415,15 +424,16 @@ def simulate(
     if act.size == 0:
         raise InvalidRecord("no controllable buses: nothing to simulate")
     n = feeder.n
+    q_min, q_max = validate_box(config.q_min, config.q_max, n)
 
     q = np.zeros(n) if q0 is None else np.asarray(q0, dtype=float).copy()
     if q.shape != (n,):
         raise DimensionMismatch(f"expected q0 of shape ({n},), got {q.shape}")
     if not np.isfinite(q).all():
         raise InvalidRecord("q0 must be finite")
-    q = project_box(q, config.q_min, config.q_max)
+    q = q.clip(q_min, q_max)
     qa = q[act].copy()
-    lo_box, hi_box = config.q_min[act], config.q_max[act]
+    lo_box, hi_box = q_min[act], q_max[act]
 
     if linear or track_objective:
         x_aa, base_err = _curve_block(mats, act, q)
@@ -645,16 +655,17 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
     most half the smallest one seen so far; otherwise the iterate takes one
     pseudo-gradient (d3) step at 0.9 times its safe stepsize bound, which
     converges from anywhere.  The solver stops once the fixed-point
-    residual ``max |F|`` drops below ``tol`` (a nan or negative ``tol``
-    raises InvalidRecord); the residual doubles as the optimality
-    certificate of the equivalent convex problem.
+    residual ``max |F|`` drops below ``tol``; the residual doubles as the
+    optimality certificate of the equivalent convex problem.  A nan or
+    negative ``tol``, a ``max_iter`` other than an integer of at least 0
+    and a curve position outside ``[0, n)`` raise InvalidRecord.
     ``iterations`` counts the updates, Newton or d3, that it took; when
     ``max_iter`` updates leave the residual at or above ``tol``, the solver
     raises MaxIterations.  A non-finite residual, from a NaN or overflow in
     the model, raises InvalidRecord at once.
     """
-    if not tol >= 0.0:
-        raise InvalidRecord(f"tol must be a non-negative number, got {tol}")
+    _check_tol(tol)
+    _check_count("max_iter", max_iter, 0)
     if mats is None:
         mats = sensitivity_matrices(feeder)
     if curves is None:
@@ -662,6 +673,7 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
     if q_min is None or q_max is None:
         q_min, q_max = limits_arrays(feeder)
     q_min, q_max = validate_box(q_min, q_max, feeder.n)
+    validate_positions(curves, feeder.n)
     bundle = CurveBundle.of(curves)
     act = bundle.positions
 

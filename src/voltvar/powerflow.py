@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, InvalidRecord, NegativeSquaredVoltage, NoConvergence
-from .network import _path_sum, _subtree_sum, sensitivity_matrices
+from .network import _INTEGRAL, _REAL, _path_sum, _subtree_sum, sensitivity_matrices
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -31,18 +31,24 @@ class VoltageSolution:
     iterations: int = 0
 
 
-def branch_flows(feeder, net_p, net_q, ell=None):
-    """Sending-end line flows for given net consumptions and line currents.
-
-    With ``ell`` omitted this is the lossless accumulation: each line
-    carries the net consumption of its subtree.  Otherwise every line adds
-    its own loss ``r ell`` (resp. ``x ell``) and those of its subtree.
-    """
-    load = np.stack((net_p, net_q))
-    if ell is not None:
-        load = load + np.stack((feeder.r, feeder.x)) * ell
-    P, Q = feeder.subtree_sum(load)
+def branch_flows(feeder, net_p, net_q):
+    """Lossless sending-end line flows: each line carries the net
+    consumption of its subtree."""
+    P, Q = feeder.subtree_sum(np.stack((net_p, net_q)))
     return P, Q
+
+
+def _check_tol(tol):
+    """Raise InvalidRecord unless ``tol`` is a non-negative number; nan is not."""
+    if not (isinstance(tol, _REAL) and tol >= 0.0):
+        raise InvalidRecord(f"tol must be a non-negative number, got {tol}")
+
+
+def _check_count(name, value, least):
+    """Raise InvalidRecord unless ``value`` is an integer, a numpy one
+    included, of at least ``least``."""
+    if not (isinstance(value, _INTEGRAL) and value >= least):
+        raise InvalidRecord(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _net_consumption(feeder, q):
@@ -86,18 +92,20 @@ def distflow_sweep(feeder, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, start=
     DimensionMismatch
         ``q``, ``start.v`` or ``start.ell`` is not of shape ``(n,)``.
     InvalidRecord
-        ``q`` is not finite, or ``start`` holds a non-finite ``ell``/``v``
-        or a ``v <= 0``.
+        ``q`` is not finite, ``start`` holds a non-finite ``ell``/``v`` or
+        a ``v <= 0``, ``tol`` is nan or negative, or ``max_iter`` is not an
+        integer of at least 1.
     NoConvergence
         Iteration budget exhausted; the loading may be beyond the solvable
         region.
     NegativeSquaredVoltage
         A squared voltage went non-positive: infeasible operating point.
     """
+    _check_tol(tol)
+    _check_count("max_iter", max_iter, 1)
     net_p, net_q = _net_consumption(feeder, q)
     # the sweep runs in preorder coordinates, where subtrees are intervals
-    order = feeder.order
-    end = feeder.preorder_end
+    order, pos, end = feeder.preorder
     rx, z2 = feeder.preorder_lines
     r, x = rx
     load = np.array((net_p, net_q)).take(order, axis=1)
@@ -125,7 +133,6 @@ def distflow_sweep(feeder, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, start=
         change = float(np.abs(v_new - v).max())
         v = v_new
         if change < tol:
-            pos = feeder.intervals[0]
             v, P, Q, ell = np.array((v, P, Q, ell)).take(pos, axis=1)
             return VoltageSolution(v=v, P=P, Q=Q, ell=ell, model="distflow", iterations=it)
     raise NoConvergence(max_iter, change)
@@ -142,7 +149,7 @@ def _start_point(feeder, start):
         )
     if not (np.isfinite(ell).all() and np.isfinite(v).all() and v.min() > 0.0):
         raise InvalidRecord("a warm start needs finite ell and v with v > 0")
-    return ell.take(feeder.order), v.take(feeder.order)
+    return np.array((ell, v)).take(feeder.preorder[0], axis=1)
 
 
 @dataclass(frozen=True, eq=False)

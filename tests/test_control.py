@@ -248,7 +248,8 @@ class TestTableCurve:
 @pytest.mark.parametrize(
     "alpha, deadband",
     [(0.0, 0.04), (-1.0, 0.04), (math.nan, 0.04), (math.inf, 0.04),
-     (10.0, -0.01), (10.0, math.nan), (10.0, math.inf)],
+     (10.0, -0.01), (10.0, math.nan), (10.0, math.inf),
+     ("5", 0.04), (10.0, "0.04")],  # strings once raised a bare TypeError
 )
 def test_droop_rejects_bad_parameters(alpha, deadband):
     with pytest.raises(vv.InvalidRecord):

@@ -251,11 +251,50 @@ class TestSimulate:
         ({"q0": np.zeros(3)}, vv.DimensionMismatch),
         ({"tol": np.nan}, vv.InvalidRecord),
         ({"tol": -1e-6}, vv.InvalidRecord),
-    ], ids=["record_every", "max_iter", "q0-shape", "nan-tol", "negative-tol"])
+        # fractional counts and these windows once ran on (forever at tol 0),
+        # and strings raised a bare TypeError
+        ({"max_iter": 2.5}, vv.InvalidRecord),
+        ({"record_every": 1.5}, vv.InvalidRecord),
+        ({"oscillation_window": 0}, vv.InvalidRecord),
+        ({"oscillation_window": -3}, vv.InvalidRecord),
+        ({"oscillation_window": 2.5}, vv.InvalidRecord),
+        ({"max_iter": "50"}, vv.InvalidRecord),
+        ({"tol": "1e-6"}, vv.InvalidRecord),
+    ], ids=["record_every", "max_iter", "q0-shape", "nan-tol", "negative-tol",
+            "fractional-max_iter", "fractional-record_every", "zero-window",
+            "negative-window", "fractional-window", "string-max_iter", "string-tol"])
     def test_bad_run_arguments_rejected(self, sce42, sce42_mats, kwargs, error):
         cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=10.0)
         with pytest.raises(error):
             vv.simulate(sce42, cfg, mats=sce42_mats, **kwargs)
+
+    def test_numpy_integer_counts_accepted(self, sce42, sce42_mats):
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=10.0)
+        plain = vv.simulate(sce42, cfg, mats=sce42_mats, max_iter=50, record_every=2,
+                            oscillation_window=10)
+        numpy = vv.simulate(sce42, cfg, mats=sce42_mats, max_iter=np.int64(50),
+                            record_every=np.int32(2), oscillation_window=np.int64(10))
+        assert numpy.verdict == plain.verdict == "converged"
+        np.testing.assert_array_equal(numpy.q, plain.q)
+
+    def test_wrong_box_length_rejected(self, sce42, sce42_mats):
+        # once a bare numpy broadcast ValueError from project_box
+        q_min, q_max = vv.limits_arrays(sce42)
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=10.0)
+        cfg = dataclasses.replace(cfg, q_min=np.append(q_min, 0.0), q_max=np.append(q_max, 0.0))
+        with pytest.raises(vv.DimensionMismatch):
+            vv.simulate(sce42, cfg, mats=sce42_mats)
+
+    # -1 once wrapped onto the last bus and the run reported converged;
+    # 999 raised a bare IndexError
+    @pytest.mark.parametrize("position", [-1, 41, 999, 2.5, "3"])
+    def test_curve_position_outside_model_rejected(self, sce42, sce42_mats, position):
+        q_min, q_max = vv.limits_arrays(sce42)
+        curves = {position: vv.DroopCurve(5.0)}
+        with pytest.raises(vv.InvalidRecord, match="curve positions"):
+            vv.ControllerConfig(kind="d1", curves=curves, q_min=q_min, q_max=q_max)
+        with pytest.raises(vv.InvalidRecord, match="curve positions"):
+            vv.solve_equilibrium(sce42, curves, mats=sce42_mats)
 
     def test_empty_curve_set_rejected(self, sce42, sce42_mats):
         q_min, q_max = vv.limits_arrays(sce42)
@@ -286,7 +325,7 @@ class TestSimulate:
             vv.ControllerConfig(kind="d9", curves={}, q_min=np.zeros(1), q_max=np.zeros(1))
 
     @pytest.mark.parametrize("kind", ["d2", "d3"])
-    @pytest.mark.parametrize("gamma", [np.inf, np.nan])
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan, "0.1"])  # a string: once a TypeError
     def test_nonfinite_stepsize_rejected(self, sce42, kind, gamma):
         with pytest.raises(vv.InvalidRecord):
             vv.ControllerConfig.from_feeder(sce42, kind, alpha=10.0, gamma2=gamma, gamma3=gamma)
@@ -581,6 +620,14 @@ class TestSolveEquilibrium:
         np.testing.assert_array_equal(tight.q_star, free.q_star)
         with pytest.raises(vv.MaxIterations, match="after 0 iterations"):
             vv.solve_equilibrium(sce42, max_iter=0, **kw)
+
+    # these budgets once ran on, to convergence or forever at tol 0
+    @pytest.mark.parametrize("max_iter", [2.5, -1, "5"])
+    def test_bad_budget_rejected(self, sce42, sce42_mats, max_iter):
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=27.0)
+        with pytest.raises(vv.InvalidRecord, match="max_iter"):
+            vv.solve_equilibrium(sce42, cfg.curves, cfg.q_min, cfg.q_max, max_iter=max_iter,
+                                 mats=sce42_mats)
 
     @pytest.mark.parametrize("tol", [np.nan, -1e-6])
     def test_bad_tol_rejected(self, feeder2, tol):
@@ -893,3 +940,69 @@ def test_closed_loop_and_solver_never_build_dense_matrices(sce42):
             vv.simulate(sce42, config, mats=mats, max_iter=50, track_objective=tracked)
     vv.linearization_error(sce42, eq.q_star, mats=mats)
     assert "X" not in mats.__dict__ and "R" not in mats.__dict__
+
+
+# every exception class of voltvar.exceptions derives from one of these
+PACKAGE_ERRORS = (vv.FeederValidationError, vv.DimensionMismatch, vv.ParseError,
+                  vv.PowerFlowError, vv.MaxIterations)
+# non-finite, zero, negative, huge, non-integral, numpy integer and string values
+NUMBERS = (np.nan, np.inf, -np.inf, 0, -3, -0.5, 1e308, 2.5, np.int64(20), "5", "x")
+BOUNDARY_VALID = dict(kind="d1", plant="linear", alpha=10.0, deadband=0.04, position=None,
+                      gamma2=0.1, gamma3=0.5, box="valid", tol=1e-6, max_iter=50,
+                      record_every=1, window=10)
+# each field's other values, valid (d2, d3, distflow, None, np.int64) or not
+BOUNDARY_PERTURBED = dict(
+    dict.fromkeys(("alpha", "deadband", "gamma2", "gamma3", "tol", "max_iter", "record_every"),
+                  NUMBERS),
+    kind=("d2", "d3", "d4"), plant=("distflow", "dc"), window=NUMBERS + (None,),
+    position=(-1, 41, 999, 2.5, "3", np.int64(3)),
+    box=("nan", "inf", "inverted", "short", "string"),
+)
+
+
+def package_outcome(call):
+    """``call()``, or None when it raises an exception of the package; any
+    other exception fails the test."""
+    try:
+        return call()
+    except PACKAGE_ERRORS:
+        return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(from_spec=st.booleans(), data=st.data())
+def test_boundary_raises_only_package_errors(sce42, sce42_mats, from_spec, data):
+    # valid knobs, curves, boxes and run arguments with up to three of them
+    # perturbed either raise an exception of the package or give finite
+    # states; accepted runs take at most 50 steps
+    fields = data.draw(st.sets(st.sampled_from(sorted(BOUNDARY_PERTURBED)), max_size=3))
+    a = types.SimpleNamespace(**{**BOUNDARY_VALID, **{
+        f: data.draw(st.sampled_from(BOUNDARY_PERTURBED[f]), label=f) for f in sorted(fields)}})
+    spec = {"type": "droop", "alpha": a.alpha, "deadband": a.deadband}
+    curve = package_outcome(
+        lambda: vv.curve_from_spec(spec) if from_spec else vv.DroopCurve(a.alpha, a.deadband))
+    q_min, q_max = vv.limits_arrays(sce42)
+    lo, hi = {"valid": (q_min, q_max), "nan": (np.append(np.nan, q_min[1:]), q_max),
+              "inf": (q_min, np.append(q_max[:-1], np.inf)), "inverted": (q_max, q_min),
+              "short": (q_min[:-1], q_max[:-1]), "string": ("x", q_max)}[a.box]
+    if curve is not None:
+        curves = dict.fromkeys(sorted(sce42.inverters), curve)
+        if a.position is not None:
+            curves[a.position] = curve
+        config = package_outcome(lambda: vv.ControllerConfig(
+            kind=a.kind, curves=curves, q_min=lo, q_max=hi, gamma2=a.gamma2, gamma3=a.gamma3))
+        if config is not None:
+            traj = package_outcome(lambda: vv.simulate(
+                sce42, config, plant=a.plant, tol=a.tol, max_iter=a.max_iter,
+                record_every=a.record_every, oscillation_window=a.window, mats=sce42_mats))
+            if traj is not None:
+                assert traj.steps <= 50
+                assert np.isfinite(traj.q).all() and np.isfinite(traj.v).all()
+        eq = package_outcome(lambda: vv.solve_equilibrium(
+            sce42, curves, lo, hi, tol=a.tol, max_iter=a.max_iter, mats=sce42_mats))
+        if eq is not None:
+            assert np.isfinite(eq.q_star).all() and np.isfinite(eq.v_star).all()
+    sol = package_outcome(
+        lambda: vv.distflow_sweep(sce42, np.zeros(sce42.n), tol=a.tol, max_iter=a.max_iter))
+    if sol is not None:
+        assert np.isfinite(np.array((sol.v, sol.P, sol.Q, sol.ell))).all()

@@ -287,6 +287,28 @@ def trees(draw):
 
 class TestTreePrimitives:
     @PROPERTY
+    @given(f=trees())
+    @example(f=FORKED_ROOT)
+    def test_preorder_matches_recursive_walk(self, f):
+        # the oracle recurses over each bus's children in position order
+        # and counts a subtree by walking every bus's ancestors
+        def walk(k):
+            return [k] + [b for c in np.flatnonzero(f.parent == k) for b in walk(c)]
+
+        order, pos, end = f.preorder
+        np.testing.assert_array_equal(
+            order, [b for c in np.flatnonzero(f.parent == -1) for b in walk(c)])
+        np.testing.assert_array_equal(order[pos], np.arange(f.n))
+        size = np.zeros(f.n, dtype=int)
+        for k in range(f.n):
+            while k >= 0:
+                size[k] += 1
+                k = f.parent[k]
+        np.testing.assert_array_equal(end, np.arange(f.n) + size[order])
+        for a in f.preorder:
+            assert not a.flags.writeable
+
+    @PROPERTY
     @given(f=trees(), lead=st.sampled_from([(), (2,), (3, 2)]), seed=st.integers(0, 2**32 - 1))
     @example(f=FORKED_ROOT, lead=(2,), seed=0)
     def test_sums_match_descendant_matrix(self, f, lead, seed):

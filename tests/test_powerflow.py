@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voltvar as vv
-from voltvar.powerflow import branch_flows
 
 from helpers import (
     random_feeder,
@@ -78,7 +77,7 @@ class TestDistflowSweep:
         net_p = sce42.p_c - sce42.injected_real_power()
         net_q = sce42.q_c - q
         for k in range(sce42.n):
-            kids = sce42.children[k]
+            kids = np.flatnonzero(sce42.parent == k)
             res_p = sol.P[k] - net_p[k] - sce42.r[k] * sol.ell[k] - sum(sol.P[c] for c in kids)
             res_q = sol.Q[k] - net_q[k] - sce42.x[k] * sol.ell[k] - sum(sol.Q[c] for c in kids)
             assert abs(res_p) < 1e-12 and abs(res_q) < 1e-12
@@ -91,17 +90,6 @@ class TestDistflowSweep:
         expect = sce42.descendant_matrix @ (sce42.r * full.ell)
         np.testing.assert_allclose(extra_p, expect, atol=1e-12)
 
-    def test_lossless_flows_match_linear_on_random_trees(self):
-        rng = np.random.default_rng(43)
-        for _ in range(10):
-            f = random_feeder(rng, int(rng.integers(2, 20)))
-            net_p = rng.normal(size=f.n) * 0.1
-            net_q = rng.normal(size=f.n) * 0.1
-            p_zero_ell, q_zero_ell = branch_flows(f, net_p, net_q, ell=np.zeros(f.n))
-            p_lossless, q_lossless = branch_flows(f, net_p, net_q)
-            np.testing.assert_array_equal(p_zero_ell, p_lossless)
-            np.testing.assert_array_equal(q_zero_ell, q_lossless)
-
     def test_infeasible_point_raises(self):
         f = two_bus_feeder(p_c=1e4)
         with pytest.raises(vv.NegativeSquaredVoltage):
@@ -111,6 +99,22 @@ class TestDistflowSweep:
         f = two_bus_feeder(p_c=0.5)
         with pytest.raises(vv.NoConvergence):
             vv.distflow_sweep(f, np.zeros(1), tol=1e-16, max_iter=1)
+
+    # max_iter 2.5 once raised a bare TypeError from range, and a nan tol
+    # spent the whole budget before NoConvergence
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iter": 2.5}, {"max_iter": 0}, {"max_iter": "100"},
+        {"tol": np.nan}, {"tol": -1e-8}, {"tol": "1e-8"},
+    ], ids=["fractional-max_iter", "zero-max_iter", "string-max_iter", "nan-tol",
+            "negative-tol", "string-tol"])
+    def test_bad_run_arguments_rejected(self, sce42, kwargs):
+        with pytest.raises(vv.InvalidRecord):
+            vv.distflow_sweep(sce42, np.zeros(sce42.n), **kwargs)
+
+    def test_numpy_integer_budget_accepted(self, sce42):
+        plain = vv.distflow_sweep(sce42, np.zeros(sce42.n), max_iter=100)
+        numpy = vv.distflow_sweep(sce42, np.zeros(sce42.n), max_iter=np.int32(100))
+        np.testing.assert_array_equal(numpy.v, plain.v)
 
 
 class TestWarmStart:
