@@ -15,7 +15,6 @@ from .control import (
     TableCurve,
     curve_from_spec,
     limits_arrays,
-    lipschitz_constant,
     project_box,
     reactive_limits,
 )
@@ -29,6 +28,7 @@ from .dynamics import (
     d2_regret_bound_check,
     d3_stepsize_bound,
     estimate_gradient_bound,
+    lipschitz_constant,
     objective_f,
     objective_subgradient,
     objective_terms,
@@ -73,7 +73,6 @@ from .network import (
 from .powerflow import (
     LinearizationReport,
     VoltageSolution,
-    branch_flows,
     distflow_sweep,
     linear_voltage,
     linearization_error,

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionMismatch, InvalidRecord
-from .network import _INTEGRAL, _REAL, SensitivityMatrices
+from .network import _INTEGRAL, _REAL
 
 DEFAULT_DEADBAND = 0.04  # total width, i.e. a 0.98..1.02 p.u. band
 
@@ -46,10 +46,16 @@ class Inverter:
     rho: float | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.s, _REAL) and isinstance(self.p, _REAL)
+                and (self.rho is None or isinstance(self.rho, _REAL))):
+            raise InvalidRecord(f"inverter s, p and rho must be numbers, "
+                                f"got {self.s!r}, {self.p!r}, {self.rho!r}")
         if not 0.0 <= self.p <= self.s < math.inf:
             raise InvalidRecord(
                 f"inverter requires 0 <= p <= s < inf, got p={self.p}, s={self.s}"
             )
+        if self.s * self.s == math.inf:  # reactive_limits squares s
+            raise InvalidRecord(f"inverter capacity s={self.s} is too large to square")
         if self.rho is not None and not 0.0 <= self.rho <= math.pi / 2:
             raise InvalidRecord(f"rho must lie in [0, pi/2], got {self.rho}")
 
@@ -385,28 +391,3 @@ def validate_positions(curves, n):
     if bad:
         raise InvalidRecord(f"curve positions must be integers in [0, {n}), got {bad}")
 
-
-def _spectral_block(bundle, X):
-    """``X``, the linear model or a dense array, on the curve buses."""
-    if isinstance(X, SensitivityMatrices):
-        return X.block(bundle.positions)
-    return np.asarray(X)[np.ix_(bundle.positions, bundle.positions)]
-
-
-def _modulus(bundle, sub):
-    """Largest singular value of ``diag(alpha_bar) sub``."""
-    return float(np.linalg.svd(bundle.alpha_bar[:, None] * sub, compute_uv=False).max())
-
-
-def lipschitz_constant(curves, X):
-    """Modulus of the voltage-to-control feedback map.
-
-    Largest singular value of ``diag(alpha_bar) X`` restricted to the buses
-    that actually carry a curve: buses with a singleton feasible set neither
-    move nor respond, so they drop out of the feedback loop.  ``X`` is the
-    linear model or a dense reactance matrix.
-    """
-    bundle = CurveBundle.of(curves)
-    if len(bundle) == 0:
-        return 0.0
-    return _modulus(bundle, _spectral_block(bundle, X))

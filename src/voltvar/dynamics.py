@@ -24,8 +24,6 @@ from . import powerflow
 from .control import (
     DEFAULT_DEADBAND,
     CurveBundle,
-    _modulus,
-    _spectral_block,
     curve_from_spec,
     limits_arrays,
     project_box,
@@ -33,7 +31,8 @@ from .control import (
     validate_positions,
 )
 from .exceptions import DimensionMismatch, InvalidRecord, MaxIterations
-from .network import _INTEGRAL, _REAL, _deviation_terms, sensitivity_matrices
+from .network import (_INTEGRAL, _REAL, SensitivityMatrices, _deviation_terms,
+                      sensitivity_matrices)
 from .powerflow import _check_count, _check_tol
 
 CONTROLLER_KINDS = ("d1", "d2", "d3")
@@ -60,8 +59,11 @@ class ControllerConfig:
         for kind, name, gamma in (("d2", "gamma2", self.gamma2), ("d3", "gamma3", self.gamma3)):
             if self.kind == kind and not (isinstance(gamma, _REAL) and 0 < gamma < np.inf):
                 raise InvalidRecord(f"{kind} requires a positive finite {name}, got {gamma}")
-        lo, _ = validate_box(self.q_min, self.q_max)
+        lo, hi = validate_box(self.q_min, self.q_max)
         validate_positions(self.curves, lo.size)
+        # keep the checked float arrays, so step and simulate index them
+        object.__setattr__(self, "q_min", lo)
+        object.__setattr__(self, "q_max", hi)
 
     @cached_property
     def bundle(self):
@@ -514,6 +516,16 @@ class ConditionReport:
     uniform_alpha_limit: float
 
 
+def _spectral_block(curves, X):
+    """The bundle of ``curves`` and ``X``, the linear model or a dense
+    reactance matrix, on its curve buses: every spectrum reads X here."""
+    bundle = CurveBundle.of(curves)
+    act = bundle.positions
+    if isinstance(X, SensitivityMatrices):
+        return bundle, X.block(act)
+    return bundle, np.asarray(X)[np.ix_(act, act)]
+
+
 def check_d1_condition(curves, X):
     """Evaluate the contraction condition of the non-incremental law.
 
@@ -521,11 +533,14 @@ def check_d1_condition(curves, X):
     ``diag(alpha_bar) X`` over the controllable block); the corollary value
     is the row-sum sufficient test, which upper-bounds sigma by the norm
     interpolation inequality and is therefore more conservative.  ``X`` is
-    the linear model or a dense reactance matrix.
+    the linear model or a dense reactance matrix.  With no curve the loop
+    is open: sigma and the corollary value are 0, both tests hold and the
+    uniform-slope limit is inf.
     """
-    bundle = CurveBundle.of(curves)
-    sub = _spectral_block(bundle, X)
-    sigma = _modulus(bundle, sub)
+    bundle, sub = _spectral_block(curves, X)
+    if len(bundle) == 0:
+        return ConditionReport(0.0, True, 0.0, True, math.inf)
+    sigma = float(np.linalg.svd(bundle.alpha_bar[:, None] * sub, compute_uv=False).max())
     corollary = float(bundle.alpha_bar.max() * np.abs(sub).sum(axis=1).max())
     return ConditionReport(
         sigma=sigma,
@@ -536,6 +551,13 @@ def check_d1_condition(curves, X):
     )
 
 
+def lipschitz_constant(curves, X):
+    """Modulus of the voltage-to-control feedback map, the ``sigma`` of
+    :func:`check_d1_condition`: buses with a singleton feasible set neither
+    move nor respond, so they drop out of the feedback loop."""
+    return check_d1_condition(curves, X).sigma
+
+
 def d3_stepsize_bound(curves, X):
     """Largest safe pseudo-gradient stepsize: ``2 / (1 + lambda_max)``.
 
@@ -543,12 +565,10 @@ def d3_stepsize_bound(curves, X):
     controllable block, computed through the symmetric similar matrix
     ``diag(s) X diag(s)`` with ``s = sqrt(alpha_bar)``, whose eigenvalues
     are real and non-negative.  ``X`` is the linear model or a dense
-    reactance matrix.
+    reactance matrix; with no curve the bound is 2.
     """
-    bundle = CurveBundle.of(curves)
-    if len(bundle) == 0:
-        return 2.0
-    return _d3_bound(bundle, _spectral_block(bundle, X))
+    bundle, sub = _spectral_block(curves, X)
+    return _d3_bound(bundle, sub) if len(bundle) else 2.0
 
 
 def _d3_bound(bundle, sub):
@@ -691,7 +711,8 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
 
     verr, u, res, residual = state(qa)
     best, gamma3, it = residual, None, 0
-    while not residual < tol:  # a nan residual never counts as converged
+    # an exact root ends the solve at tol = 0; a nan residual never does
+    while not (residual < tol or residual == 0.0):
         if not math.isfinite(residual):
             raise _non_finite("solve_equilibrium")
         if it == max_iter:

@@ -25,7 +25,7 @@ from importlib import resources
 
 from .control import Inverter
 from .exceptions import InvalidRecord, ParseError
-from .network import Bases, Bus, Line, build_feeder
+from .network import _REAL, Bases, Bus, Line, build_feeder
 
 BUILTIN_PREFIX = "builtin:"
 DEFAULT_POWER_FACTOR = 0.9
@@ -34,11 +34,47 @@ DEFAULT_INVERTER_OVERSIZE = 1.1
 DEFAULT_MIN_IMPEDANCE_OHM = 1e-3
 
 
-def _require(obj, key, context):
+_REQUIRED = object()
+
+
+def _number(rec, key, context, default=_REQUIRED, integral=False):
+    """The number at ``rec[key]``: a float, or an int when ``integral``.
+
+    An absent key gives ``default`` unless the value is required, and a
+    null one gives None when the default is None.  A missing required
+    value, a value that is not a number (a numeric string counts) and a
+    non-integral one where an integer is needed raise ParseError naming
+    the field.
+    """
+    # dict first: an isinstance check against the Mapping ABC costs more
+    raw = rec.get(key, default) if isinstance(rec, (dict, Mapping)) else _REQUIRED
+    if type(raw) is (int if integral else float):  # as JSON parses most values
+        return raw
+    if raw is _REQUIRED:
+        raise ParseError(f"missing required value in {context}", field=key)
+    if raw is None and default is None:
+        return None
     try:
-        return obj[key]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"missing required value in {context}", field=key) from exc
+        if isinstance(raw, bool):
+            raise TypeError("a boolean is not a number")
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:  # an int past float range
+        raise ParseError(f"{context} needs a number, got {raw!r}", field=key) from exc
+    if not integral:
+        return value
+    if not value.is_integer():
+        raise ParseError(f"{context} needs an integer, got {raw!r}", field=key)
+    return raw if isinstance(raw, int) else int(value)
+
+
+def _records(doc, key, required=True):
+    """The list of records at ``doc[key]``; an absent optional one is empty."""
+    recs = doc.get(key, _REQUIRED if required else [])
+    if recs is _REQUIRED:
+        raise ParseError("missing required value in document", field=key)
+    if not isinstance(recs, (list, tuple)):
+        raise ParseError(f"{key} must be a list of records, got {recs!r}", field=key)
+    return recs
 
 
 def load_feeder(
@@ -101,18 +137,21 @@ def load_feeder(
     if "bases" in doc:
         b = doc["bases"]
         bases = Bases(
-            v_kv=float(_require(b, "v_kv", "bases")),
-            s_kva=float(_require(b, "s_kva", "bases")),
-            z_ohm=float(b.get("z_ohm", 0.0)),
+            v_kv=_number(b, "v_kv", "bases"),
+            s_kva=_number(b, "s_kva", "bases"),
+            z_ohm=_number(b, "z_ohm", "bases", 0.0),
         )
     if unit == "ohm" and bases is None:
         raise ParseError("ohm-unit files need a bases object", field="bases")
     s_base_mva = bases.s_kva / 1e3 if bases else 1.0
     z_base = bases.z_ohm if bases else 1.0
 
-    for knob, value in (("load_scale", load_scale),
-                        ("pv_operating_fraction", pv_operating_fraction),
-                        ("inverter_oversize", inverter_oversize)):
+    knobs = (("load_scale", load_scale), ("pv_operating_fraction", pv_operating_fraction),
+             ("inverter_oversize", inverter_oversize))
+    for knob, value in knobs + (("power_factor", power_factor), ("tan_rho", tan_rho)):
+        if not (isinstance(value, _REAL) or (knob == "tan_rho" and value is None)):
+            raise InvalidRecord(f"{knob} must be a number, got {value!r}")
+    for knob, value in knobs:
         if not math.isfinite(value):
             raise InvalidRecord(f"{knob} must be finite, got {value}")
     if load_scale < 0:
@@ -122,22 +161,23 @@ def load_feeder(
                          field="power_factor")
     tan_phi = math.tan(math.acos(power_factor))
     buses = []
-    for rec in _require(doc, "buses", "document"):
-        bid = int(_require(rec, "id", "bus record"))
-        v_nom = float(rec.get("v_nom", 1.0))
+    for rec in _records(doc, "buses"):
+        ctx = "bus record"
+        bid = _number(rec, "id", ctx, integral=True)
+        v_nom = _number(rec, "v_nom", ctx, 1.0)
         if unit == "ohm":
             if "load_mva" in rec:
-                mva = float(rec["load_mva"])
+                mva = _number(rec, "load_mva", ctx)
                 p_c = power_factor * mva / s_base_mva
                 q_c = tan_phi * p_c
             else:
-                p_c = float(rec.get("p_c_mw", 0.0)) / s_base_mva
-                q_c = float(rec.get("q_c_mvar", 0.0)) / s_base_mva
-            p_g = float(rec.get("p_g_mw", 0.0)) / s_base_mva
+                p_c = _number(rec, "p_c_mw", ctx, 0.0) / s_base_mva
+                q_c = _number(rec, "q_c_mvar", ctx, 0.0) / s_base_mva
+            p_g = _number(rec, "p_g_mw", ctx, 0.0) / s_base_mva
         else:
-            p_c = float(rec.get("p_c", 0.0))
-            q_c = float(rec.get("q_c", 0.0))
-            p_g = float(rec.get("p_g", 0.0))
+            p_c = _number(rec, "p_c", ctx, 0.0)
+            q_c = _number(rec, "q_c", ctx, 0.0)
+            p_g = _number(rec, "p_g", ctx, 0.0)
         buses.append(
             Bus(id=bid, v_nom=v_nom, p_c=load_scale * p_c, q_c=load_scale * q_c, p_g=p_g)
         )
@@ -145,11 +185,11 @@ def load_feeder(
     floor = DEFAULT_MIN_IMPEDANCE_OHM
     floored = []
     lines = []
-    for rec in _require(doc, "lines", "document"):
-        a = int(_require(rec, "from", "line record"))
-        b = int(_require(rec, "to", "line record"))
-        r = float(_require(rec, "r", "line record"))
-        x = float(_require(rec, "x", "line record"))
+    for rec in _records(doc, "lines"):
+        a = _number(rec, "from", "line record", integral=True)
+        b = _number(rec, "to", "line record", integral=True)
+        r = _number(rec, "r", "line record")
+        x = _number(rec, "x", "line record")
         if unit == "ohm":
             if 0.0 <= r < floor or 0.0 <= x < floor:
                 floored.append((a, b))
@@ -160,18 +200,18 @@ def load_feeder(
 
     inverters = {}
     curve_specs = {}
-    for rec in doc.get("inverters", []):
-        bus = int(_require(rec, "bus", "inverter record"))
+    for rec in _records(doc, "inverters", required=False):
+        ctx = "inverter record"
+        bus = _number(rec, "bus", ctx, integral=True)
         if unit == "ohm" or "capacity_mw" in rec:
-            cap = float(_require(rec, "capacity_mw", "inverter record")) / s_base_mva
+            cap = _number(rec, "capacity_mw", ctx) / s_base_mva
             p = pv_operating_fraction * cap
             s = inverter_oversize * cap
             rho = math.atan(tan_rho) if tan_rho is not None else None
         else:
-            s = float(_require(rec, "s", "inverter record"))
-            p = float(_require(rec, "p", "inverter record"))
-            rho = rec.get("rho")
-            rho = float(rho) if rho is not None else None
+            s = _number(rec, "s", ctx)
+            p = _number(rec, "p", ctx)
+            rho = _number(rec, "rho", ctx, None)
         inverters[bus] = Inverter(s=s, p=p, rho=rho)
         if "curve" in rec:
             if not isinstance(rec["curve"], Mapping):
@@ -196,8 +236,8 @@ def load_feeder(
         lines,
         inverters=inverters,
         bases=bases,
-        slack_label=int(doc.get("slack", 0)),
-        v0=float(doc.get("v0", 1.0)),
+        slack_label=_number(doc, "slack", "document", 0, integral=True),
+        v0=_number(doc, "v0", "document", 1.0),
         curve_specs=curve_specs,
         meta=meta,
     )

@@ -71,10 +71,20 @@ class Bases:
     z_ohm: float = 0.0
 
     def __post_init__(self):
-        if self.z_ohm == 0.0:
-            object.__setattr__(
-                self, "z_ohm", (self.v_kv * 1e3) ** 2 / (self.s_kva * 1e3)
-            )
+        v_kv, s_kva, z_ohm = self.v_kv, self.s_kva, self.z_ohm
+        if not (isinstance(v_kv, _REAL) and isinstance(s_kva, _REAL)
+                and isinstance(z_ohm, _REAL) and 0 < v_kv < np.inf
+                and 0 < s_kva < np.inf and 0 <= z_ohm < np.inf):
+            raise InvalidRecord(f"bases need positive finite v_kv and s_kva and a finite "
+                                f"z_ohm >= 0, got {v_kv!r}, {s_kva!r}, {z_ohm!r}")
+        if z_ohm == 0.0:
+            try:
+                z_ohm = (v_kv * 1e3) ** 2 / (s_kva * 1e3)
+            except OverflowError:  # float ** raises where * gives inf
+                z_ohm = np.inf
+            if not 0 < z_ohm < np.inf:
+                raise InvalidRecord(f"bases v_kv={v_kv}, s_kva={s_kva} give z_ohm={z_ohm}")
+            object.__setattr__(self, "z_ohm", z_ohm)
 
 
 def _readonly(a, dtype=float):
@@ -353,6 +363,14 @@ def build_feeder(
     inverters = dict(inverters or {})
     curve_specs = dict(curve_specs or {})
 
+    if not isinstance(slack_label, _INTEGRAL):
+        raise InvalidRecord(f"the slack label must be an integer, got {slack_label!r}")
+    for b in buses:  # isinstance per field: all() over a generator costs 6x more
+        if not (isinstance(b.id, _INTEGRAL) and isinstance(b.p_c, _REAL)
+                and isinstance(b.q_c, _REAL) and isinstance(b.p_g, _REAL)
+                and isinstance(b.v_nom, _REAL)):
+            raise InvalidRecord(f"bus {b.id!r} needs an integer id and numeric p_c, q_c, p_g "
+                                f"and v_nom, got {b.p_c!r}, {b.q_c!r}, {b.p_g!r}, {b.v_nom!r}")
     ids = [b.id for b in buses]
     if len(set(ids)) != len(ids):
         raise DuplicateId("duplicate bus ids")
@@ -369,6 +387,10 @@ def build_feeder(
     adj = {i: [] for i in ids}
     seen_pairs = set()
     for ln in lines:
+        if not (isinstance(ln.from_bus, _INTEGRAL) and isinstance(ln.to_bus, _INTEGRAL)
+                and isinstance(ln.r, _REAL) and isinstance(ln.x, _REAL)):
+            raise InvalidRecord(f"line ({ln.from_bus!r}, {ln.to_bus!r}) needs integer ends "
+                                f"and numeric r and x, got {ln.r!r}, {ln.x!r}")
         if ln.from_bus not in by_id or ln.to_bus not in by_id:
             raise Disconnected(
                 f"line ({ln.from_bus}, {ln.to_bus}) references an unknown bus"
@@ -441,9 +463,9 @@ def build_feeder(
         b = by_id[nonslack[int(np.argmax(bad))]]
         raise InvalidRecord(f"bus {b.id} has p_c={b.p_c}, q_c={b.q_c}, p_g={b.p_g}, "
                             f"v_nom={b.v_nom}: all must be finite, and v_nom positive")
-    v0 = float(v0)
-    if not 0.0 < v0 < np.inf:
+    if not (isinstance(v0, _REAL) and 0.0 < v0 < np.inf):
         raise InvalidRecord(f"slack voltage v0 must be positive and finite, got {v0}")
+    v0 = float(v0)
     parent.setflags(write=False)
 
     return Feeder(

@@ -31,13 +31,6 @@ class VoltageSolution:
     iterations: int = 0
 
 
-def branch_flows(feeder, net_p, net_q):
-    """Lossless sending-end line flows: each line carries the net
-    consumption of its subtree."""
-    P, Q = feeder.subtree_sum(np.stack((net_p, net_q)))
-    return P, Q
-
-
 def _check_tol(tol):
     """Raise InvalidRecord unless ``tol`` is a non-negative number; nan is not."""
     if not (isinstance(tol, _REAL) and tol >= 0.0):
@@ -64,10 +57,10 @@ def _net_consumption(feeder, q):
 
 
 def linear_voltage(mats, q):
-    """Open-loop voltages of the linearized model: ``v = X q + vtilde``."""
+    """Open-loop voltages of the linearized model: ``v = X q + vtilde``, with
+    the lossless line flows, each line carrying its subtree's net load."""
     feeder = mats.feeder
-    net_p, net_q = _net_consumption(feeder, q)
-    P, Q = branch_flows(feeder, net_p, net_q)
+    P, Q = feeder.subtree_sum(np.stack(_net_consumption(feeder, q)))
     return VoltageSolution(
         v=mats.voltage(q),
         P=P,

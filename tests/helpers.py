@@ -5,6 +5,21 @@ import numpy as np
 import voltvar as vv
 from voltvar.network import Bus, Line
 
+# every exception class of voltvar.exceptions derives from one of these
+PACKAGE_ERRORS = (vv.FeederValidationError, vv.DimensionMismatch, vv.ParseError,
+                  vv.PowerFlowError, vv.MaxIterations)
+# non-finite, zero, negative, huge, non-integral, numpy integer and string values
+NUMBERS = (np.nan, np.inf, -np.inf, 0, -3, -0.5, 1e308, 2.5, np.int64(20), "5", "x")
+
+
+def package_outcome(call):
+    """``call()``, or None when it raises an exception of the package; any
+    other exception fails the test."""
+    try:
+        return call()
+    except PACKAGE_ERRORS:
+        return None
+
 
 def two_bus_feeder(r=0.1, x=0.5, v0=1.05, p_c=0.0, q_c=0.0, inverter=None):
     """Single-line feeder; default inverter is effectively unconstrained."""

@@ -53,6 +53,19 @@ class TestCheck:
         corollary = float(out.split("row-sum sufficient value")[1].split(":")[1].split()[0])
         assert corollary >= sigma
 
+    def test_feeder_without_inverters_is_an_open_loop(self, sce42, tmp_path, capsys):
+        # no curve bus: the d1 condition once raised a bare numpy ValueError
+        doc = vv.feeder_to_dict(sce42)
+        doc["inverters"] = []
+        path, out = tmp_path / "no_inverters.json", tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--feeder", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["uniform_alpha_limit"] == float("inf")
+        assert (report["sigma"], report["corollary_value"], report["gamma3_bound"]) == (
+            0.0, 0.0, 2.0)
+        assert "uniform-slope stability limit     : inf" in capsys.readouterr().out
+
     def test_report_file(self, tmp_path, capsys):
         out = tmp_path / "check.json"
         assert main(["check", "--alpha", "10", "--out", str(out)]) == 0

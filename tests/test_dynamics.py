@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import traceback
 import types
 
@@ -12,7 +13,9 @@ from voltvar import dynamics
 from voltvar.control import CurveBundle
 
 from helpers import (
+    NUMBERS,
     d3_oracle,
+    package_outcome,
     random_feeder,
     random_tree_records,
     reference_float_kernel,
@@ -111,6 +114,20 @@ class TestStepD3:
         assert traj.verdict == "converged"
         # multiplier 1 - 0.5 * 2.5 = -0.25; fixed point -3*0.05/2.5
         assert traj.final_q == pytest.approx([-0.06], abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
+def test_list_box_steps_like_an_array_box(sce42, sce42_mats, kind):
+    # the config keeps the float arrays of the box it checked; step once
+    # indexed the caller's lists and raised a bare TypeError
+    arrays = vv.ControllerConfig.from_feeder(sce42, kind, alpha=10.0, gamma2=0.1, gamma3=0.5)
+    lists = vv.ControllerConfig(kind=kind, curves=arrays.curves, q_min=arrays.q_min.tolist(),
+                                q_max=arrays.q_max.tolist(), gamma2=0.1, gamma3=0.5)
+    assert isinstance(lists.q_min, np.ndarray) and isinstance(lists.q_max, np.ndarray)
+    q = 0.5 * arrays.q_max
+    v = sce42_mats.voltage(q)
+    np.testing.assert_array_equal(vv.step(q, v, lists, sce42.v_nom),
+                                  vv.step(q, v, arrays, sce42.v_nom))
 
 
 class TestSimulate:
@@ -477,17 +494,39 @@ class TestConditionChecks:
         for f in feeders:
             mats = vv.sensitivity_matrices(f)
             sites = rng.choice(f.n, size=int(rng.integers(1, f.n + 1)), replace=False)
-            curves = {int(k): vv.DroopCurve(alpha=float(rng.uniform(0.5, 40.0)), deadband=0.04)
-                      for k in sites}
+            drawn = {int(k): vv.DroopCurve(alpha=float(rng.uniform(0.5, 40.0)), deadband=0.04)
+                     for k in sites}
 
-            def spectral(X):
+            def spectral(curves, X):
                 rep = vv.check_d1_condition(curves, X)
-                return (rep.sigma, rep.corollary_value, rep.uniform_alpha_limit,
-                        vv.d3_stepsize_bound(curves, X), vv.lipschitz_constant(curves, X))
+                return (rep.sigma, rep.sufficient, rep.corollary_value, rep.corollary_holds,
+                        rep.uniform_alpha_limit, vv.d3_stepsize_bound(curves, X),
+                        vv.lipschitz_constant(curves, X))
 
-            from_model = spectral(mats)
+            # no curve is an open loop, with one answer from every function
+            from_model = [spectral(curves, mats) for curves in (drawn, {})]
+            assert from_model[1] == (0.0, True, 0.0, True, math.inf, 2.0, 0.0)
             assert "X" not in mats.__dict__
-            assert from_model == spectral(mats.X)
+            assert from_model == [spectral(curves, mats.X) for curves in (drawn, {})]
+
+    def test_spectra_read_x_through_one_helper(self, sce42, sce42_mats, monkeypatch):
+        # the d1 condition, the Lipschitz modulus and the d3 bound take X on
+        # the curve buses from one dynamics helper; control knows no model
+        seen = []
+        helper = dynamics._spectral_block
+
+        def spy(curves, X):
+            seen.append(X)
+            return helper(curves, X)
+
+        monkeypatch.setattr(dynamics, "_spectral_block", spy)
+        curves = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=10.0).bundle
+        vv.check_d1_condition(curves, sce42_mats)
+        vv.lipschitz_constant(curves, sce42_mats)
+        vv.d3_stepsize_bound(curves, sce42_mats.X)
+        assert len(seen) == 3 and seen[2] is sce42_mats.X
+        assert not any(hasattr(vv.control, name) for name in (
+            "_spectral_block", "_modulus", "lipschitz_constant", "SensitivityMatrices"))
 
 
 class TestD3Bound:
@@ -601,12 +640,22 @@ class TestSolveEquilibrium:
         )
         np.testing.assert_allclose(traj.final_q, eq.q_star, atol=1e-9)
 
-    def test_budget_exhaustion(self, feeder2):
-        with pytest.raises(vv.MaxIterations):
-            vv.solve_equilibrium(
-                feeder2, curves={0: vv.DroopCurve(alpha=1.0, deadband=0.04)},
-                tol=0.0, max_iter=50,
-            )
+    def test_budget_exhaustion(self, sce42, sce42_mats):
+        # stiff droops need 45 updates on sce42; five leave the residual high
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=5000.0)
+        with pytest.raises(vv.MaxIterations, match="after 5 iterations"):
+            vv.solve_equilibrium(sce42, curves=cfg.curves, q_min=cfg.q_min, q_max=cfg.q_max,
+                                 tol=1e-12, max_iter=5, mats=sce42_mats)
+
+    def test_tol_zero_accepts_an_exact_root(self, feeder2, sce42, sce42_mats):
+        # the residual reaches exactly 0.0 after one Newton update; with
+        # tol = 0 the solver once ran out its budget there
+        curves = {0: vv.DroopCurve(alpha=1.0, deadband=0.04)}
+        eq = vv.solve_equilibrium(feeder2, curves=curves, tol=0.0, max_iter=50)
+        assert eq.fixed_point_residual == 0.0 and eq.iterations == 1
+        eq = vv.solve_equilibrium(sce42, {0: vv.DroopCurve(10.0, 0.04)}, tol=0.0,
+                                  max_iter=200, mats=sce42_mats)
+        assert eq.fixed_point_residual == 0.0
 
     def test_last_allowed_update_may_converge(self, sce42, sce42_mats):
         # on sce42 at alpha 27 one Newton update meets tol 1e-6: a budget of
@@ -942,11 +991,6 @@ def test_closed_loop_and_solver_never_build_dense_matrices(sce42):
     assert "X" not in mats.__dict__ and "R" not in mats.__dict__
 
 
-# every exception class of voltvar.exceptions derives from one of these
-PACKAGE_ERRORS = (vv.FeederValidationError, vv.DimensionMismatch, vv.ParseError,
-                  vv.PowerFlowError, vv.MaxIterations)
-# non-finite, zero, negative, huge, non-integral, numpy integer and string values
-NUMBERS = (np.nan, np.inf, -np.inf, 0, -3, -0.5, 1e308, 2.5, np.int64(20), "5", "x")
 BOUNDARY_VALID = dict(kind="d1", plant="linear", alpha=10.0, deadband=0.04, position=None,
                       gamma2=0.1, gamma3=0.5, box="valid", tol=1e-6, max_iter=50,
                       record_every=1, window=10)
@@ -958,15 +1002,6 @@ BOUNDARY_PERTURBED = dict(
     position=(-1, 41, 999, 2.5, "3", np.int64(3)),
     box=("nan", "inf", "inverted", "short", "string"),
 )
-
-
-def package_outcome(call):
-    """``call()``, or None when it raises an exception of the package; any
-    other exception fails the test."""
-    try:
-        return call()
-    except PACKAGE_ERRORS:
-        return None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

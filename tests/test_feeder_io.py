@@ -1,10 +1,30 @@
+import copy
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voltvar as vv
+
+from helpers import NUMBERS, package_outcome
+
+# the embedded sce42 document as stored: ohm units, capacity-style inverters
+SCE42_DOC = json.loads(resources.files("voltvar.data").joinpath("sce42.json").read_text())
+
+
+def edited(doc, path, value):
+    """A deep copy of ``doc`` with the entry at ``path`` (keys and indices) set."""
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return doc
 
 
 class TestBuiltinSce42:
@@ -95,6 +115,36 @@ class TestErrors:
         empty = vv.load_feeder("builtin:sce42", load_scale=0.0)
         assert not np.any(empty.p_c) and not np.any(empty.q_c)
 
+    @pytest.mark.parametrize("path, bad, field", [
+        (("buses", 1, "id"), "x", "id"),
+        (("buses", 1, "id"), None, "id"),
+        (("buses", -1, "id"), 42.7, "id"),  # once truncated to bus 42
+        (("buses", 1, "p_c"), "x", "p_c"),
+        (("buses", 1, "p_c"), None, "p_c"),
+        (("lines", 0, "r"), "x", "r"),
+        (("lines", 0, "r"), None, "r"),
+        (("lines", 0, "to"), 2.5, "to"),
+        (("inverters", 0, "s"), None, "s"),
+        (("inverters", 0, "rho"), "x", "rho"),
+        (("v0",), None, "v0"),
+        (("slack",), "x", "slack"),
+        (("buses",), 5, "buses"),
+        (("inverters",), 5, "inverters"),
+    ])
+    def test_malformed_values_name_their_field(self, sce42, path, bad, field):
+        # each once raised a bare ValueError or TypeError, or was truncated
+        with pytest.raises(vv.ParseError) as err:
+            vv.load_feeder(edited(vv.feeder_to_dict(sce42), path, bad))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("knob, bad", [
+        ("load_scale", "2"), ("power_factor", "0.9"), ("tan_rho", "x"),
+        ("pv_operating_fraction", None), ("inverter_oversize", [1.1]),
+    ])
+    def test_non_numeric_knob_is_named(self, knob, bad):
+        with pytest.raises(vv.InvalidRecord, match=knob):
+            vv.load_feeder("builtin:sce42", **{knob: bad})
+
     def test_curve_not_an_object(self, sce42):
         doc = vv.feeder_to_dict(sce42)
         doc["inverters"][0]["curve"] = [1, 2]
@@ -173,3 +223,46 @@ class TestRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["unit"] == "pu"
         assert {b["id"] for b in doc["buses"]} == set(range(1, 43))
+
+
+# a document's records and the fields they may carry, in either unit
+DOC_FIELDS = {
+    "buses": ("id", "v_nom", "p_c", "q_c", "p_g", "load_mva", "p_c_mw", "q_c_mvar", "p_g_mw"),
+    "lines": ("from", "to", "r", "x"),
+    "inverters": ("bus", "capacity_mw", "s", "p", "rho", "curve"),
+}
+DOC_VALUES = NUMBERS + (None, True, 3.7, [], {})
+KNOBS = ("power_factor", "load_scale", "pv_operating_fraction", "inverter_oversize", "tan_rho")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pu=st.booleans(), data=st.data())
+def test_documents_raise_only_package_errors(sce42, pu, data):
+    # the sce42 document, as stored (ohm) or exported (pu), with up to three
+    # values, records or lists replaced and maybe one knob perturbed, either
+    # raises an exception of the package or loads a finite feeder
+    doc = copy.deepcopy(vv.feeder_to_dict(sce42) if pu else SCE42_DOC)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        where = data.draw(st.sampled_from(
+            ("slack", "v0", "unit", "bases", "bases field", "record", "field", *DOC_FIELDS)))
+        value = data.draw(st.sampled_from(DOC_VALUES), label="value")
+        kind = data.draw(st.sampled_from(sorted(DOC_FIELDS)))
+        recs = doc.get(kind)
+        if where == "bases field" and isinstance(doc.get("bases"), dict):
+            doc["bases"][data.draw(st.sampled_from(("v_kv", "s_kva", "z_ohm")))] = value
+        elif where in ("record", "field") and isinstance(recs, list) and recs:
+            i = data.draw(st.integers(0, len(recs) - 1))
+            if where == "field" and isinstance(recs[i], dict):
+                recs[i][data.draw(st.sampled_from(DOC_FIELDS[kind]))] = value
+            else:
+                recs[i] = value
+        elif where not in ("bases field", "record", "field"):
+            doc[where] = value
+    knobs = data.draw(st.dictionaries(st.sampled_from(KNOBS), st.sampled_from(DOC_VALUES),
+                                      max_size=1))
+    feeder = package_outcome(lambda: vv.load_feeder(doc, **knobs))
+    if feeder is not None:
+        for a in (feeder.r, feeder.x, feeder.p_c, feeder.q_c, feeder.p_g, feeder.v_nom,
+                  *vv.limits_arrays(feeder)):
+            assert np.isfinite(a).all()
+        assert math.isfinite(feeder.v0)

@@ -10,7 +10,9 @@ import voltvar as vv
 from voltvar.network import Bus, Line
 
 from helpers import (
+    NUMBERS,
     brute_force_sensitivities,
+    package_outcome,
     random_feeder,
     random_tree_records,
     two_bus_feeder,
@@ -76,7 +78,21 @@ def test_disconnected_rejected():
      {}, vv.CycleDetected),
     ([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.1)],
      {"curve_specs": {5: {"type": "droop", "alpha": 1.0}}}, vv.InvalidRecord),
-], ids=["no-slack", "unknown-bus", "self-line", "cycle-from-slack", "curve-on-unknown-bus"])
+    # non-numeric records once raised a bare TypeError or ValueError, and a
+    # float label was kept
+    ([Bus(0), Bus(1, p_c="0.5")], [Line(0, 1, 0.1, 0.5)], {}, vv.InvalidRecord),
+    ([Bus(0), Bus(1, v_nom=None)], [Line(0, 1, 0.1, 0.5)], {}, vv.InvalidRecord),
+    ([Bus(0, q_c=[]), Bus(1)], [Line(0, 1, 0.1, 0.5)], {}, vv.InvalidRecord),
+    ([Bus(0), Bus(1)], [Line(0, 1, "0.1", 0.5)], {}, vv.InvalidRecord),
+    ([Bus(0), Bus(1)], [Line(0, 1, 0.1, None)], {}, vv.InvalidRecord),
+    ([Bus(0), Bus("a")], [Line(0, "a", 0.1, 0.5)], {}, vv.InvalidRecord),
+    ([Bus(0), Bus(1.5)], [Line(0, 1.5, 0.1, 0.5)], {}, vv.InvalidRecord),
+    ([Bus(0), Bus(1)], [Line(0, [1], 0.1, 0.5)], {}, vv.InvalidRecord),
+    ([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)], {"slack_label": [0]}, vv.InvalidRecord),
+    ([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)], {"v0": "1.0"}, vv.InvalidRecord),
+], ids=["no-slack", "unknown-bus", "self-line", "cycle-from-slack", "curve-on-unknown-bus",
+        "string-load", "none-v_nom", "list-slack-load", "string-r", "none-x", "string-id",
+        "float-id", "list-end", "list-slack", "string-v0"])
 def test_malformed_records_rejected(buses, lines, kw, error):
     with pytest.raises(error):
         vv.build_feeder(buses, lines, **kw)
@@ -116,6 +132,60 @@ def test_nan_load_fails_at_the_boundary():
     # compare below tol: the float kernel reported converged at step 1
     with pytest.raises(vv.InvalidRecord, match="p_c=nan"):
         two_bus_feeder(p_c=math.nan)
+
+
+@pytest.mark.parametrize("kw", [dict(v_kv=0.0, s_kva=1000.0), dict(v_kv=12.35, s_kva=0.0),
+                                dict(v_kv="12.35", s_kva=1000.0),
+                                dict(v_kv=12.35, s_kva=1000.0, z_ohm=math.nan)])
+def test_bad_bases_rejected(kw):
+    # a zero base once divided by zero while deriving z_ohm
+    with pytest.raises(vv.InvalidRecord, match="bases"):
+        vv.Bases(**kw)
+
+
+# the fields of build_feeder's records, and the other arguments
+RECORD_FIELDS = {"bus": ("id", "v_nom", "p_c", "q_c", "p_g"),
+                 "line": ("from_bus", "to_bus", "r", "x"), "inverter": ("s", "p", "rho")}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_records_raise_only_package_errors(sce42, data):
+    # sce42's records with up to three fields, v0 or the slack label
+    # perturbed either raise an exception of the package or build a finite
+    # feeder
+    labels = (sce42.slack_label, *sce42.labels)
+    buses = [Bus(sce42.slack_label)] + [
+        Bus(lab, float(sce42.v_nom[k]), float(sce42.p_c[k]), float(sce42.q_c[k]),
+            float(sce42.p_g[k])) for k, lab in enumerate(sce42.labels)]
+    lines = [Line(labels[p + 1], lab, float(sce42.r[k]), float(sce42.x[k]))
+             for k, (lab, p) in enumerate(zip(sce42.labels, sce42.parent))]
+    inverters = {sce42.labels[k]: inv for k, inv in sce42.inverters.items()}
+    kw = dict(slack_label=sce42.slack_label, v0=sce42.v0)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        where = data.draw(st.sampled_from(("bus", "line", "inverter", "v0", "slack_label")))
+        value = data.draw(st.sampled_from(NUMBERS + (None, True, [])), label="value")
+        if where in kw:
+            kw[where] = value
+            continue
+        field = data.draw(st.sampled_from(RECORD_FIELDS[where]))
+        if where == "inverter":
+            lab = data.draw(st.sampled_from(sorted(inverters)))
+            inverter = package_outcome(
+                lambda: dataclasses.replace(inverters[lab], **{field: value}))
+            if inverter is None:  # the record itself rejects the value
+                continue
+            inverters[lab] = inverter
+        else:
+            recs = buses if where == "bus" else lines
+            i = data.draw(st.integers(0, len(recs) - 1))
+            recs[i] = dataclasses.replace(recs[i], **{field: value})
+    feeder = package_outcome(lambda: vv.build_feeder(buses, lines, inverters=inverters, **kw))
+    if feeder is not None:
+        for a in (feeder.r, feeder.x, feeder.p_c, feeder.q_c, feeder.p_g, feeder.v_nom,
+                  *vv.limits_arrays(feeder)):
+            assert np.isfinite(a).all()
+        assert math.isfinite(feeder.v0)
 
 
 def test_slack_must_be_passive():
