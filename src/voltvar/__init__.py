@@ -11,7 +11,6 @@ from .control import (
     ControlCurve,
     CurveBundle,
     DroopCurve,
-    Inverter,
     TableCurve,
     curve_from_spec,
     limits_arrays,
@@ -63,6 +62,7 @@ from .network import (
     Bases,
     Bus,
     Feeder,
+    Inverter,
     Line,
     SensitivityMatrices,
     build_feeder,

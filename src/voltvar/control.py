@@ -29,35 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, InvalidRecord
-from .network import _INTEGRAL, _REAL
+from .exceptions import InvalidRecord
+from .network import _INTEGRAL, _REAL, Inverter, _vector  # noqa: F401  Inverter: re-export
 
 DEFAULT_DEADBAND = 0.04  # total width, i.e. a 0.98..1.02 p.u. band
-
-
-@dataclass(frozen=True)
-class Inverter:
-    """Inverter operating point: apparent capacity s, real output p, and an
-    optional power-factor angle limit rho (radians); rho=None means the
-    capacity circle alone bounds reactive output."""
-
-    s: float
-    p: float
-    rho: float | None = None
-
-    def __post_init__(self):
-        if not (isinstance(self.s, _REAL) and isinstance(self.p, _REAL)
-                and (self.rho is None or isinstance(self.rho, _REAL))):
-            raise InvalidRecord(f"inverter s, p and rho must be numbers, "
-                                f"got {self.s!r}, {self.p!r}, {self.rho!r}")
-        if not 0.0 <= self.p <= self.s < math.inf:
-            raise InvalidRecord(
-                f"inverter requires 0 <= p <= s < inf, got p={self.p}, s={self.s}"
-            )
-        if self.s * self.s == math.inf:  # reactive_limits squares s
-            raise InvalidRecord(f"inverter capacity s={self.s} is too large to square")
-        if self.rho is not None and not 0.0 <= self.rho <= math.pi / 2:
-            raise InvalidRecord(f"rho must lie in [0, pi/2], got {self.rho}")
 
 
 def reactive_limits(inverter):
@@ -87,20 +62,13 @@ def limits_arrays(feeder):
 def validate_box(q_min, q_max, n=None):
     """The box ``[q_min, q_max]`` as float arrays, once it is checked.
 
-    Raises DimensionMismatch when ``n`` is given and a bound is not of
-    shape ``(n,)``, and InvalidRecord unless both bounds are numeric and
-    finite, of one shape, with ``q_min <= q_max``.
+    Both bounds must be finite numeric vectors of one length, ``n`` when
+    given: InvalidRecord or DimensionMismatch otherwise, and InvalidRecord
+    unless ``q_min <= q_max``.
     """
-    try:
-        lo, hi = np.asarray(q_min, dtype=float), np.asarray(q_max, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidRecord(f"q_min and q_max must be numeric arrays: {exc}") from exc
-    if n is not None and not lo.shape == hi.shape == (n,):
-        raise DimensionMismatch(
-            f"expected q_min and q_max of shape ({n},), got {lo.shape} and {hi.shape}"
-        )
-    if not (lo.shape == hi.shape and np.isfinite(lo).all() and np.isfinite(hi).all()
-            and (lo <= hi).all()):
+    lo = _vector("q_min", q_min, n)
+    hi = _vector("q_max", q_max, lo.size)
+    if not (lo <= hi).all():
         raise InvalidRecord("q_min and q_max must be finite with q_min <= q_max")
     return lo, hi
 

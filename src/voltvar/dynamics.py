@@ -30,10 +30,9 @@ from .control import (
     validate_box,
     validate_positions,
 )
-from .exceptions import DimensionMismatch, InvalidRecord, MaxIterations
-from .network import (_INTEGRAL, _REAL, SensitivityMatrices, _deviation_terms,
-                      sensitivity_matrices)
-from .powerflow import _check_count, _check_tol
+from .exceptions import InvalidRecord, MaxIterations
+from .network import (_REAL, SensitivityMatrices, _check_count, _check_tol, _deviation_terms,
+                      _vector, sensitivity_matrices)
 
 CONTROLLER_KINDS = ("d1", "d2", "d3")
 PLANT_KINDS = ("linear", "distflow")
@@ -163,12 +162,15 @@ def step(q, v, config, v_nom):
 
     Buses without a curve are projected onto their box and otherwise kept;
     d2 takes the subgradient selection of ``_d2_subgradient``, with no
-    smoothing at the kink.
+    smoothing at the kink.  ``q`` and ``v`` must be finite numeric vectors
+    of the box's length: InvalidRecord or DimensionMismatch otherwise.
     """
+    q = _vector("q", q, config.q_min.size)
+    v = _vector("v", v, config.q_min.size)
     bundle = config.bundle
     act = bundle.positions
-    verr = (np.asarray(v, float) - v_nom)[act]
-    qa = np.asarray(q, float)[act]
+    verr = (v - v_nom)[act]
+    qa = q[act]
     nxt = project_box(q, config.q_min, config.q_max)
     nxt[act] = _active_update(
         config.kind, qa, bundle.evaluate(verr), verr, bundle, config.q_min[act],
@@ -395,8 +397,9 @@ def simulate(
     ``oscillation_window=None`` disables the detector.  A non-finite final
     ``q`` or ``v`` raises InvalidRecord instead.  So do ``max_iter`` or
     ``record_every`` other than integers of at least 1, and an
-    ``oscillation_window`` other than None or such an integer; a box of
-    ``config`` whose length is not ``feeder.n`` raises DimensionMismatch.
+    ``oscillation_window`` other than None or such an integer, and a
+    non-numeric or non-finite ``q0``; a ``q0`` or a box of ``config``
+    whose length is not ``feeder.n`` raises DimensionMismatch.
 
     Linear-plant runs iterate on the curve buses only, through the reduced
     model of ``_curve_block``, and systems of at most 16 curve buses whose
@@ -408,11 +411,8 @@ def simulate(
     indexed reference loop in the tests.  Tracking the objective leaves
     the states unchanged.  Either kernel runs under one time loop.
     """
-    if not (isinstance(record_every, _INTEGRAL) and isinstance(max_iter, _INTEGRAL)):
-        raise InvalidRecord(f"record_every and max_iter must be integers, "
-                            f"got {record_every!r} and {max_iter!r}")
-    if record_every < 1 or max_iter < 1:
-        raise InvalidRecord("record_every and max_iter must be at least 1")
+    _check_count("record_every", record_every, 1)
+    _check_count("max_iter", max_iter, 1)
     if oscillation_window is not None:
         _check_count("oscillation_window", oscillation_window, 1)
     _check_tol(tol)
@@ -428,12 +428,7 @@ def simulate(
     n = feeder.n
     q_min, q_max = validate_box(config.q_min, config.q_max, n)
 
-    q = np.zeros(n) if q0 is None else np.asarray(q0, dtype=float).copy()
-    if q.shape != (n,):
-        raise DimensionMismatch(f"expected q0 of shape ({n},), got {q.shape}")
-    if not np.isfinite(q).all():
-        raise InvalidRecord("q0 must be finite")
-    q = q.clip(q_min, q_max)
+    q = (np.zeros(n) if q0 is None else _vector("q0", q0, n)).clip(q_min, q_max)
     qa = q[act].copy()
     lo_box, hi_box = q_min[act], q_max[act]
 
@@ -591,9 +586,9 @@ def _curve_block(mats, act, q):
 
 
 def objective_terms(mats, curves, q):
-    """The three terms of the equilibrium objective at q."""
+    """The three terms of the equilibrium objective at q, a finite length-n vector."""
     bundle = CurveBundle.of(curves)
-    q = np.asarray(q, dtype=float)
+    q = _vector("q", q, mats.feeder.n)
     cost = float(bundle.cost(q[bundle.positions]).sum()) if len(bundle) else 0.0
     quad = float(0.5 * q @ mats.x_times(q))
     linear = float(q @ (mats.vtilde - mats.feeder.v_nom))
@@ -625,7 +620,7 @@ def objective_tradeoff(mats, curves, q):
 def objective_subgradient(mats, curves, q):
     """A subgradient of the objective at q (selection used by the d2 law)."""
     bundle = CurveBundle.of(curves)
-    q = np.asarray(q, dtype=float)
+    q = _vector("q", q, mats.feeder.n)
     g = mats.voltage(q) - mats.feeder.v_nom
     act = bundle.positions
     if act.size:
@@ -645,6 +640,7 @@ def estimate_gradient_bound(mats, curves, q_min, q_max, seed=None):
     on the whole box.
     ``seed`` is accepted for older callers and ignored.
     """
+    q_min, q_max = validate_box(q_min, q_max, mats.feeder.n)
     low = np.abs(objective_subgradient(mats, curves, q_min))
     high = np.abs(objective_subgradient(mats, curves, q_max))
     return float(np.linalg.norm(np.maximum(low, high)))

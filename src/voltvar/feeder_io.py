@@ -23,9 +23,8 @@ import math
 from collections.abc import Mapping
 from importlib import resources
 
-from .control import Inverter
 from .exceptions import InvalidRecord, ParseError
-from .network import _REAL, Bases, Bus, Line, build_feeder
+from .network import _REAL, Bases, Bus, Inverter, Line, build_feeder
 
 BUILTIN_PREFIX = "builtin:"
 DEFAULT_POWER_FACTOR = 0.9
@@ -203,6 +202,8 @@ def load_feeder(
     for rec in _records(doc, "inverters", required=False):
         ctx = "inverter record"
         bus = _number(rec, "bus", ctx, integral=True)
+        if bus in inverters:
+            raise ParseError(f"duplicate inverter records for bus {bus}", field="bus")
         if unit == "ohm" or "capacity_mw" in rec:
             cap = _number(rec, "capacity_mw", ctx) / s_base_mva
             p = pv_operating_fraction * cap

@@ -41,6 +41,40 @@ _REAL = (float, int, numbers.Real)
 _INTEGRAL = (int, numbers.Integral)
 
 
+def _check_tol(tol):
+    """Raise InvalidRecord unless ``tol`` is a non-negative number; nan is not."""
+    if not (isinstance(tol, _REAL) and tol >= 0.0):
+        raise InvalidRecord(f"tol must be a non-negative number, got {tol}")
+
+
+def _check_count(name, value, least):
+    """Raise InvalidRecord unless ``value`` is an integer, a numpy one
+    included, of at least ``least``."""
+    if not (isinstance(value, _INTEGRAL) and value >= least):
+        raise InvalidRecord(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _vector(name, value, n=None):
+    """``value`` as a finite float array of shape ``(n,)``, or of any one
+    length when ``n`` is None.
+
+    Raises InvalidRecord when numpy cannot read ``value`` as floats or an
+    entry is not finite, and DimensionMismatch on any other shape; each
+    message names the argument ``name``.
+    """
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidRecord(f"{name} must be a numeric array: {exc}") from exc
+    if a.ndim != 1 or (n is not None and a.size != n):
+        raise DimensionMismatch(
+            f"expected {name} of shape ({'n' if n is None else n},), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidRecord(f"{name} must be finite; non-finite at positions "
+                            f"{np.flatnonzero(~np.isfinite(a)).tolist()}")
+    return a
+
+
 @dataclass(frozen=True)
 class Bus:
     """One bus record: loads and non-inverter generation in per unit."""
@@ -85,6 +119,31 @@ class Bases:
             if not 0 < z_ohm < np.inf:
                 raise InvalidRecord(f"bases v_kv={v_kv}, s_kva={s_kva} give z_ohm={z_ohm}")
             object.__setattr__(self, "z_ohm", z_ohm)
+
+
+@dataclass(frozen=True)
+class Inverter:
+    """Inverter operating point: apparent capacity s, real output p, and an
+    optional power-factor angle limit rho (radians); rho=None means the
+    capacity circle alone bounds reactive output."""
+
+    s: float
+    p: float
+    rho: float | None = None
+
+    def __post_init__(self):
+        if not (isinstance(self.s, _REAL) and isinstance(self.p, _REAL)
+                and (self.rho is None or isinstance(self.rho, _REAL))):
+            raise InvalidRecord(f"inverter s, p and rho must be numbers, "
+                                f"got {self.s!r}, {self.p!r}, {self.rho!r}")
+        if not 0.0 <= self.p <= self.s < np.inf:
+            raise InvalidRecord(
+                f"inverter requires 0 <= p <= s < inf, got p={self.p}, s={self.s}"
+            )
+        if self.s * self.s == np.inf:  # control.reactive_limits squares s
+            raise InvalidRecord(f"inverter capacity s={self.s} is too large to square")
+        if self.rho is not None and not 0.0 <= self.rho <= np.pi / 2:
+            raise InvalidRecord(f"rho must lie in [0, pi/2], got {self.rho}")
 
 
 def _readonly(a, dtype=float):
@@ -342,7 +401,7 @@ def build_feeder(
     lines : iterable of Line
         Exactly one line per non-slack bus; endpoint order is irrelevant.
     inverters : dict, optional
-        Bus label -> Inverter.
+        Bus label -> :class:`Inverter`; any other value raises InvalidRecord.
     bases : Bases, optional
     slack_label : int
         Label of the fixed-voltage substation bus.
@@ -453,6 +512,9 @@ def build_feeder(
     for lab in list(inverters) + list(curve_specs):
         if lab not in by_id or lab == slack_label:
             raise InvalidRecord(f"inverter/curve attached to invalid bus {lab}")
+    for lab, inv in inverters.items():
+        if not isinstance(inv, Inverter):
+            raise InvalidRecord(f"the inverter at bus {lab} must be an Inverter, got {inv!r}")
 
     p_c = np.array([by_id[lab].p_c for lab in nonslack])
     q_c = np.array([by_id[lab].q_c for lab in nonslack])
@@ -550,7 +612,4 @@ def voltage_deviation_form(feeder, q, mats=None):
             f"slack bus has degree {degree}; the two-part "
             "decomposition requires degree one"
         )
-    q = np.asarray(q, dtype=float)
-    if q.shape != (feeder.n,):
-        raise DimensionMismatch(f"expected q of shape ({feeder.n},), got {q.shape}")
-    return _deviation_terms(feeder, mats.voltage(q) - feeder.v_nom)
+    return _deviation_terms(feeder, mats.voltage(_vector("q", q, feeder.n)) - feeder.v_nom)

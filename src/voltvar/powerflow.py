@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, InvalidRecord, NegativeSquaredVoltage, NoConvergence
-from .network import _INTEGRAL, _REAL, _path_sum, _subtree_sum, sensitivity_matrices
+from .exceptions import InvalidRecord, NegativeSquaredVoltage, NoConvergence
+from .network import (_check_count, _check_tol, _path_sum, _subtree_sum, _vector,
+                      sensitivity_matrices)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -31,36 +32,12 @@ class VoltageSolution:
     iterations: int = 0
 
 
-def _check_tol(tol):
-    """Raise InvalidRecord unless ``tol`` is a non-negative number; nan is not."""
-    if not (isinstance(tol, _REAL) and tol >= 0.0):
-        raise InvalidRecord(f"tol must be a non-negative number, got {tol}")
-
-
-def _check_count(name, value, least):
-    """Raise InvalidRecord unless ``value`` is an integer, a numpy one
-    included, of at least ``least``."""
-    if not (isinstance(value, _INTEGRAL) and value >= least):
-        raise InvalidRecord(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
-def _net_consumption(feeder, q):
-    q = np.asarray(q, dtype=float)
-    if q.shape != (feeder.n,):
-        raise DimensionMismatch(f"expected q of shape ({feeder.n},), got {q.shape}")
-    if not np.isfinite(q).all():
-        raise InvalidRecord(
-            f"reactive injections must be finite; non-finite at bus positions "
-            f"{np.flatnonzero(~np.isfinite(q)).tolist()}"
-        )
-    return feeder.net_p, feeder.q_c - q
-
-
 def linear_voltage(mats, q):
     """Open-loop voltages of the linearized model: ``v = X q + vtilde``, with
     the lossless line flows, each line carrying its subtree's net load."""
     feeder = mats.feeder
-    P, Q = feeder.subtree_sum(np.stack(_net_consumption(feeder, q)))
+    q = _vector("q", q, feeder.n)
+    P, Q = feeder.subtree_sum(np.array((feeder.net_p, feeder.q_c - q)))
     return VoltageSolution(
         v=mats.voltage(q),
         P=P,
@@ -85,9 +62,10 @@ def distflow_sweep(feeder, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, start=
     DimensionMismatch
         ``q``, ``start.v`` or ``start.ell`` is not of shape ``(n,)``.
     InvalidRecord
-        ``q`` is not finite, ``start`` holds a non-finite ``ell``/``v`` or
-        a ``v <= 0``, ``tol`` is nan or negative, or ``max_iter`` is not an
-        integer of at least 1.
+        ``q`` is not a finite numeric array, ``start`` is not a
+        VoltageSolution or holds a non-numeric or non-finite ``ell``/``v``
+        or a ``v <= 0``, ``tol`` is nan or negative, or ``max_iter`` is not
+        an integer of at least 1.
     NoConvergence
         Iteration budget exhausted; the loading may be beyond the solvable
         region.
@@ -96,12 +74,12 @@ def distflow_sweep(feeder, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, start=
     """
     _check_tol(tol)
     _check_count("max_iter", max_iter, 1)
-    net_p, net_q = _net_consumption(feeder, q)
+    q = _vector("q", q, feeder.n)
     # the sweep runs in preorder coordinates, where subtrees are intervals
     order, pos, end = feeder.preorder
     rx, z2 = feeder.preorder_lines
     r, x = rx
-    load = np.array((net_p, net_q)).take(order, axis=1)
+    load = np.array((feeder.net_p, feeder.q_c - q)).take(order, axis=1)
     v0sq = feeder.v0**2
 
     if start is None:
@@ -133,14 +111,11 @@ def distflow_sweep(feeder, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, start=
 
 def _start_point(feeder, start):
     """The checked ``(ell, v)`` of a warm start, taken into preorder."""
-    ell = np.asarray(start.ell, dtype=float)
-    v = np.asarray(start.v, dtype=float)
-    if not ell.shape == v.shape == (feeder.n,):
-        raise DimensionMismatch(
-            f"expected start.ell and start.v of shape ({feeder.n},), "
-            f"got {ell.shape} and {v.shape}"
-        )
-    if not (np.isfinite(ell).all() and np.isfinite(v).all() and v.min() > 0.0):
+    if not isinstance(start, VoltageSolution):
+        raise InvalidRecord(f"start must be a VoltageSolution, got {type(start).__name__}")
+    ell = _vector("start.ell", start.ell, feeder.n)
+    v = _vector("start.v", start.v, feeder.n)
+    if not (v > 0.0).all():
         raise InvalidRecord("a warm start needs finite ell and v with v > 0")
     return np.array((ell, v)).take(feeder.preorder[0], axis=1)
 

@@ -640,6 +640,13 @@ class TestSolveEquilibrium:
         )
         np.testing.assert_allclose(traj.final_q, eq.q_star, atol=1e-9)
 
+    def test_curves_and_box_default_to_the_feeder(self, sce42, sce42_mats):
+        stored = vv.ControllerConfig.from_feeder(sce42, "d1")
+        explicit = vv.solve_equilibrium(sce42, stored.curves, stored.q_min, stored.q_max,
+                                        mats=sce42_mats)
+        default = vv.solve_equilibrium(sce42, mats=sce42_mats)
+        np.testing.assert_array_equal(default.q_star, explicit.q_star)
+
     def test_budget_exhaustion(self, sce42, sce42_mats):
         # stiff droops need 45 updates on sce42; five leave the residual high
         cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=5000.0)
@@ -993,7 +1000,7 @@ def test_closed_loop_and_solver_never_build_dense_matrices(sce42):
 
 BOUNDARY_VALID = dict(kind="d1", plant="linear", alpha=10.0, deadband=0.04, position=None,
                       gamma2=0.1, gamma3=0.5, box="valid", tol=1e-6, max_iter=50,
-                      record_every=1, window=10)
+                      record_every=1, window=10, q0=None, start=None)
 # each field's other values, valid (d2, d3, distflow, None, np.int64) or not
 BOUNDARY_PERTURBED = dict(
     dict.fromkeys(("alpha", "deadband", "gamma2", "gamma3", "tol", "max_iter", "record_every"),
@@ -1001,15 +1008,55 @@ BOUNDARY_PERTURBED = dict(
     kind=("d2", "d3", "d4"), plant=("distflow", "dc"), window=NUMBERS + (None,),
     position=(-1, 41, 999, 2.5, "3", np.int64(3)),
     box=("nan", "inf", "inverted", "short", "string"),
+    q0=("zeros", "string", "short", "nan", "object"),
+    start=("flat", "string", "short", "nan", "object"),
 )
+
+
+# (call on sce42, its model and a d2 config; the error; the argument its
+# message names): each once raised a bare numpy ValueError, IndexError or
+# AttributeError, or returned a number (NaN for a NaN q, 0.55 for the
+# inverted box)
+VECTOR_PROBES = {
+    "q0-strings": (lambda f, m, c: vv.simulate(f, c, q0=["a"] * f.n, mats=m),
+                   vv.InvalidRecord, "q0"),
+    "sweep-strings": (lambda f, m, c: vv.distflow_sweep(f, ["a"] * f.n), vv.InvalidRecord, "q"),
+    "linear-strings": (lambda f, m, c: vv.linear_voltage(m, ["a"] * f.n),
+                       vv.InvalidRecord, "q"),
+    "step-strings": (lambda f, m, c: vv.step(["a"] * f.n, f.v_nom, c, f.v_nom),
+                     vv.InvalidRecord, "q"),
+    "start-object": (lambda f, m, c: vv.distflow_sweep(f, np.zeros(f.n), start=object()),
+                     vv.InvalidRecord, "start"),
+    "objective-short": (lambda f, m, c: vv.objective_f(m, c.curves, np.zeros(3)),
+                        vv.DimensionMismatch, "q"),
+    "step-short-v": (lambda f, m, c: vv.step(np.zeros(f.n), np.zeros(3), c, f.v_nom),
+                     vv.DimensionMismatch, "v"),
+    "objective-nan": (lambda f, m, c: vv.objective_f(m, c.curves, np.full(f.n, np.nan)),
+                      vv.InvalidRecord, "q"),
+    "subgradient-nan": (lambda f, m, c: vv.objective_subgradient(
+        m, c.curves, np.full(f.n, np.nan)), vv.InvalidRecord, "q"),
+    "deviation-nan": (lambda f, m, c: vv.voltage_deviation_form(f, np.full(f.n, np.nan), m),
+                      vv.InvalidRecord, "q"),
+    "bound-inverted-box": (lambda f, m, c: vv.estimate_gradient_bound(
+        m, c.curves, c.q_max, c.q_min), vv.InvalidRecord, "q_min"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(VECTOR_PROBES))
+def test_vector_arguments_fail_typed(sce42, sce42_mats, probe):
+    call, error, name = VECTOR_PROBES[probe]
+    config = vv.ControllerConfig.from_feeder(sce42, "d2", gamma2=0.1)
+    with pytest.raises(error, match=rf"^(expected )?{name} "):
+        call(sce42, sce42_mats, config)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(from_spec=st.booleans(), data=st.data())
 def test_boundary_raises_only_package_errors(sce42, sce42_mats, from_spec, data):
-    # valid knobs, curves, boxes and run arguments with up to three of them
-    # perturbed either raise an exception of the package or give finite
-    # states; accepted runs take at most 50 steps
+    # valid knobs, curves, boxes, run arguments, initial states and warm
+    # starts with up to three of them perturbed either raise an exception
+    # of the package or give finite states; accepted runs take at most 50
+    # steps
     fields = data.draw(st.sets(st.sampled_from(sorted(BOUNDARY_PERTURBED)), max_size=3))
     a = types.SimpleNamespace(**{**BOUNDARY_VALID, **{
         f: data.draw(st.sampled_from(BOUNDARY_PERTURBED[f]), label=f) for f in sorted(fields)}})
@@ -1020,6 +1067,13 @@ def test_boundary_raises_only_package_errors(sce42, sce42_mats, from_spec, data)
     lo, hi = {"valid": (q_min, q_max), "nan": (np.append(np.nan, q_min[1:]), q_max),
               "inf": (q_min, np.append(q_max[:-1], np.inf)), "inverted": (q_max, q_min),
               "short": (q_min[:-1], q_max[:-1]), "string": ("x", q_max)}[a.box]
+    n = sce42.n
+    vectors = {None: None, "zeros": np.zeros(n), "flat": np.ones(n), "string": ["a"] * n,
+               "short": np.ones(n - 1), "nan": np.full(n, np.nan), "object": object()}
+    q0, start = vectors[a.q0], vectors[a.start]
+    if isinstance(start, (list, np.ndarray)):
+        start = vv.VoltageSolution(v=start, P=np.zeros(n), Q=np.zeros(n), ell=np.zeros(n),
+                                   model="linear")
     if curve is not None:
         curves = dict.fromkeys(sorted(sce42.inverters), curve)
         if a.position is not None:
@@ -1028,7 +1082,7 @@ def test_boundary_raises_only_package_errors(sce42, sce42_mats, from_spec, data)
             kind=a.kind, curves=curves, q_min=lo, q_max=hi, gamma2=a.gamma2, gamma3=a.gamma3))
         if config is not None:
             traj = package_outcome(lambda: vv.simulate(
-                sce42, config, plant=a.plant, tol=a.tol, max_iter=a.max_iter,
+                sce42, config, plant=a.plant, q0=q0, tol=a.tol, max_iter=a.max_iter,
                 record_every=a.record_every, oscillation_window=a.window, mats=sce42_mats))
             if traj is not None:
                 assert traj.steps <= 50
@@ -1037,7 +1091,7 @@ def test_boundary_raises_only_package_errors(sce42, sce42_mats, from_spec, data)
             sce42, curves, lo, hi, tol=a.tol, max_iter=a.max_iter, mats=sce42_mats))
         if eq is not None:
             assert np.isfinite(eq.q_star).all() and np.isfinite(eq.v_star).all()
-    sol = package_outcome(
-        lambda: vv.distflow_sweep(sce42, np.zeros(sce42.n), tol=a.tol, max_iter=a.max_iter))
+    sol = package_outcome(lambda: vv.distflow_sweep(
+        sce42, np.zeros(n), tol=a.tol, max_iter=a.max_iter, start=start))
     if sol is not None:
         assert np.isfinite(np.array((sol.v, sol.P, sol.Q, sol.ell))).all()

@@ -145,6 +145,14 @@ class TestErrors:
         with pytest.raises(vv.InvalidRecord, match=knob):
             vv.load_feeder("builtin:sce42", **{knob: bad})
 
+    def test_duplicate_inverter_is_named(self):
+        # the last record for a bus once silently replaced the earlier ones
+        doc = copy.deepcopy(SCE42_DOC)
+        doc["inverters"].append({**doc["inverters"][0], "capacity_mw": 9.0})
+        with pytest.raises(vv.ParseError, match="bus 2") as err:
+            vv.load_feeder(doc)
+        assert err.value.field == "bus"
+
     def test_curve_not_an_object(self, sce42):
         doc = vv.feeder_to_dict(sce42)
         doc["inverters"][0]["curve"] = [1, 2]

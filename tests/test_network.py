@@ -143,6 +143,20 @@ def test_bad_bases_rejected(kw):
         vv.Bases(**kw)
 
 
+def test_bases_derive_z_ohm():
+    assert vv.Bases(v_kv=12.35, s_kva=1000.0).z_ohm == 152.5225
+    for v_kv in (1e200, 1e-200):  # v^2/s overflows to inf, or underflows to 0
+        with pytest.raises(vv.InvalidRecord, match="z_ohm"):
+            vv.Bases(v_kv=v_kv, s_kva=1000.0)
+
+
+def test_inverter_must_be_an_inverter():
+    # a tuple once built, and sensitivity_matrices raised a bare AttributeError
+    with pytest.raises(vv.InvalidRecord, match="bus 1"):
+        vv.build_feeder([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)], inverters={1: (1.0, 0.5)})
+    assert vv.Inverter is vv.control.Inverter is vv.network.Inverter
+
+
 # the fields of build_feeder's records, and the other arguments
 RECORD_FIELDS = {"bus": ("id", "v_nom", "p_c", "q_c", "p_g"),
                  "line": ("from_bus", "to_bus", "r", "x"), "inverter": ("s", "p", "rho")}

@@ -4,12 +4,14 @@
 
 Runs ``check``, ``simulate`` (d1, d2 and d3 on the linear plant, d1 on the
 distflow plant), ``equilibrium``, ``sweep`` over alpha, gamma2 and
-load_scale, and ``export-feeder`` in this process, with voltvar imported
-from ``TREE/src`` (default: the checkout holding this script).  Every
-command writes its ``--out`` files into OUT_DIR, and its stdout, stderr
-and exit code into ``OUT_DIR/NAME.txt``.  The CLI's outputs are
-byte-identical across identical runs, so ``diff -r`` over the snapshots
-of two trees shows whether a change moved any number::
+load_scale, ``export-feeder``, and three commands the CLI rejects (a zero
+``--max-iter``, a nan ``--tol`` and a missing feeder file) in this
+process, with voltvar imported from ``TREE/src`` (default: the checkout
+holding this script).  Every command writes its ``--out`` files into
+OUT_DIR, and its stdout, stderr and exit code into ``OUT_DIR/NAME.txt``.
+The CLI's outputs are byte-identical across identical runs, so ``diff -r``
+over the snapshots of two trees shows whether a change moved any number
+or error message::
 
     python3 tools/cli_snapshot.py /tmp/old --tree OLD_TREE
     python3 tools/cli_snapshot.py /tmp/new --tree NEW_TREE
@@ -46,6 +48,9 @@ COMMANDS = (
     ("sweep_load_scale", ["sweep", "load_scale", "--grid", "0.5,1.0,1.5", "--alpha", "10",
                           "--out", "sweep_load_scale.csv"]),
     ("export_feeder", ["export-feeder", "--out", "feeder_pu.json"]),
+    ("reject_simulate_max_iter", ["simulate", "--max-iter", "0"]),
+    ("reject_equilibrium_tol", ["equilibrium", "--tol", "nan"]),
+    ("reject_check_feeder", ["check", "--feeder", "no_such.json"]),
 )
 
 
