@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidRecord
-from .network import _INTEGRAL, _REAL, Inverter, _vector  # noqa: F401  Inverter: re-export
+from .network import _REAL, Inverter, _check_positions, _vector  # noqa: F401  Inverter: re-export
 
 DEFAULT_DEADBAND = 0.04  # total width, i.e. a 0.98..1.02 p.u. band
 
@@ -77,9 +77,11 @@ def project_box(q, q_min, q_max):
     """Componentwise projection onto the box [q_min, q_max].
 
     The box is checked by :func:`validate_box`: a non-finite or inverted
-    box raises InvalidRecord.
+    box raises InvalidRecord.  ``q`` must be a finite numeric vector of the
+    box's length: InvalidRecord or DimensionMismatch otherwise.
     """
-    return np.asarray(q, dtype=float).clip(*validate_box(q_min, q_max))
+    q_min, q_max = validate_box(q_min, q_max)
+    return _vector("q", q, q_min.size).clip(q_min, q_max)
 
 
 class _Hinges(NamedTuple):
@@ -321,11 +323,6 @@ class CurveBundle:
         self._grid = np.empty((height, len(ordered)), dtype=int)
         self._grid[:] = np.arange(len(ordered))
 
-    @classmethod
-    def of(cls, curves):
-        """``curves`` if it is already a bundle, else the bundle of the dict."""
-        return curves if isinstance(curves, cls) else cls(curves)
-
     def __len__(self):
         return len(self.positions)
 
@@ -350,12 +347,16 @@ class CurveBundle:
         return _cost(self._hinges, np.asarray(q)[self._grid])
 
 
-def validate_positions(curves, n):
-    """Raise InvalidRecord unless every curve position, a key of the dict or
-    :class:`CurveBundle` ``curves``, is an integer in ``[0, n)``: numpy would
-    wrap a negative one onto another bus."""
-    keys = curves.curves if isinstance(curves, CurveBundle) else curves
-    bad = [k for k in keys if not (isinstance(k, _INTEGRAL) and 0 <= k < n)]
+def _read_curves(curves, n):
+    """The :class:`CurveBundle` of ``curves``, a mapping of bus positions to
+    :class:`ControlCurve` s or a bundle already, once every position is an
+    integer in ``[0, n)`` and every value a curve; InvalidRecord otherwise."""
+    items = curves.curves if isinstance(curves, CurveBundle) else curves
+    if not isinstance(items, Mapping):
+        raise InvalidRecord(f"curves must be a mapping of bus positions to curves, "
+                            f"got {type(curves).__name__}")
+    _check_positions("curve positions", items, n)
+    bad = {k: type(c).__name__ for k, c in items.items() if not isinstance(c, ControlCurve)}
     if bad:
-        raise InvalidRecord(f"curve positions must be integers in [0, {n}), got {bad}")
-
+        raise InvalidRecord(f"curves must map bus positions to ControlCurves, got {bad}")
+    return curves if isinstance(curves, CurveBundle) else CurveBundle(items)

@@ -16,23 +16,16 @@ from __future__ import annotations
 import linecache
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
 from . import powerflow
-from .control import (
-    DEFAULT_DEADBAND,
-    CurveBundle,
-    curve_from_spec,
-    limits_arrays,
-    project_box,
-    validate_box,
-    validate_positions,
-)
-from .exceptions import InvalidRecord, MaxIterations
+from .control import (DEFAULT_DEADBAND, _read_curves, curve_from_spec, limits_arrays,
+                      validate_box)
+from .exceptions import DimensionMismatch, InvalidRecord, MaxIterations
 from .network import (_REAL, SensitivityMatrices, _check_count, _check_tol, _deviation_terms,
-                      _vector, sensitivity_matrices)
+                      _floats, _vector, sensitivity_matrices)
 
 CONTROLLER_KINDS = ("d1", "d2", "d3")
 PLANT_KINDS = ("linear", "distflow")
@@ -43,7 +36,8 @@ OSCILLATION_WINDOW = 50
 
 @dataclass(frozen=True, eq=False)
 class ControllerConfig:
-    """Which feedback law runs, with its stepsizes, curves and box limits."""
+    """Which feedback law runs, with its stepsizes, curves and box limits;
+    ``bundle`` is the checked :class:`CurveBundle` of ``curves``."""
 
     kind: str
     curves: dict
@@ -59,14 +53,10 @@ class ControllerConfig:
             if self.kind == kind and not (isinstance(gamma, _REAL) and 0 < gamma < np.inf):
                 raise InvalidRecord(f"{kind} requires a positive finite {name}, got {gamma}")
         lo, hi = validate_box(self.q_min, self.q_max)
-        validate_positions(self.curves, lo.size)
         # keep the checked float arrays, so step and simulate index them
         object.__setattr__(self, "q_min", lo)
         object.__setattr__(self, "q_max", hi)
-
-    @cached_property
-    def bundle(self):
-        return CurveBundle(self.curves)
+        object.__setattr__(self, "bundle", _read_curves(self.curves, lo.size))
 
     @classmethod
     def from_feeder(cls, feeder, kind, alpha=None, deadband=None, gamma2=None, gamma3=None):
@@ -145,16 +135,20 @@ def _d2_subgradient(qa, verr, bundle):
 
 
 def _active_update(kind, qa, u, verr, bundle, lo_box, hi_box, gamma2=None, gamma3=None):
-    """One update of the active coordinates; ``u`` is the curve output.
+    """One update of the active coordinates at voltage error ``verr``; ``u``
+    is the curve output there, evaluated here when None.  d2 reads no curve
+    output, so it evaluates none.
 
     ``ndarray.clip`` is what ``np.clip`` calls, without its wrapper's
     per-call overhead.
     """
+    if kind == "d2":
+        return (qa - gamma2 * _d2_subgradient(qa, verr, bundle)).clip(lo_box, hi_box)
+    if u is None:
+        u = bundle.evaluate(verr)
     if kind == "d1":
         return u.clip(lo_box, hi_box)
-    if kind == "d3":
-        return ((1.0 - gamma3) * qa + gamma3 * u).clip(lo_box, hi_box)
-    return (qa - gamma2 * _d2_subgradient(qa, verr, bundle)).clip(lo_box, hi_box)
+    return ((1.0 - gamma3) * qa + gamma3 * u).clip(lo_box, hi_box)
 
 
 def step(q, v, config, v_nom):
@@ -162,19 +156,21 @@ def step(q, v, config, v_nom):
 
     Buses without a curve are projected onto their box and otherwise kept;
     d2 takes the subgradient selection of ``_d2_subgradient``, with no
-    smoothing at the kink.  ``q`` and ``v`` must be finite numeric vectors
-    of the box's length: InvalidRecord or DimensionMismatch otherwise.
+    smoothing at the kink.  ``q``, ``v`` and ``v_nom`` must be finite
+    numeric vectors of the box's length: InvalidRecord or DimensionMismatch
+    otherwise.
     """
     q = _vector("q", q, config.q_min.size)
     v = _vector("v", v, config.q_min.size)
+    v_nom = _vector("v_nom", v_nom, config.q_min.size)
     bundle = config.bundle
     act = bundle.positions
     verr = (v - v_nom)[act]
     qa = q[act]
-    nxt = project_box(q, config.q_min, config.q_max)
+    nxt = q.clip(config.q_min, config.q_max)
     nxt[act] = _active_update(
-        config.kind, qa, bundle.evaluate(verr), verr, bundle, config.q_min[act],
-        config.q_max[act], config.gamma2, config.gamma3,
+        config.kind, qa, None, verr, bundle, config.q_min[act], config.q_max[act],
+        config.gamma2, config.gamma3,
     )
     return nxt
 
@@ -194,8 +190,7 @@ def _array_kernel(kind, verr_of, qa, bundle, lo_box, hi_box, gamma2, gamma3, f_a
         verr, v_full = verr_of(qa)
         yield qa, res, v_full, f_active(qa) if f_active is not None else None
         q_sum += qa
-        nxt = _active_update(kind, qa, bundle.evaluate(verr), verr, bundle, lo_box, hi_box,
-                             gamma2, gamma3)
+        nxt = _active_update(kind, qa, None, verr, bundle, lo_box, hi_box, gamma2, gamma3)
         res = float(np.abs(nxt - qa).max())
         qa = nxt
 
@@ -513,12 +508,20 @@ class ConditionReport:
 
 def _spectral_block(curves, X):
     """The bundle of ``curves`` and ``X``, the linear model or a dense
-    reactance matrix, on its curve buses: every spectrum reads X here."""
-    bundle = CurveBundle.of(curves)
-    act = bundle.positions
+    reactance matrix, on its curve buses: every spectrum reads X here.  A
+    dense X must be square, numeric, and finite on the curve buses it reads.
+    """
     if isinstance(X, SensitivityMatrices):
-        return bundle, X.block(act)
-    return bundle, np.asarray(X)[np.ix_(act, act)]
+        bundle = _read_curves(curves, X.feeder.n)
+        return bundle, X.block(bundle.positions)
+    X = _floats("X", X)
+    if X.ndim != 2 or len(X) != X.shape[1]:
+        raise DimensionMismatch(f"expected X of shape (n, n), got {X.shape}")
+    bundle = _read_curves(curves, len(X))
+    sub = X[np.ix_(bundle.positions, bundle.positions)]
+    if not np.isfinite(sub).all():
+        raise InvalidRecord("X must be finite on the curve buses")
+    return bundle, sub
 
 
 def check_d1_condition(curves, X):
@@ -587,7 +590,7 @@ def _curve_block(mats, act, q):
 
 def objective_terms(mats, curves, q):
     """The three terms of the equilibrium objective at q, a finite length-n vector."""
-    bundle = CurveBundle.of(curves)
+    bundle = _read_curves(curves, mats.feeder.n)
     q = _vector("q", q, mats.feeder.n)
     cost = float(bundle.cost(q[bundle.positions]).sum()) if len(bundle) else 0.0
     quad = float(0.5 * q @ mats.x_times(q))
@@ -619,7 +622,7 @@ def objective_tradeoff(mats, curves, q):
 
 def objective_subgradient(mats, curves, q):
     """A subgradient of the objective at q (selection used by the d2 law)."""
-    bundle = CurveBundle.of(curves)
+    bundle = _read_curves(curves, mats.feeder.n)
     q = _vector("q", q, mats.feeder.n)
     g = mats.voltage(q) - mats.feeder.v_nom
     act = bundle.positions
@@ -641,8 +644,9 @@ def estimate_gradient_bound(mats, curves, q_min, q_max, seed=None):
     ``seed`` is accepted for older callers and ignored.
     """
     q_min, q_max = validate_box(q_min, q_max, mats.feeder.n)
-    low = np.abs(objective_subgradient(mats, curves, q_min))
-    high = np.abs(objective_subgradient(mats, curves, q_max))
+    bundle = _read_curves(curves, mats.feeder.n)
+    low = np.abs(objective_subgradient(mats, bundle, q_min))
+    high = np.abs(objective_subgradient(mats, bundle, q_max))
     return float(np.linalg.norm(np.maximum(low, high)))
 
 
@@ -685,12 +689,11 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
     if mats is None:
         mats = sensitivity_matrices(feeder)
     if curves is None:
-        curves = ControllerConfig.from_feeder(feeder, "d1").curves
+        curves = ControllerConfig.from_feeder(feeder, "d1").bundle
     if q_min is None or q_max is None:
         q_min, q_max = limits_arrays(feeder)
     q_min, q_max = validate_box(q_min, q_max, feeder.n)
-    validate_positions(curves, feeder.n)
-    bundle = CurveBundle.of(curves)
+    bundle = _read_curves(curves, feeder.n)
     act = bundle.positions
 
     q = np.zeros(feeder.n).clip(q_min, q_max)
@@ -768,9 +771,20 @@ def d2_regret_bound_check(trajectory, q_star, f_star, gamma2, grad_bound):
     """Verify the running-average inequality at every recorded time.
 
     The trajectory must have been produced with ``track_objective=True``.
+    A NaN fails every comparison and would certify any run, so ``q_star``
+    must be a finite state, ``f_star`` finite, ``gamma2`` positive and
+    finite and ``grad_bound`` finite and at least 0.
     """
     if trajectory.cum_objective is None:
         raise InvalidRecord("trajectory was not recorded with track_objective=True")
+    q_star = _vector("q_star", q_star, trajectory.q.shape[1])
+    if not (isinstance(f_star, _REAL) and math.isfinite(f_star)):
+        raise InvalidRecord(f"f_star must be a finite number, got {f_star!r}")
+    if not (isinstance(gamma2, _REAL) and 0 < gamma2 < math.inf):
+        raise InvalidRecord(f"gamma2 must be a positive finite number, got {gamma2!r}")
+    if not (isinstance(grad_bound, _REAL) and 0 <= grad_bound < math.inf):
+        raise InvalidRecord(f"grad_bound must be a finite number of at least 0, "
+                            f"got {grad_bound!r}")
     mask = trajectory.times > 0
     t = trajectory.times[mask].astype(float)
     cum = trajectory.cum_objective[mask]

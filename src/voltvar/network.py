@@ -54,6 +54,15 @@ def _check_count(name, value, least):
         raise InvalidRecord(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+def _floats(name, value):
+    """``value`` as a float array; InvalidRecord naming ``name`` when numpy
+    cannot read it as floats."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidRecord(f"{name} must be a numeric array: {exc}") from exc
+
+
 def _vector(name, value, n=None):
     """``value`` as a finite float array of shape ``(n,)``, or of any one
     length when ``n`` is None.
@@ -62,10 +71,7 @@ def _vector(name, value, n=None):
     entry is not finite, and DimensionMismatch on any other shape; each
     message names the argument ``name``.
     """
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidRecord(f"{name} must be a numeric array: {exc}") from exc
+    a = _floats(name, value)
     if a.ndim != 1 or (n is not None and a.size != n):
         raise DimensionMismatch(
             f"expected {name} of shape ({'n' if n is None else n},), got {a.shape}")
@@ -73,6 +79,20 @@ def _vector(name, value, n=None):
         raise InvalidRecord(f"{name} must be finite; non-finite at positions "
                             f"{np.flatnonzero(~np.isfinite(a)).tolist()}")
     return a
+
+
+def _check_positions(name, keys, n):
+    """Raise InvalidRecord naming ``name`` unless every bus position in
+    ``keys`` is an integer, numpy's included, in ``[0, n)``: numpy would
+    wrap a negative position onto another bus and truncate a fractional
+    one."""
+    try:
+        bad = [k for k in (keys.tolist() if isinstance(keys, np.ndarray) else keys)
+               if not (isinstance(k, _INTEGRAL) and 0 <= k < n)]
+    except TypeError as exc:
+        raise InvalidRecord(f"{name} must be a sequence of bus positions: {exc}") from exc
+    if bad:
+        raise InvalidRecord(f"{name} must be integers in [0, {n}), got {bad}")
 
 
 @dataclass(frozen=True)
@@ -332,8 +352,10 @@ class SensitivityMatrices:
         x-depth of their deepest common bus, the smallest parent depth that
         a preorder walk passes over positions ``(a, b]``.  The result for the
         last ``act`` is kept, since a run asks for the same block repeatedly.
-        A repeated bus raises :class:`InvalidRecord`.
+        A repeated bus, or one that is not an integer in ``[0, n)``, raises
+        :class:`InvalidRecord`.
         """
+        _check_positions("act", act, self.feeder.n)
         act = np.asarray(act, dtype=int)
         memo = self.__dict__.get("_block_memo")
         if memo is not None and np.array_equal(memo[0], act):

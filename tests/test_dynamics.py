@@ -1013,6 +1013,19 @@ BOUNDARY_PERTURBED = dict(
 )
 
 
+# a curve at -1, which numpy would wrap onto the last bus
+WRAPPED = {-1: vv.DroopCurve(10.0, 0.04)}
+
+
+def regret_audit(feeder, mats, config, q_star=None, f_star=0.0, gamma2=0.1):
+    """The audit of a five-step tracked run of ``config``, with the given
+    audit arguments."""
+    traj = vv.simulate(feeder, config, mats=mats, max_iter=5, track_objective=True,
+                       oscillation_window=None)
+    q_star = traj.q[0] if q_star is None else q_star
+    return vv.d2_regret_bound_check(traj, q_star, f_star, gamma2, 1.0)
+
+
 # (call on sce42, its model and a d2 config; the error; the argument its
 # message names): each once raised a bare numpy ValueError, IndexError or
 # AttributeError, or returned a number (NaN for a NaN q, 0.55 for the
@@ -1039,6 +1052,45 @@ VECTOR_PROBES = {
                       vv.InvalidRecord, "q"),
     "bound-inverted-box": (lambda f, m, c: vv.estimate_gradient_bound(
         m, c.curves, c.q_max, c.q_min), vv.InvalidRecord, "q_min"),
+    # -1 wrapped onto the last bus, and each of these returned a number for it
+    "objective-position": (lambda f, m, c: vv.objective_f(m, WRAPPED, np.zeros(f.n)),
+                           vv.InvalidRecord, "curve positions"),
+    "subgradient-position": (lambda f, m, c: vv.objective_subgradient(
+        m, WRAPPED, np.zeros(f.n)), vv.InvalidRecord, "curve positions"),
+    "bound-position": (lambda f, m, c: vv.estimate_gradient_bound(
+        m, WRAPPED, c.q_min, c.q_max), vv.InvalidRecord, "curve positions"),
+    "d1-position": (lambda f, m, c: vv.check_d1_condition(WRAPPED, m),
+                    vv.InvalidRecord, "curve positions"),
+    "d3-position": (lambda f, m, c: vv.d3_stepsize_bound(WRAPPED, m.X),
+                    vv.InvalidRecord, "curve positions"),
+    "equilibrium-not-a-curve": (lambda f, m, c: vv.solve_equilibrium(
+        f, {1: "droop"}, mats=m), vv.InvalidRecord, "curves"),
+    "config-curve-list": (lambda f, m, c: vv.ControllerConfig(
+        kind="d1", curves=list(c.curves.values()), q_min=c.q_min, q_max=c.q_max),
+        vv.InvalidRecord, "curves"),
+    # -1 and 1.7 read another bus's entry, 41 raised a bare IndexError and 5
+    # a bare ValueError
+    "block-negative": (lambda f, m, c: m.block([-1]), vv.InvalidRecord, "act"),
+    "block-fraction": (lambda f, m, c: m.block([1.7]), vv.InvalidRecord, "act"),
+    "block-past-end": (lambda f, m, c: m.block([41]), vv.InvalidRecord, "act"),
+    "block-scalar": (lambda f, m, c: m.block(5), vv.InvalidRecord, "act"),
+    "d1-dense-3x3": (lambda f, m, c: vv.check_d1_condition(c.curves, np.eye(3)),
+                     vv.InvalidRecord, "curve positions"),
+    "d1-dense-string": (lambda f, m, c: vv.check_d1_condition(c.curves, "X"),
+                        vv.InvalidRecord, "X"),
+    "d3-dense-nan": (lambda f, m, c: vv.d3_stepsize_bound(
+        c.curves, np.full((f.n, f.n), np.nan)), vv.InvalidRecord, "X"),
+    "step-short-v_nom": (lambda f, m, c: vv.step(np.zeros(f.n), f.v_nom, c, np.ones(3)),
+                         vv.DimensionMismatch, "v_nom"),
+    "project-nan": (lambda f, m, c: vv.project_box(np.full(f.n, np.nan), c.q_min, c.q_max),
+                    vv.InvalidRecord, "q"),
+    # a NaN failed every bound comparison, so the audit held
+    "regret-nan-gamma2": (lambda f, m, c: regret_audit(f, m, c, gamma2=np.nan),
+                          vv.InvalidRecord, "gamma2"),
+    "regret-nan-f_star": (lambda f, m, c: regret_audit(f, m, c, f_star=np.nan),
+                          vv.InvalidRecord, "f_star"),
+    "regret-nan-q_star": (lambda f, m, c: regret_audit(f, m, c, q_star=np.full(f.n, np.nan)),
+                          vv.InvalidRecord, "q_star"),
 }
 
 
@@ -1091,6 +1143,12 @@ def test_boundary_raises_only_package_errors(sce42, sce42_mats, from_spec, data)
             sce42, curves, lo, hi, tol=a.tol, max_iter=a.max_iter, mats=sce42_mats))
         if eq is not None:
             assert np.isfinite(eq.q_star).all() and np.isfinite(eq.v_star).all()
+        report = package_outcome(lambda: vv.check_d1_condition(curves, sce42_mats))
+        if report is not None:
+            assert np.isfinite(report.sigma)
+        objective = package_outcome(lambda: vv.objective_f(sce42_mats, curves, np.zeros(n)))
+        if objective is not None:
+            assert np.isfinite(objective)
     sol = package_outcome(lambda: vv.distflow_sweep(
         sce42, np.zeros(n), tol=a.tol, max_iter=a.max_iter, start=start))
     if sol is not None:
