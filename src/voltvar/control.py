@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidRecord
-from .network import _REAL, Inverter, _check_positions, _vector  # noqa: F401  Inverter: re-export
+from .network import Inverter, _check_positions, _real, _vector  # noqa: F401  Inverter: re-export
 
 DEFAULT_DEADBAND = 0.04  # total width, i.e. a 0.98..1.02 p.u. band
 
@@ -142,8 +142,8 @@ class ControlCurve:
 
         ``left`` and ``right`` list ``(knot, value, slope)`` outward from the
         plateau: a breakpoint, the curve's value there and its slope beyond
-        it.  A breakpoint where the inverse slope does not change adds no
-        hinge.
+        it, all builtin floats.  A breakpoint where the inverse slope does
+        not change adds no hinge.
         """
         rows = []  # one per hinge, in _Hinges field order
         for sigma, edge, side in ((-1.0, lo, left), (1.0, hi, right)):
@@ -163,8 +163,8 @@ class ControlCurve:
         slopes = [s for side in (left, right) for _, _, s in side]
         # object.__setattr__ because DroopCurve is a frozen dataclass
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "alpha_bar", -float(min(slopes)))
-        object.__setattr__(self, "deadband_edges", (float(lo), float(hi)))
+        object.__setattr__(self, "alpha_bar", -min(slopes))
+        object.__setattr__(self, "deadband_edges", (lo, hi))
 
     def _apply(self, kernel, x):
         x = np.asarray(x, dtype=float)
@@ -190,14 +190,9 @@ class DroopCurve(ControlCurve):
     deadband: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, _REAL) and isinstance(self.deadband, _REAL)
-                and 0 < self.alpha < math.inf and 0 <= self.deadband < math.inf):
-            raise InvalidRecord(
-                f"droop needs finite alpha > 0 and deadband >= 0, "
-                f"got {self.alpha}, {self.deadband}"
-            )
-        h = self.deadband / 2.0
-        self._set_sides(-h, h, [(-h, 0.0, -self.alpha)], [(h, 0.0, -self.alpha)])
+        a = -_real("alpha", self.alpha, "positive")
+        h = _real("deadband", self.deadband, "nonnegative") / 2.0
+        self._set_sides(-h, h, [(-h, 0.0, a)], [(h, 0.0, a)])
 
 
 class TableCurve(ControlCurve):
@@ -290,7 +285,7 @@ def _spec_number(spec, key, override, default=None):
     if raw is None:
         raise InvalidRecord(f"droop curve spec needs {key!r}")
     try:
-        return float(raw)
+        return float(None if isinstance(raw, bool) else raw)  # "0.5" counts, True does not
     except (TypeError, ValueError) as exc:
         raise InvalidRecord(f"droop curve {key} must be a number, got {raw!r}") from exc
 
@@ -302,11 +297,20 @@ class CurveBundle:
     evaluation methods act on arrays over exactly those positions.
     Column k holds the hinges of curve k, left side then right side, each
     nearest the plateau first, padded with zero-weight hinges to a common
-    height.
+    height.  ``curves`` must map non-negative integer positions (no bools)
+    to :class:`ControlCurve` s: InvalidRecord otherwise.
     """
 
     def __init__(self, curves):
+        if not isinstance(curves, Mapping):
+            raise InvalidRecord(f"curves must be a mapping of bus positions to curves, "
+                                f"got {type(curves).__name__}")
         self.curves = dict(curves)
+        _check_positions("curve positions", self.curves)
+        bad = {k: type(c).__name__ for k, c in self.curves.items()
+               if not isinstance(c, ControlCurve)}
+        if bad:
+            raise InvalidRecord(f"curves must map bus positions to ControlCurves, got {bad}")
         keys = sorted(self.curves)
         self.positions = np.array(keys, dtype=int)
         ordered = [self.curves[k] for k in keys]
@@ -349,14 +353,9 @@ class CurveBundle:
 
 def _read_curves(curves, n):
     """The :class:`CurveBundle` of ``curves``, a mapping of bus positions to
-    :class:`ControlCurve` s or a bundle already, once every position is an
-    integer in ``[0, n)`` and every value a curve; InvalidRecord otherwise."""
-    items = curves.curves if isinstance(curves, CurveBundle) else curves
-    if not isinstance(items, Mapping):
-        raise InvalidRecord(f"curves must be a mapping of bus positions to curves, "
-                            f"got {type(curves).__name__}")
-    _check_positions("curve positions", items, n)
-    bad = {k: type(c).__name__ for k, c in items.items() if not isinstance(c, ControlCurve)}
-    if bad:
-        raise InvalidRecord(f"curves must map bus positions to ControlCurves, got {bad}")
-    return curves if isinstance(curves, CurveBundle) else CurveBundle(items)
+    :class:`ControlCurve` s or a bundle already, which checked its own
+    mapping; InvalidRecord unless every position is below ``n`` too."""
+    bundle = curves if isinstance(curves, CurveBundle) else CurveBundle(curves)
+    if len(bundle) and bundle.positions[-1] >= n:
+        _check_positions("curve positions", bundle.positions, n)
+    return bundle

@@ -24,8 +24,8 @@ from . import powerflow
 from .control import (DEFAULT_DEADBAND, _read_curves, curve_from_spec, limits_arrays,
                       validate_box)
 from .exceptions import DimensionMismatch, InvalidRecord, MaxIterations
-from .network import (_REAL, SensitivityMatrices, _check_count, _check_tol, _deviation_terms,
-                      _floats, _vector, sensitivity_matrices)
+from .network import (SensitivityMatrices, _check_count, _check_tol, _deviation_terms,
+                      _floats, _model, _real, _vector, sensitivity_matrices)
 
 CONTROLLER_KINDS = ("d1", "d2", "d3")
 PLANT_KINDS = ("linear", "distflow")
@@ -50,8 +50,8 @@ class ControllerConfig:
         if self.kind not in CONTROLLER_KINDS:
             raise InvalidRecord(f"controller kind must be one of {CONTROLLER_KINDS}")
         for kind, name, gamma in (("d2", "gamma2", self.gamma2), ("d3", "gamma3", self.gamma3)):
-            if self.kind == kind and not (isinstance(gamma, _REAL) and 0 < gamma < np.inf):
-                raise InvalidRecord(f"{kind} requires a positive finite {name}, got {gamma}")
+            if self.kind == kind:
+                _real(name, gamma, "positive")
         lo, hi = validate_box(self.q_min, self.q_max)
         # keep the checked float arrays, so step and simulate index them
         object.__setattr__(self, "q_min", lo)
@@ -393,8 +393,9 @@ def simulate(
     ``q`` or ``v`` raises InvalidRecord instead.  So do ``max_iter`` or
     ``record_every`` other than integers of at least 1, and an
     ``oscillation_window`` other than None or such an integer, and a
-    non-numeric or non-finite ``q0``; a ``q0`` or a box of ``config``
-    whose length is not ``feeder.n`` raises DimensionMismatch.
+    non-numeric or non-finite ``q0``, and a ``mats`` that is not the
+    feeder's own model; a ``q0`` or a box of ``config`` whose length is
+    not ``feeder.n`` raises DimensionMismatch.
 
     Linear-plant runs iterate on the curve buses only, through the reduced
     model of ``_curve_block``, and systems of at most 16 curve buses whose
@@ -414,7 +415,9 @@ def simulate(
     if not (isinstance(plant, str) and plant in PLANT_KINDS):
         raise InvalidRecord(f"plant must be one of {PLANT_KINDS}, got {plant!r}")
     linear = plant == "linear"
-    if (linear or track_objective) and mats is None:
+    if mats is not None:
+        _model(mats, feeder)
+    elif linear or track_objective:
         mats = sensitivity_matrices(feeder)
     bundle = config.bundle
     act = bundle.positions
@@ -590,7 +593,7 @@ def _curve_block(mats, act, q):
 
 def objective_terms(mats, curves, q):
     """The three terms of the equilibrium objective at q, a finite length-n vector."""
-    bundle = _read_curves(curves, mats.feeder.n)
+    bundle = _read_curves(curves, _model(mats).feeder.n)
     q = _vector("q", q, mats.feeder.n)
     cost = float(bundle.cost(q[bundle.positions]).sum()) if len(bundle) else 0.0
     quad = float(0.5 * q @ mats.x_times(q))
@@ -613,8 +616,8 @@ def objective_tradeoff(mats, curves, q):
     lines (``X`` inverse is the grounded tree Laplacian), O(n) on a slack
     of any degree.
     """
-    feeder = mats.feeder
     cost = objective_terms(mats, curves, q)[0]
+    feeder = mats.feeder
     deviation = 0.5 * sum(_deviation_terms(feeder, mats.voltage(q) - feeder.v_nom))
     constant = 0.5 * sum(_deviation_terms(feeder, mats.vtilde - feeder.v_nom))
     return cost, deviation, constant
@@ -622,7 +625,7 @@ def objective_tradeoff(mats, curves, q):
 
 def objective_subgradient(mats, curves, q):
     """A subgradient of the objective at q (selection used by the d2 law)."""
-    bundle = _read_curves(curves, mats.feeder.n)
+    bundle = _read_curves(curves, _model(mats).feeder.n)
     q = _vector("q", q, mats.feeder.n)
     g = mats.voltage(q) - mats.feeder.v_nom
     act = bundle.positions
@@ -643,7 +646,7 @@ def estimate_gradient_bound(mats, curves, q_min, q_max, seed=None):
     on the whole box.
     ``seed`` is accepted for older callers and ignored.
     """
-    q_min, q_max = validate_box(q_min, q_max, mats.feeder.n)
+    q_min, q_max = validate_box(q_min, q_max, _model(mats).feeder.n)
     bundle = _read_curves(curves, mats.feeder.n)
     low = np.abs(objective_subgradient(mats, bundle, q_min))
     high = np.abs(objective_subgradient(mats, bundle, q_max))
@@ -677,8 +680,10 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
     converges from anywhere.  The solver stops once the fixed-point
     residual ``max |F|`` drops below ``tol``; the residual doubles as the
     optimality certificate of the equivalent convex problem.  A nan or
-    negative ``tol``, a ``max_iter`` other than an integer of at least 0
-    and a curve position outside ``[0, n)`` raise InvalidRecord.
+    negative ``tol``, a ``max_iter`` other than an integer of at least 0,
+    a curve position outside ``[0, n)`` and a ``mats`` that is not the
+    feeder's own model raise InvalidRecord; each omitted bound of the box
+    comes from the feeder's inverter limits.
     ``iterations`` counts the updates, Newton or d3, that it took; when
     ``max_iter`` updates leave the residual at or above ``tol``, the solver
     raises MaxIterations.  A non-finite residual, from a NaN or overflow in
@@ -686,12 +691,13 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
     """
     _check_tol(tol)
     _check_count("max_iter", max_iter, 0)
-    if mats is None:
-        mats = sensitivity_matrices(feeder)
+    mats = sensitivity_matrices(feeder) if mats is None else _model(mats, feeder)
     if curves is None:
         curves = ControllerConfig.from_feeder(feeder, "d1").bundle
-    if q_min is None or q_max is None:
-        q_min, q_max = limits_arrays(feeder)
+    if q_min is None or q_max is None:  # each omitted bound from the feeder's limits
+        lo, hi = limits_arrays(feeder)
+        q_min = lo if q_min is None else q_min
+        q_max = hi if q_max is None else q_max
     q_min, q_max = validate_box(q_min, q_max, feeder.n)
     bundle = _read_curves(curves, feeder.n)
     act = bundle.positions
@@ -778,13 +784,9 @@ def d2_regret_bound_check(trajectory, q_star, f_star, gamma2, grad_bound):
     if trajectory.cum_objective is None:
         raise InvalidRecord("trajectory was not recorded with track_objective=True")
     q_star = _vector("q_star", q_star, trajectory.q.shape[1])
-    if not (isinstance(f_star, _REAL) and math.isfinite(f_star)):
-        raise InvalidRecord(f"f_star must be a finite number, got {f_star!r}")
-    if not (isinstance(gamma2, _REAL) and 0 < gamma2 < math.inf):
-        raise InvalidRecord(f"gamma2 must be a positive finite number, got {gamma2!r}")
-    if not (isinstance(grad_bound, _REAL) and 0 <= grad_bound < math.inf):
-        raise InvalidRecord(f"grad_bound must be a finite number of at least 0, "
-                            f"got {grad_bound!r}")
+    f_star = _real("f_star", f_star)
+    gamma2 = _real("gamma2", gamma2, "positive")
+    grad_bound = _real("grad_bound", grad_bound, "nonnegative")
     mask = trajectory.times > 0
     t = trajectory.times[mask].astype(float)
     cum = trajectory.cum_objective[mask]

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from importlib import resources
 
 from .exceptions import InvalidRecord, ParseError
-from .network import _REAL, Bases, Bus, Inverter, Line, build_feeder
+from .network import Bases, Bus, Inverter, Line, _is_number, _real, build_feeder
 
 BUILTIN_PREFIX = "builtin:"
 DEFAULT_POWER_FACTOR = 0.9
@@ -145,16 +145,12 @@ def load_feeder(
     s_base_mva = bases.s_kva / 1e3 if bases else 1.0
     z_base = bases.z_ohm if bases else 1.0
 
-    knobs = (("load_scale", load_scale), ("pv_operating_fraction", pv_operating_fraction),
-             ("inverter_oversize", inverter_oversize))
-    for knob, value in knobs + (("power_factor", power_factor), ("tan_rho", tan_rho)):
-        if not (isinstance(value, _REAL) or (knob == "tan_rho" and value is None)):
+    load_scale = _real("load_scale", load_scale, "nonnegative")
+    pv_operating_fraction = _real("pv_operating_fraction", pv_operating_fraction, "nonnegative")
+    inverter_oversize = _real("inverter_oversize", inverter_oversize, "nonnegative")
+    for knob, value in (("power_factor", power_factor), ("tan_rho", tan_rho)):
+        if not (_is_number(value) or (knob == "tan_rho" and value is None)):
             raise InvalidRecord(f"{knob} must be a number, got {value!r}")
-    for knob, value in knobs:
-        if not math.isfinite(value):
-            raise InvalidRecord(f"{knob} must be finite, got {value}")
-    if load_scale < 0:
-        raise InvalidRecord(f"load_scale must be non-negative, got {load_scale}")
     if not 0 < power_factor <= 1:
         raise ParseError(f"power factor must lie in (0, 1], got {power_factor}",
                          field="power_factor")

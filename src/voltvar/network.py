@@ -15,7 +15,9 @@ functions of their inputs.
 
 from __future__ import annotations
 
+import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -40,17 +42,42 @@ DEFAULT_NOMINAL_VOLTAGE = 1.0
 _REAL = (float, int, numbers.Real)
 _INTEGRAL = (int, numbers.Integral)
 
+# the domains of _real: the least float in each (next above a bound it excludes), and its text
+_DOMAINS = {"finite": (math.nextafter(-math.inf, 0.0), "a finite number"),
+            "nonnegative": (0.0, "a finite number of at least 0"),
+            "positive": (math.nextafter(0.0, 1.0), "a positive finite number")}
+
+
+def _is_number(value, kinds=_REAL):
+    """isinstance(value, kinds), but a bool, which Python counts as an int, is no number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _real(name, value, domain="finite"):
+    """``value`` as a float once it is a real number in ``domain``, a key of ``_DOMAINS``;
+    InvalidRecord whose message starts with ``name`` otherwise.  Floats skip the type tests."""
+    least, text = _DOMAINS[domain]
+    if type(value) is float:
+        if least <= value < math.inf:
+            return value
+    elif _is_number(value):
+        try:
+            return _real(name, float(value), domain)
+        except OverflowError:  # an int past float range
+            pass
+    raise InvalidRecord(f"{name} must be {text}, got {value!r}")
+
 
 def _check_tol(tol):
     """Raise InvalidRecord unless ``tol`` is a non-negative number; nan is not."""
-    if not (isinstance(tol, _REAL) and tol >= 0.0):
-        raise InvalidRecord(f"tol must be a non-negative number, got {tol}")
+    if not (_is_number(tol) and tol >= 0.0):
+        raise InvalidRecord(f"tol must be a non-negative number, got {tol!r}")
 
 
 def _check_count(name, value, least):
     """Raise InvalidRecord unless ``value`` is an integer, a numpy one
     included, of at least ``least``."""
-    if not (isinstance(value, _INTEGRAL) and value >= least):
+    if not (_is_number(value, _INTEGRAL) and value >= least):
         raise InvalidRecord(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
@@ -81,18 +108,20 @@ def _vector(name, value, n=None):
     return a
 
 
-def _check_positions(name, keys, n):
+def _check_positions(name, keys, n=None):
     """Raise InvalidRecord naming ``name`` unless every bus position in
-    ``keys`` is an integer, numpy's included, in ``[0, n)``: numpy would
-    wrap a negative position onto another bus and truncate a fractional
-    one."""
+    ``keys`` is an integer, numpy's included but not a bool, in ``[0, n)``,
+    or in numpy's index range when ``n`` is None: numpy would wrap a
+    negative position onto another bus and truncate a fractional one."""
+    bound = sys.maxsize if n is None else n
     try:
         bad = [k for k in (keys.tolist() if isinstance(keys, np.ndarray) else keys)
-               if not (isinstance(k, _INTEGRAL) and 0 <= k < n)]
+               if not (_is_number(k, _INTEGRAL) and 0 <= k < bound)]
     except TypeError as exc:
         raise InvalidRecord(f"{name} must be a sequence of bus positions: {exc}") from exc
     if bad:
-        raise InvalidRecord(f"{name} must be integers in [0, {n}), got {bad}")
+        where = "non-negative integers" if n is None else f"integers in [0, {n})"
+        raise InvalidRecord(f"{name} must be {where}, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -125,13 +154,9 @@ class Bases:
     z_ohm: float = 0.0
 
     def __post_init__(self):
-        v_kv, s_kva, z_ohm = self.v_kv, self.s_kva, self.z_ohm
-        if not (isinstance(v_kv, _REAL) and isinstance(s_kva, _REAL)
-                and isinstance(z_ohm, _REAL) and 0 < v_kv < np.inf
-                and 0 < s_kva < np.inf and 0 <= z_ohm < np.inf):
-            raise InvalidRecord(f"bases need positive finite v_kv and s_kva and a finite "
-                                f"z_ohm >= 0, got {v_kv!r}, {s_kva!r}, {z_ohm!r}")
-        if z_ohm == 0.0:
+        v_kv = _real("v_kv", self.v_kv, "positive")
+        s_kva = _real("s_kva", self.s_kva, "positive")
+        if _real("z_ohm", self.z_ohm, "nonnegative") == 0.0:
             try:
                 z_ohm = (v_kv * 1e3) ** 2 / (s_kva * 1e3)
             except OverflowError:  # float ** raises where * gives inf
@@ -152,18 +177,13 @@ class Inverter:
     rho: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.s, _REAL) and isinstance(self.p, _REAL)
-                and (self.rho is None or isinstance(self.rho, _REAL))):
-            raise InvalidRecord(f"inverter s, p and rho must be numbers, "
-                                f"got {self.s!r}, {self.p!r}, {self.rho!r}")
-        if not 0.0 <= self.p <= self.s < np.inf:
-            raise InvalidRecord(
-                f"inverter requires 0 <= p <= s < inf, got p={self.p}, s={self.s}"
-            )
-        if self.s * self.s == np.inf:  # control.reactive_limits squares s
-            raise InvalidRecord(f"inverter capacity s={self.s} is too large to square")
-        if self.rho is not None and not 0.0 <= self.rho <= np.pi / 2:
+        s, p = _real("s", self.s, "nonnegative"), _real("p", self.p, "nonnegative")
+        if self.rho is not None and not 0.0 <= _real("rho", self.rho) <= np.pi / 2:
             raise InvalidRecord(f"rho must lie in [0, pi/2], got {self.rho}")
+        if not p <= s:
+            raise InvalidRecord(f"inverter requires 0 <= p <= s < inf, got p={self.p}, s={self.s}")
+        if s * s == np.inf:  # control.reactive_limits squares s
+            raise InvalidRecord(f"inverter capacity s={self.s} is too large to square")
 
 
 def _readonly(a, dtype=float):
@@ -402,6 +422,17 @@ class SensitivityMatrices:
         return self.x_times(q) + self.vtilde
 
 
+def _model(mats, feeder=None):
+    """``mats`` once it is a :class:`SensitivityMatrices`, and the model of
+    ``feeder`` itself when one is given; InvalidRecord naming ``mats``
+    otherwise, since a model of another feeder answers for that feeder."""
+    if not isinstance(mats, SensitivityMatrices):
+        raise InvalidRecord(f"mats must be a SensitivityMatrices, got {type(mats).__name__}")
+    if feeder is not None and mats.feeder is not feeder:
+        raise InvalidRecord("mats must be the model of the feeder passed with it")
+    return mats
+
+
 def build_feeder(
     buses,
     lines,
@@ -520,10 +551,8 @@ def build_feeder(
             stack.append(w)
     if len(visited) != len(ids):
         unreached = set(ids) - visited
-        stray = sum(
-            1 for ln in lines if ln.from_bus in unreached and ln.to_bus in unreached
-        )
-        if stray >= len(unreached):
+        # off-tree lines join unreached buses only: n lines leave them a cycle
+        if len(lines) == n:
             raise CycleDetected(
                 f"buses {sorted(unreached)} form a cycle detached from the slack"
             )
@@ -547,9 +576,7 @@ def build_feeder(
         b = by_id[nonslack[int(np.argmax(bad))]]
         raise InvalidRecord(f"bus {b.id} has p_c={b.p_c}, q_c={b.q_c}, p_g={b.p_g}, "
                             f"v_nom={b.v_nom}: all must be finite, and v_nom positive")
-    if not (isinstance(v0, _REAL) and 0.0 < v0 < np.inf):
-        raise InvalidRecord(f"slack voltage v0 must be positive and finite, got {v0}")
-    v0 = float(v0)
+    v0 = _real("v0", v0, "positive")
     parent.setflags(write=False)
 
     return Feeder(
@@ -626,8 +653,7 @@ def voltage_deviation_form(feeder, q, mats=None):
 
     Raises ``RootDegreeNotOne`` when the slack has several children.
     """
-    if mats is None:
-        mats = sensitivity_matrices(feeder)
+    mats = sensitivity_matrices(feeder) if mats is None else _model(mats, feeder)
     degree = int(np.count_nonzero(feeder.parent < 0))
     if degree != 1:
         raise RootDegreeNotOne(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidRecord, NegativeSquaredVoltage, NoConvergence
-from .network import (_check_count, _check_tol, _path_sum, _subtree_sum, _vector,
+from .network import (_check_count, _check_tol, _model, _path_sum, _subtree_sum, _vector,
                       sensitivity_matrices)
 
 DEFAULT_TOL = 1e-8
@@ -35,7 +35,7 @@ class VoltageSolution:
 def linear_voltage(mats, q):
     """Open-loop voltages of the linearized model: ``v = X q + vtilde``, with
     the lossless line flows, each line carrying its subtree's net load."""
-    feeder = mats.feeder
+    feeder = _model(mats).feeder
     q = _vector("q", q, feeder.n)
     P, Q = feeder.subtree_sum(np.array((feeder.net_p, feeder.q_c - q)))
     return VoltageSolution(
@@ -133,8 +133,7 @@ class LinearizationReport:
 
 def linearization_error(feeder, q, mats=None):
     """Quantify the linearization gap at injection ``q`` (sweep at its defaults)."""
-    if mats is None:
-        mats = sensitivity_matrices(feeder)
+    mats = sensitivity_matrices(feeder) if mats is None else _model(mats, feeder)
     lin = linear_voltage(mats, q)
     full = distflow_sweep(feeder, q)
     err = full.v - lin.v

@@ -114,7 +114,7 @@ class TestReactiveLimits:
             vv.Inverter(s=1e308, p=0.5)  # once an OverflowError in reactive_limits
         # each once a bare TypeError from comparing a string with a number
         for kw in (dict(s="1", p=0), dict(s=1.0, p=None), dict(s=1.0, p=0.5, rho="0.3")):
-            with pytest.raises(vv.InvalidRecord, match="must be numbers"):
+            with pytest.raises(vv.InvalidRecord, match="must be a finite number"):
                 vv.Inverter(**kw)
 
 

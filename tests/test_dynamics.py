@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import voltvar as vv
 from voltvar import dynamics
 from voltvar.control import CurveBundle
+from voltvar.network import Bus, Line
 
 from helpers import (
     NUMBERS,
@@ -647,6 +648,18 @@ class TestSolveEquilibrium:
         default = vv.solve_equilibrium(sce42, mats=sce42_mats)
         np.testing.assert_array_equal(default.q_star, explicit.q_star)
 
+    def test_one_sided_box_keeps_the_given_bound(self, sce42, sce42_mats):
+        # a lone bound was once dropped for the feeder's limits: with q_max = 0
+        # alone, q* came out at 0.004-0.106 on the curve buses
+        curves = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=27.0).curves
+        lo, hi = vv.limits_arrays(sce42)
+        zeros, floor = np.zeros(sce42.n), np.minimum(hi, 0.05)
+        for given, box in ((dict(q_max=zeros), (lo, zeros)), (dict(q_min=floor), (floor, hi))):
+            got = vv.solve_equilibrium(sce42, curves, **given, mats=sce42_mats)
+            want = vv.solve_equilibrium(sce42, curves, *box, mats=sce42_mats)
+            np.testing.assert_array_equal(got.q_star, want.q_star)
+            assert (box[0] <= got.q_star).all() and (got.q_star <= box[1]).all()
+
     def test_budget_exhaustion(self, sce42, sce42_mats):
         # stiff droops need 45 updates on sce42; five leave the residual high
         cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=5000.0)
@@ -1017,13 +1030,13 @@ BOUNDARY_PERTURBED = dict(
 WRAPPED = {-1: vv.DroopCurve(10.0, 0.04)}
 
 
-def regret_audit(feeder, mats, config, q_star=None, f_star=0.0, gamma2=0.1):
+def regret_audit(feeder, mats, config, q_star=None, f_star=0.0, gamma2=0.1, grad_bound=1.0):
     """The audit of a five-step tracked run of ``config``, with the given
     audit arguments."""
     traj = vv.simulate(feeder, config, mats=mats, max_iter=5, track_objective=True,
                        oscillation_window=None)
     q_star = traj.q[0] if q_star is None else q_star
-    return vv.d2_regret_bound_check(traj, q_star, f_star, gamma2, 1.0)
+    return vv.d2_regret_bound_check(traj, q_star, f_star, gamma2, grad_bound)
 
 
 # (call on sce42, its model and a d2 config; the error; the argument its
@@ -1091,7 +1104,47 @@ VECTOR_PROBES = {
                           vv.InvalidRecord, "f_star"),
     "regret-nan-q_star": (lambda f, m, c: regret_audit(f, m, c, q_star=np.full(f.n, np.nan)),
                           vv.InvalidRecord, "q_star"),
+    # a bool read as bus 1 or as the number 1
+    "config-bool-position": (lambda f, m, c: vv.ControllerConfig(
+        kind="d1", curves={True: WRAPPED[-1]}, q_min=c.q_min, q_max=c.q_max),
+        vv.InvalidRecord, "curve positions"),
+    "block-bool": (lambda f, m, c: m.block([True]), vv.InvalidRecord, "act"),
+    "spec-bool": (lambda f, m, c: vv.curve_from_spec({"type": "droop", "alpha": True}),
+                  vv.InvalidRecord, "droop curve alpha"),
+    # the bundle kept 2.5 as bus 2 and -1 as -1, and a string raised a bare
+    # AttributeError
+    "bundle-fraction": (lambda f, m, c: CurveBundle({2.5: WRAPPED[-1]}),
+                        vv.InvalidRecord, "curve positions"),
+    "bundle-negative": (lambda f, m, c: CurveBundle(WRAPPED), vv.InvalidRecord,
+                        "curve positions"),
+    "bundle-not-a-curve": (lambda f, m, c: CurveBundle({1: "x"}), vv.InvalidRecord, "curves"),
+    # the model: each of these raised a bare AttributeError, and a model of
+    # sce42 at three times its load answered for that load
+    "objective-mats-none": (lambda f, m, c: vv.objective_f(None, c.curves, np.zeros(f.n)),
+                            vv.InvalidRecord, "mats"),
+    "objective-mats-dense": (lambda f, m, c: vv.objective_f(m.X, c.curves, np.zeros(f.n)),
+                             vv.InvalidRecord, "mats"),
+    "linear-mats-dense": (lambda f, m, c: vv.linear_voltage(m.X, np.zeros(f.n)),
+                          vv.InvalidRecord, "mats"),
+    "linearization-mats-dense": (lambda f, m, c: vv.linearization_error(
+        f, np.zeros(f.n), mats=m.X), vv.InvalidRecord, "mats"),
+    "deviation-mats-string": (lambda f, m, c: vv.voltage_deviation_form(
+        f, np.zeros(f.n), mats="x"), vv.InvalidRecord, "mats"),
+    "simulate-mats-string": (lambda f, m, c: vv.simulate(f, c, mats="x"),
+                             vv.InvalidRecord, "mats"),
+    "equilibrium-mats-other": (lambda f, m, c: vv.solve_equilibrium(
+        f, c.curves, mats=loaded_model()), vv.InvalidRecord, "mats"),
+    "simulate-mats-other": (lambda f, m, c: vv.simulate(f, c, mats=loaded_model()),
+                            vv.InvalidRecord, "mats"),
+    "linearization-mats-other": (lambda f, m, c: vv.linearization_error(
+        f, np.zeros(f.n), mats=loaded_model()), vv.InvalidRecord, "mats"),
 }
+
+
+def loaded_model():
+    """The model of sce42 at three times its load: the same n, another
+    feeder."""
+    return vv.sensitivity_matrices(vv.load_feeder("builtin:sce42", load_scale=3.0))
 
 
 @pytest.mark.parametrize("probe", sorted(VECTOR_PROBES))
@@ -1100,6 +1153,68 @@ def test_vector_arguments_fail_typed(sce42, sce42_mats, probe):
     config = vv.ControllerConfig.from_feeder(sce42, "d2", gamma2=0.1)
     with pytest.raises(error, match=rf"^(expected )?{name} "):
         call(sce42, sce42_mats, config)
+
+
+# (call on sce42, its model, a d2 config and the value; the argument its
+# message names; a value outside its domain, or None where every finite
+# value lies in it): the bool True, NaN, inf, the string "1" and that value
+# each raise InvalidRecord. True once read as 1 at every one of them
+SCALAR_PROBES = {
+    "v_kv": (lambda f, m, c, x: vv.Bases(x, 1000.0), "v_kv", 0.0),
+    "s_kva": (lambda f, m, c, x: vv.Bases(12.35, x), "s_kva", -1.0),
+    "z_ohm": (lambda f, m, c, x: vv.Bases(12.35, 1000.0, x), "z_ohm", -1.0),
+    "inverter-s": (lambda f, m, c, x: vv.Inverter(x, 0.0), "s", -1.0),
+    "inverter-p": (lambda f, m, c, x: vv.Inverter(1.0, x), "p", -0.5),
+    "inverter-rho": (lambda f, m, c, x: vv.Inverter(1.0, 0.5, x), "rho", 2.0),
+    "v0": (lambda f, m, c, x: vv.build_feeder([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)],
+                                              v0=x), "v0", 0.0),
+    "alpha": (lambda f, m, c, x: vv.DroopCurve(x, 0.04), "alpha", 0.0),
+    "deadband": (lambda f, m, c, x: vv.DroopCurve(10.0, x), "deadband", -0.1),
+    "gamma2": (lambda f, m, c, x: vv.ControllerConfig.from_feeder(f, "d2", gamma2=x),
+               "gamma2", 0.0),
+    "gamma3": (lambda f, m, c, x: vv.ControllerConfig.from_feeder(f, "d3", gamma3=x),
+               "gamma3", -0.5),
+    "regret-f_star": (lambda f, m, c, x: regret_audit(f, m, c, f_star=x), "f_star", None),
+    "regret-gamma2": (lambda f, m, c, x: regret_audit(f, m, c, gamma2=x), "gamma2", 0.0),
+    "regret-grad_bound": (lambda f, m, c, x: regret_audit(f, m, c, grad_bound=x),
+                          "grad_bound", -1.0),
+    "load_scale": (lambda f, m, c, x: vv.load_feeder("builtin:sce42", load_scale=x),
+                   "load_scale", -1.0),
+    "pv_operating_fraction": (lambda f, m, c, x: vv.load_feeder(
+        "builtin:sce42", pv_operating_fraction=x), "pv_operating_fraction", -0.5),
+    "inverter_oversize": (lambda f, m, c, x: vv.load_feeder(
+        "builtin:sce42", inverter_oversize=x), "inverter_oversize", -1.0),
+    # tol: inf is valid (a run then stops after one step), so it takes no inf probe
+    "simulate-tol": (lambda f, m, c, x: vv.simulate(f, c, tol=x, mats=m), "tol", -1.0),
+    "simulate-max_iter": (lambda f, m, c, x: vv.simulate(f, c, max_iter=x, mats=m),
+                          "max_iter", 0),
+    "simulate-record_every": (lambda f, m, c, x: vv.simulate(f, c, record_every=x, mats=m),
+                              "record_every", 0),
+    "simulate-oscillation_window": (lambda f, m, c, x: vv.simulate(
+        f, c, oscillation_window=x, mats=m), "oscillation_window", 0),
+    "equilibrium-tol": (lambda f, m, c, x: vv.solve_equilibrium(f, tol=x, mats=m), "tol", -1.0),
+    "equilibrium-max_iter": (lambda f, m, c, x: vv.solve_equilibrium(f, max_iter=x, mats=m),
+                             "max_iter", -1),
+    "sweep-tol": (lambda f, m, c, x: vv.distflow_sweep(f, np.zeros(f.n), tol=x), "tol", -1.0),
+    "sweep-max_iter": (lambda f, m, c, x: vv.distflow_sweep(f, np.zeros(f.n), max_iter=x),
+                       "max_iter", 0),
+}
+
+
+def scalar_cases():
+    for probe, (_, name, outside) in sorted(SCALAR_PROBES.items()):
+        bad = {"bool": True, "nan": math.nan, "inf": math.inf, "string": "1", "outside": outside}
+        for kind, value in bad.items():
+            if not (value is None or (kind == "inf" and name == "tol")):
+                yield pytest.param(probe, value, id=f"{probe}-{kind}")
+
+
+@pytest.mark.parametrize("probe, value", scalar_cases())
+def test_scalar_arguments_fail_typed(sce42, sce42_mats, probe, value):
+    call, name, _ = SCALAR_PROBES[probe]
+    config = vv.ControllerConfig.from_feeder(sce42, "d2", gamma2=0.1)
+    with pytest.raises(vv.InvalidRecord, match=rf"^{name} "):
+        call(sce42, sce42_mats, config, value)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -4,9 +4,10 @@
 
 Runs ``check``, ``simulate`` (d1, d2 and d3 on the linear plant, d1 on the
 distflow plant), ``equilibrium``, ``sweep`` over alpha, gamma2 and
-load_scale, ``export-feeder``, and three commands the CLI rejects (a zero
-``--max-iter``, a nan ``--tol`` and a missing feeder file) in this
-process, with voltvar imported from ``TREE/src`` (default: the checkout
+load_scale, ``export-feeder``, and seven commands the CLI rejects (a zero
+``--max-iter``, a nan ``--tol``, a missing feeder file, a zero
+``--gamma2``, a negative ``--alpha``, ``--deadband`` and ``--load-scale``)
+in this process, with voltvar imported from ``TREE/src`` (default: the checkout
 holding this script).  Every command writes its ``--out`` files into
 OUT_DIR, and its stdout, stderr and exit code into ``OUT_DIR/NAME.txt``.
 The CLI's outputs are byte-identical across identical runs, so ``diff -r``
@@ -51,6 +52,10 @@ COMMANDS = (
     ("reject_simulate_max_iter", ["simulate", "--max-iter", "0"]),
     ("reject_equilibrium_tol", ["equilibrium", "--tol", "nan"]),
     ("reject_check_feeder", ["check", "--feeder", "no_such.json"]),
+    ("reject_simulate_gamma2", ["simulate", "--controller", "d2", "--gamma2", "0"]),
+    ("reject_check_alpha", ["check", "--alpha", "-1"]),
+    ("reject_equilibrium_deadband", ["equilibrium", "--deadband", "-0.1"]),
+    ("reject_simulate_load_scale", ["simulate", "--load-scale", "-1"]),
 )
 
 
