@@ -209,7 +209,7 @@ class TableCurve(ControlCurve):
 
     def __init__(self, points):
         try:
-            pts = sorted((float(v), float(u)) for v, u in points)
+            pts = sorted((_spec_float(v), _spec_float(u)) for v, u in points)
         except (TypeError, ValueError) as exc:
             raise InvalidRecord(
                 f"table points must be [v_err, q] number pairs: {exc}"
@@ -280,12 +280,19 @@ def curve_from_spec(spec, alpha=None, deadband=None):
     raise InvalidRecord(f"unknown curve type {kind!r}")
 
 
+def _spec_float(raw):
+    """``float(raw)``, where a numeric string counts, as in documents, and a bool does not."""
+    if isinstance(raw, bool):
+        raise TypeError("a boolean is not a number")
+    return float(raw)
+
+
 def _spec_number(spec, key, override, default=None):
     raw = override if override is not None else spec.get(key, default)
     if raw is None:
         raise InvalidRecord(f"droop curve spec needs {key!r}")
     try:
-        return float(None if isinstance(raw, bool) else raw)  # "0.5" counts, True does not
+        return _spec_float(raw)
     except (TypeError, ValueError) as exc:
         raise InvalidRecord(f"droop curve {key} must be a number, got {raw!r}") from exc
 

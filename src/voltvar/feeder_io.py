@@ -99,10 +99,11 @@ def load_feeder(
         Inverter real output as a fraction of nameplate capacity.
     inverter_oversize : float
         Apparent capacity as a multiple of nameplate, so reactive headroom
-        exists even at full real output.
+        exists even at full real output; below ``pv_operating_fraction`` a
+        capacity-style inverter raises InvalidRecord naming both.
     tan_rho : float, optional
-        Power-factor limit applied to capacity-style inverters; None keeps
-        the capacity circle as the only bound.
+        Power-factor limit applied to capacity-style inverters, at least 0
+        (inf is valid); None keeps the capacity circle as the only bound.
 
     In ``"ohm"`` documents, impedances below ``DEFAULT_MIN_IMPEDANCE_OHM``
     (zeros appear in some published datasets) are lifted to it before
@@ -148,9 +149,10 @@ def load_feeder(
     load_scale = _real("load_scale", load_scale, "nonnegative")
     pv_operating_fraction = _real("pv_operating_fraction", pv_operating_fraction, "nonnegative")
     inverter_oversize = _real("inverter_oversize", inverter_oversize, "nonnegative")
-    for knob, value in (("power_factor", power_factor), ("tan_rho", tan_rho)):
-        if not (_is_number(value) or (knob == "tan_rho" and value is None)):
-            raise InvalidRecord(f"{knob} must be a number, got {value!r}")
+    if not _is_number(power_factor):
+        raise InvalidRecord(f"power_factor must be a number, got {power_factor!r}")
+    if not (tan_rho is None or _is_number(tan_rho) and tan_rho >= 0.0):  # inf is valid
+        raise InvalidRecord(f"tan_rho must be None or a number of at least 0, got {tan_rho!r}")
     if not 0 < power_factor <= 1:
         raise ParseError(f"power factor must lie in (0, 1], got {power_factor}",
                          field="power_factor")
@@ -204,6 +206,10 @@ def load_feeder(
             cap = _number(rec, "capacity_mw", ctx) / s_base_mva
             p = pv_operating_fraction * cap
             s = inverter_oversize * cap
+            if p > s and cap > 0.0:
+                raise InvalidRecord(
+                    f"pv_operating_fraction={pv_operating_fraction} exceeds inverter_oversize="
+                    f"{inverter_oversize}, so the inverter at bus {bus} would run at p > s")
             rho = math.atan(tan_rho) if tan_rho is not None else None
         else:
             s = _number(rec, "s", ctx)

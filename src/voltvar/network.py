@@ -219,7 +219,19 @@ def _path_sum(y, end):
 class Feeder:
     """A validated radial feeder rooted at the slack bus.
 
-    Construct with :func:`build_feeder`; fields are documented there.
+    Construct with :func:`build_feeder`; most fields are documented there.
+    Its walk of the tree also lays out two read-only fields:
+
+    * ``preorder = (order, pos, end)``, the depth-first preorder:
+      ``order[a]`` is the bus at preorder position a, bus k sits at
+      ``pos[k]``, and the subtree of the bus at position a fills the
+      positions ``[a, end[a])``.  Parents come before children, and
+      siblings in position order.
+    * ``depth``, the line impedances summed over each bus's root path:
+      ``depth[0]`` sums x (the diagonal of X) and ``depth[1]`` sums r.
+
+    A ``dataclasses.replace`` copy that changes loads keeps both; one that
+    changes the tree (``parent``, ``r`` or ``x``) is not supported.
     """
 
     slack_label: int
@@ -234,6 +246,8 @@ class Feeder:
     v0: float
     inverters: MappingProxyType
     curve_specs: MappingProxyType
+    preorder: tuple
+    depth: np.ndarray
     bases: Bases | None = None
     meta: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
 
@@ -247,55 +261,11 @@ class Feeder:
         return MappingProxyType({lab: k for k, lab in enumerate(self.labels)})
 
     @cached_property
-    def preorder(self):
-        """The tree's depth-first preorder ``(order, pos, end)``, read-only.
-
-        ``order[a]`` is the bus at preorder position a, bus k sits at
-        ``pos[k]``, and the subtree of the bus at position a fills the
-        positions ``[a, end[a])``.  Parents come before children, and
-        siblings in position order.
-        """
-        parent = self.parent.tolist()
-        kids = [[] for _ in range(self.n + 1)]  # kids[-1]: the slack's
-        for k, p in enumerate(parent):
-            kids[p].append(k)
-        order, stack = [], kids[-1][::-1]
-        while stack:
-            k = stack.pop()
-            order.append(k)
-            stack += kids[k][::-1]
-        size = [1] * self.n
-        for k in reversed(order):  # children before parents
-            if parent[k] >= 0:
-                size[parent[k]] += size[k]
-        pos = np.empty(self.n, dtype=int)
-        pos[order] = np.arange(self.n)
-        end = np.arange(self.n) + np.take(size, order)
-        return _readonly(order, int), _readonly(pos, int), _readonly(end, int)
-
-    @cached_property
     def preorder_lines(self):
         """Line impedances in preorder coordinates, read-only: the stacked
         ``(r, x)`` and ``z2 = r^2 + x^2``."""
         r, x = rx = np.array((self.r, self.x)).take(self.preorder[0], axis=1)
         return _readonly(rx), _readonly(r * r + x * x)
-
-    @cached_property
-    def depth(self):
-        """Line impedances summed over each bus's root path, read-only:
-        ``depth[0]`` sums x (the diagonal of X) and ``depth[1]`` sums r.
-
-        Each bus adds its own line to its parent's sum, in preorder.
-        """
-        parent = self.parent.tolist()
-        x, r = self.x.tolist(), self.r.tolist()
-        dx, dr = x[:], r[:]
-        for k in self.preorder[0].tolist():
-            p = parent[k]
-            if p >= 0:
-                dx[k] += dx[p]
-                dr[k] += dr[p]
-        return _readonly((dx, dr))
 
     def subtree_sum(self, y):
         """``D @ y`` along the last axis of ``y``: each bus's subtree sum, O(n)."""
@@ -475,12 +445,15 @@ def build_feeder(
     inverters = dict(inverters or {})
     curve_specs = dict(curve_specs or {})
 
-    if not isinstance(slack_label, _INTEGRAL):
+    if not _is_number(slack_label, _INTEGRAL):
         raise InvalidRecord(f"the slack label must be an integer, got {slack_label!r}")
-    for b in buses:  # isinstance per field: all() over a generator costs 6x more
-        if not (isinstance(b.id, _INTEGRAL) and isinstance(b.p_c, _REAL)
-                and isinstance(b.q_c, _REAL) and isinstance(b.p_g, _REAL)
-                and isinstance(b.v_nom, _REAL)):
+    # per field, builtin type first: all() over a generator costs 6x more
+    for b in buses:
+        if not ((type(b.id) is int or _is_number(b.id, _INTEGRAL))
+                and (type(b.p_c) is float or _is_number(b.p_c))
+                and (type(b.q_c) is float or _is_number(b.q_c))
+                and (type(b.p_g) is float or _is_number(b.p_g))
+                and (type(b.v_nom) is float or _is_number(b.v_nom))):
             raise InvalidRecord(f"bus {b.id!r} needs an integer id and numeric p_c, q_c, p_g "
                                 f"and v_nom, got {b.p_c!r}, {b.q_c!r}, {b.p_g!r}, {b.v_nom!r}")
     ids = [b.id for b in buses]
@@ -499,8 +472,10 @@ def build_feeder(
     adj = {i: [] for i in ids}
     seen_pairs = set()
     for ln in lines:
-        if not (isinstance(ln.from_bus, _INTEGRAL) and isinstance(ln.to_bus, _INTEGRAL)
-                and isinstance(ln.r, _REAL) and isinstance(ln.x, _REAL)):
+        if not ((type(ln.from_bus) is int or _is_number(ln.from_bus, _INTEGRAL))
+                and (type(ln.to_bus) is int or _is_number(ln.to_bus, _INTEGRAL))
+                and (type(ln.r) is float or _is_number(ln.r))
+                and (type(ln.x) is float or _is_number(ln.x))):
             raise InvalidRecord(f"line ({ln.from_bus!r}, {ln.to_bus!r}) needs integer ends "
                                 f"and numeric r and x, got {ln.r!r}, {ln.x!r}")
         if ln.from_bus not in by_id or ln.to_bus not in by_id:
@@ -526,31 +501,42 @@ def build_feeder(
             f"{n} non-slack buses admit at most {n} lines, got {len(lines)}"
         )
 
+    # one depth-first walk from the slack orients each line, and its pops
+    # are the preorder: a bus pushes its children in descending label
+    # order, so they pop in position order.  Depth sums grow as the walk
+    # goes; index -1 stands for the slack, whose sums are 0.
     pos = {lab: k for k, lab in enumerate(nonslack)}
-    parent = np.full(n, -2, dtype=int)
-    r = np.zeros(n)
-    x = np.zeros(n)
-    visited = {slack_label}
+    pos[slack_label] = -1
+    parent = [-1] * n
+    r, x = [0.0] * n, [0.0] * n
+    dx, dr = [0.0] * (n + 1), [0.0] * (n + 1)
     came_in = {slack_label: None}
+    order = []
     stack = [slack_label]
     while stack:
         u = stack.pop()
-        for w, ln in adj[u]:
+        p = pos[u]
+        order.append(p)
+        nbrs = adj[u]
+        if len(nbrs) > 1 + (p >= 0):  # two children or more, besides the line in
+            nbrs.sort(reverse=True)  # by label: distinct, so lines are never compared
+        for w, ln in nbrs:
             if ln is came_in[u]:
                 continue
-            if w in visited:
+            if w in came_in:
                 raise CycleDetected(
                     f"cycle through line ({ln.from_bus}, {ln.to_bus})"
                 )
-            visited.add(w)
             came_in[w] = ln
             k = pos[w]
-            parent[k] = -1 if u == slack_label else pos[u]
-            r[k] = ln.r
-            x[k] = ln.x
+            parent[k] = p
+            r[k] = rk = float(ln.r)  # a numpy float32 would sum in single precision
+            x[k] = xk = float(ln.x)
+            dx[k] = xk + dx[p]
+            dr[k] = rk + dr[p]
             stack.append(w)
-    if len(visited) != len(ids):
-        unreached = set(ids) - visited
+    if len(came_in) != len(ids):
+        unreached = set(ids) - came_in.keys()
         # off-tree lines join unreached buses only: n lines leave them a cycle
         if len(lines) == n:
             raise CycleDetected(
@@ -559,6 +545,13 @@ def build_feeder(
         raise Disconnected(
             f"buses {sorted(unreached)} unreachable from slack {slack_label}"
         )
+    order = order[1:]  # the slack popped first
+    size = [1] * (n + 1)  # size[-1]: the slack's
+    for k in reversed(order):  # children before parents
+        size[parent[k]] += size[k]
+    at = np.empty(n, dtype=int)
+    at[order] = np.arange(n)
+    end = np.arange(n) + np.take(size, order)
 
     for lab in list(inverters) + list(curve_specs):
         if lab not in by_id or lab == slack_label:
@@ -577,12 +570,11 @@ def build_feeder(
         raise InvalidRecord(f"bus {b.id} has p_c={b.p_c}, q_c={b.q_c}, p_g={b.p_g}, "
                             f"v_nom={b.v_nom}: all must be finite, and v_nom positive")
     v0 = _real("v0", v0, "positive")
-    parent.setflags(write=False)
 
     return Feeder(
         slack_label=slack_label,
         labels=tuple(nonslack),
-        parent=parent,
+        parent=_readonly(parent, int),
         r=_readonly(r),
         x=_readonly(x),
         p_c=_readonly(p_c),
@@ -594,6 +586,8 @@ def build_feeder(
         curve_specs=MappingProxyType(
             {pos[lab]: dict(spec) for lab, spec in curve_specs.items()}
         ),
+        preorder=(_readonly(order, int), _readonly(at, int), _readonly(end, int)),
+        depth=_readonly((dx[:n], dr[:n])),
         bases=bases,
         meta=MappingProxyType(dict(meta or {})),
     )

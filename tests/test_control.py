@@ -249,6 +249,9 @@ class TestTableCurve:
             vv.TableCurve([[-0.5, 1.0], [0.0], [0.5, -1.0]])
         with pytest.raises(vv.InvalidRecord):
             vv.TableCurve([[-0.5, "one"], [0.5, -1.0]])
+        with pytest.raises(vv.InvalidRecord, match="boolean"):  # once read as 0 and 1
+            vv.TableCurve([(-1.0, 0.5), (False, 0.0), (True, -0.5)])
+        vv.TableCurve([("-1", "0.5"), ("0", 0), (1, -0.5)])  # numeric strings read, as in documents
 
 
 @pytest.mark.parametrize(
@@ -285,6 +288,8 @@ def test_curve_from_spec_roundtrip():
         {"type": "droop", "deadband": 0.04},
         {"type": "table"},
         {"type": "table", "points": [[-0.1, "nan"], [0.0, 0.0], [0.1, -1.0]]},
+        {"type": "table", "points": [[-1.0, 0.5], [False, 0.0], [True, -0.5]]},
+        {"type": "droop", "alpha": True},
         # not a mapping at all
         "droop",
         ["type", "droop"],

@@ -140,6 +140,8 @@ class TestErrors:
     @pytest.mark.parametrize("knob, bad", [
         ("load_scale", "2"), ("power_factor", "0.9"), ("tan_rho", "x"),
         ("pv_operating_fraction", None), ("inverter_oversize", [1.1]),
+        # numbers that give no inverter once named the inverter's rho, p and s
+        ("tan_rho", -1.0), ("inverter_oversize", 0.0), ("pv_operating_fraction", 2.0),
     ])
     def test_non_numeric_knob_is_named(self, knob, bad):
         with pytest.raises(vv.InvalidRecord, match=knob):

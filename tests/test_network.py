@@ -90,9 +90,16 @@ def test_disconnected_rejected():
     ([Bus(0), Bus(1)], [Line(0, [1], 0.1, 0.5)], {}, vv.InvalidRecord),
     ([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)], {"slack_label": [0]}, vv.InvalidRecord),
     ([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)], {"v0": "1.0"}, vv.InvalidRecord),
+    # a bool is no number: each once built, with 1.0 or bus 1 in its place
+    ([Bus(0), Bus(1, p_c=True)], [Line(0, 1, 0.1, 0.5)], {}, vv.InvalidRecord),
+    ([Bus(0), Bus(1, v_nom=True)], [Line(0, 1, 0.1, 0.5)], {}, vv.InvalidRecord),
+    ([Bus(0), Bus(1)], [Line(0, 1, True, 0.5)], {}, vv.InvalidRecord),
+    ([Bus(0), Bus(True)], [Line(0, True, 0.1, 0.5)], {}, vv.InvalidRecord),
+    ([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)], {"slack_label": True}, vv.InvalidRecord),
 ], ids=["no-slack", "unknown-bus", "self-line", "cycle-from-slack", "curve-on-unknown-bus",
         "string-load", "none-v_nom", "list-slack-load", "string-r", "none-x", "string-id",
-        "float-id", "list-end", "list-slack", "string-v0"])
+        "float-id", "list-end", "list-slack", "string-v0", "bool-load", "bool-v_nom", "bool-r",
+        "bool-id", "bool-slack"])
 def test_malformed_records_rejected(buses, lines, kw, error):
     with pytest.raises(error):
         vv.build_feeder(buses, lines, **kw)
@@ -362,11 +369,18 @@ FORKED_ROOT = vv.build_feeder(
 
 @st.composite
 def trees(draw):
-    """A random recursive tree on up to 40 buses; the slack may fork."""
+    """A random recursive tree on up to 40 buses; the slack may fork.  The
+    line records come shuffled with random ends first, and the labels,
+    negative ones included, are not in tree order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 40))
-    buses, lines = random_tree_records(rng, n, degree_one_root=draw(st.booleans()))
-    return vv.build_feeder(buses, lines)
+    _, tree = random_tree_records(rng, n, degree_one_root=draw(st.booleans()))
+    label = (rng.choice(4 * (n + 1), n + 1, replace=False) - n).tolist()
+    lines = []
+    for i in rng.permutation(n):
+        ends = label[tree[i].from_bus], label[tree[i].to_bus]
+        lines.append(Line(*ends[::rng.choice((1, -1))], tree[i].r, tree[i].x))
+    return vv.build_feeder([Bus(lab) for lab in label], lines, slack_label=label[0])
 
 
 class TestTreePrimitives:
@@ -389,7 +403,16 @@ class TestTreePrimitives:
                 size[k] += 1
                 k = f.parent[k]
         np.testing.assert_array_equal(end, np.arange(f.n) + size[order])
-        for a in f.preorder:
+        # the depth sums add each root path's lines from the root down
+        depth = np.zeros((2, f.n))
+        for k in range(f.n):
+            path = [k]
+            while f.parent[path[-1]] >= 0:
+                path.append(f.parent[path[-1]])
+            for j in reversed(path):
+                depth[:, k] += (f.x[j], f.r[j])
+        np.testing.assert_array_equal(f.depth, depth)
+        for a in (*f.preorder, f.depth):
             assert not a.flags.writeable
 
     @PROPERTY

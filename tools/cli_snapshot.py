@@ -4,11 +4,13 @@
 
 Runs ``check``, ``simulate`` (d1, d2 and d3 on the linear plant, d1 on the
 distflow plant), ``equilibrium``, ``sweep`` over alpha, gamma2 and
-load_scale, ``export-feeder``, and seven commands the CLI rejects (a zero
+load_scale, ``export-feeder``, and eleven commands the CLI rejects (a zero
 ``--max-iter``, a nan ``--tol``, a missing feeder file, a zero
-``--gamma2``, a negative ``--alpha``, ``--deadband`` and ``--load-scale``)
-in this process, with voltvar imported from ``TREE/src`` (default: the checkout
-holding this script).  Every command writes its ``--out`` files into
+``--gamma2``, a negative ``--alpha``, ``--deadband``, ``--load-scale`` and
+``--tan-rho``, a zero ``--oversize``, and a cyclic and a disconnected
+feeder) in this process, with voltvar imported from ``TREE/src`` (default:
+the checkout holding this script).  The two bad feeders are written into
+OUT_DIR as JSON documents first.  Every command writes its ``--out`` files into
 OUT_DIR, and its stdout, stderr and exit code into ``OUT_DIR/NAME.txt``.
 The CLI's outputs are byte-identical across identical runs, so ``diff -r``
 over the snapshots of two trees shows whether a change moved any number
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -56,6 +59,24 @@ COMMANDS = (
     ("reject_check_alpha", ["check", "--alpha", "-1"]),
     ("reject_equilibrium_deadband", ["equilibrium", "--deadband", "-0.1"]),
     ("reject_simulate_load_scale", ["simulate", "--load-scale", "-1"]),
+    ("reject_check_tan_rho", ["check", "--tan-rho", "-1"]),
+    ("reject_check_oversize", ["check", "--oversize", "0"]),
+    ("reject_check_cyclic", ["check", "--feeder", "cyclic.json"]),
+    ("reject_check_disconnected", ["check", "--feeder", "disconnected.json"]),
+)
+
+
+def _document(lines):
+    """A per-unit feeder document on buses 0-4, slack 0, with these lines."""
+    return {"unit": "pu", "slack": 0, "buses": [{"id": i} for i in range(5)],
+            "lines": [{"from": a, "to": b, "r": 0.1, "x": 0.1} for a, b in lines]}
+
+
+# (file name, document) for the rejected feeders: the cycle 1-2-3 hangs off
+# the slack and leaves bus 4 out, and buses 2-4 are cut off from it
+DOCUMENTS = (
+    ("cyclic.json", _document([(0, 1), (1, 2), (2, 3), (3, 1)])),
+    ("disconnected.json", _document([(0, 1), (2, 3), (3, 4)])),
 )
 
 
@@ -70,6 +91,8 @@ def main(argv=None):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)  # relative --out paths, so no absolute path reaches an output
+    for name, doc in DOCUMENTS:
+        Path(name).write_text(json.dumps(doc, indent=1) + "\n")
     for name, argv_ in COMMANDS:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
