@@ -23,7 +23,7 @@ from .dynamics import (
     solve_equilibrium,
 )
 from .exceptions import MaxIterations
-from .feeder_io import feeder_hash, load_feeder, save_feeder
+from .feeder_io import _with_load_scale, feeder_hash, load_feeder, save_feeder
 from .network import sensitivity_matrices
 
 
@@ -125,8 +125,8 @@ def cmd_check(args):
     feeder = _load(args)
     mats = sensitivity_matrices(feeder)
     config = _config(args, feeder)
-    report = check_d1_condition(config.bundle, mats)
-    g3 = d3_stepsize_bound(config.bundle, mats)
+    report = check_d1_condition(config.curves, mats)
+    g3 = d3_stepsize_bound(config.curves, mats)
     print(f"feedback modulus sigma            : {report.sigma:.6f}")
     print(f"contraction condition (sigma < 1) : {'holds' if report.sufficient else 'FAILS'}")
     print(f"row-sum sufficient value          : {report.corollary_value:.6f}"
@@ -174,7 +174,7 @@ def cmd_equilibrium(args):
     mats = sensitivity_matrices(feeder)
     config = _config(args, feeder, kind="d1")  # curves/limits only; solver picks gamma3
     report = solve_equilibrium(
-        feeder, curves=config.bundle, q_min=config.q_min, q_max=config.q_max,
+        feeder, curves=config.curves, q_min=config.q_min, q_max=config.q_max,
         tol=args.tol, max_iter=args.max_iter, mats=mats,
     )
     dev = float(np.abs(report.v_star - feeder.v_nom).max())
@@ -216,9 +216,9 @@ def _sweep_point(args, feeder, mats, value):
     config = ControllerConfig.from_feeder(
         feeder, controller, alpha=alpha, deadband=args.deadband, gamma2=gamma2, gamma3=gamma3
     )
-    report = check_d1_condition(config.bundle, mats)
+    report = check_d1_condition(config.curves, mats)
     eq = solve_equilibrium(
-        feeder, curves=config.bundle, q_min=config.q_min, q_max=config.q_max,
+        feeder, curves=config.curves, q_min=config.q_min, q_max=config.q_max,
         tol=args.tol, max_iter=args.max_iter, mats=mats,
     )
     traj = simulate(feeder, config, plant=args.plant, tol=args.tol, max_iter=args.max_iter,
@@ -233,13 +233,15 @@ def cmd_sweep(args):
         print("error: empty grid", file=sys.stderr)
         return 1
     per_point = args.parameter == "load_scale"
-    if not per_point:
+    if per_point:  # load once at scale 1, and scale a copy for each point
+        base = _load(args, load_scale=1.0)
+    else:
         feeder = _load(args)
         mats = sensitivity_matrices(feeder)
     lines = [f"{args.parameter},eq_max_deviation,verdict,sigma"]
     for value in grid:
         if per_point:
-            feeder = _load(args, load_scale=value)
+            feeder = _with_load_scale(base, value)
             mats = sensitivity_matrices(feeder)
         lines.append(_sweep_point(args, feeder, mats, value))
     text = "\n".join(lines) + "\n"

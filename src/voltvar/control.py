@@ -297,11 +297,13 @@ def _spec_number(spec, key, override, default=None):
         raise InvalidRecord(f"droop curve {key} must be a number, got {raw!r}") from exc
 
 
-class CurveBundle:
+class CurveBundle(Mapping):
     """The curves of the controllable buses, stacked for vectorized use.
 
-    ``positions`` are the model-space indices carrying a curve, sorted; the
-    evaluation methods act on arrays over exactly those positions.
+    A read-only mapping from bus position to curve, iterated in position
+    order; it compares like a mapping and is not hashable.  ``positions``
+    are the model-space indices carrying a curve, sorted; the evaluation
+    methods act on arrays over exactly those positions.
     Column k holds the hinges of curve k, left side then right side, each
     nearest the plateau first, padded with zero-weight hinges to a common
     height.  ``curves`` must map non-negative integer positions (no bools)
@@ -312,15 +314,15 @@ class CurveBundle:
         if not isinstance(curves, Mapping):
             raise InvalidRecord(f"curves must be a mapping of bus positions to curves, "
                                 f"got {type(curves).__name__}")
-        self.curves = dict(curves)
-        _check_positions("curve positions", self.curves)
-        bad = {k: type(c).__name__ for k, c in self.curves.items()
+        curves = dict(curves)
+        _check_positions("curve positions", curves)
+        bad = {k: type(c).__name__ for k, c in curves.items()
                if not isinstance(c, ControlCurve)}
         if bad:
             raise InvalidRecord(f"curves must map bus positions to ControlCurves, got {bad}")
-        keys = sorted(self.curves)
-        self.positions = np.array(keys, dtype=int)
-        ordered = [self.curves[k] for k in keys]
+        self._curves = {k: curves[k] for k in sorted(curves)}
+        self.positions = np.array(list(self._curves), dtype=int)
+        ordered = list(self._curves.values())
         self.alpha_bar = np.array([c.alpha_bar for c in ordered])
         self.lo = np.array([c.deadband_edges[0] for c in ordered])
         self.hi = np.array([c.deadband_edges[1] for c in ordered])
@@ -334,8 +336,14 @@ class CurveBundle:
         self._grid = np.empty((height, len(ordered)), dtype=int)
         self._grid[:] = np.arange(len(ordered))
 
+    def __getitem__(self, position):
+        return self._curves[position]
+
+    def __iter__(self):
+        return iter(self._curves)
+
     def __len__(self):
-        return len(self.positions)
+        return len(self._curves)
 
     def end_slopes(self):
         """Slope magnitudes (left, right) of the segments next to each

@@ -21,8 +21,8 @@ from functools import cache
 import numpy as np
 
 from . import powerflow
-from .control import (DEFAULT_DEADBAND, _read_curves, curve_from_spec, limits_arrays,
-                      validate_box)
+from .control import (DEFAULT_DEADBAND, CurveBundle, _read_curves, curve_from_spec,
+                      limits_arrays, validate_box)
 from .exceptions import DimensionMismatch, InvalidRecord, MaxIterations
 from .network import (SensitivityMatrices, _check_count, _check_tol, _deviation_terms,
                       _floats, _model, _real, _vector, sensitivity_matrices)
@@ -36,11 +36,15 @@ OSCILLATION_WINDOW = 50
 
 @dataclass(frozen=True, eq=False)
 class ControllerConfig:
-    """Which feedback law runs, with its stepsizes, curves and box limits;
-    ``bundle`` is the checked :class:`CurveBundle` of ``curves``."""
+    """Which feedback law runs, with its stepsizes, curves and box limits.
+
+    ``curves`` is given as a mapping of bus positions to curves and kept as
+    its checked :class:`CurveBundle`, a read-only mapping that every solver
+    and spectral check takes as it is; ``bundle`` is the same object.
+    """
 
     kind: str
-    curves: dict
+    curves: CurveBundle
     q_min: np.ndarray
     q_max: np.ndarray
     gamma2: float | None = None
@@ -56,7 +60,9 @@ class ControllerConfig:
         # keep the checked float arrays, so step and simulate index them
         object.__setattr__(self, "q_min", lo)
         object.__setattr__(self, "q_max", hi)
-        object.__setattr__(self, "bundle", _read_curves(self.curves, lo.size))
+        bundle = _read_curves(self.curves, lo.size)
+        object.__setattr__(self, "curves", bundle)
+        object.__setattr__(self, "bundle", bundle)
 
     @classmethod
     def from_feeder(cls, feeder, kind, alpha=None, deadband=None, gamma2=None, gamma3=None):
@@ -163,7 +169,7 @@ def step(q, v, config, v_nom):
     q = _vector("q", q, config.q_min.size)
     v = _vector("v", v, config.q_min.size)
     v_nom = _vector("v_nom", v_nom, config.q_min.size)
-    bundle = config.bundle
+    bundle = config.curves
     act = bundle.positions
     verr = (v - v_nom)[act]
     qa = q[act]
@@ -419,7 +425,7 @@ def simulate(
         _model(mats, feeder)
     elif linear or track_objective:
         mats = sensitivity_matrices(feeder)
-    bundle = config.bundle
+    bundle = config.curves
     act = bundle.positions
     if act.size == 0:
         raise InvalidRecord("no controllable buses: nothing to simulate")
@@ -431,12 +437,13 @@ def simulate(
     lo_box, hi_box = q_min[act], q_max[act]
 
     if linear or track_objective:
-        x_aa, base_err = _curve_block(mats, act, q)
+        q_o = _scatter(q, act, 0.0)
+        x_aa, base_err, xq_o = _curve_block(mats, act, q_o)
 
     f_active = const_obj = None
     if track_objective:
         # the constant part: the quadratic and linear terms at q with act zeroed
-        const_obj = objective_f(mats, {}, _scatter(q, act, 0.0))
+        const_obj = sum(_objective_terms(mats, None, q_o, xq_o))
 
         def f_active(qa):
             return float(
@@ -579,26 +586,32 @@ def _d3_bound(bundle, sub):
     return 2.0 / (1.0 + lam)
 
 
-def _curve_block(mats, act, q):
+def _curve_block(mats, act, q_o):
     """The linear model on the curve buses ``act``, with the other buses held
-    at ``q``: ``v[act] - v_nom[act] = x_aa @ q[act] + base_err``.
+    at ``q_o``, whose entries at ``act`` are zero:
+    ``v[act] - v_nom[act] = x_aa @ q[act] + base_err``.
 
-    Returns ``x_aa = X[act, act]`` and the base error
-    ``(X q_o + vtilde - v_nom)[act]``, where ``q_o`` is ``q`` with ``act``
-    zeroed; neither needs the dense X.
+    Returns ``x_aa = X[act, act]``, the base error
+    ``(X q_o + vtilde - v_nom)[act]`` and ``X q_o``; none needs the dense X.
     """
-    base = mats.voltage(_scatter(q, act, 0.0))
-    return mats.block(act), (base - mats.feeder.v_nom)[act]
+    xq_o = mats.x_times(q_o)
+    return mats.block(act), (xq_o + mats.vtilde - mats.feeder.v_nom)[act], xq_o
+
+
+def _objective_terms(mats, bundle, q, xq):
+    """The objective's (cost, quadratic, linear) terms at a checked ``q``,
+    given ``xq = X q``; a ``bundle`` of None adds no curve cost."""
+    cost = float(bundle.cost(q[bundle.positions]).sum()) if bundle else 0.0
+    quad = float(0.5 * q @ xq)
+    linear = float(q @ (mats.vtilde - mats.feeder.v_nom))
+    return cost, quad, linear
 
 
 def objective_terms(mats, curves, q):
     """The three terms of the equilibrium objective at q, a finite length-n vector."""
     bundle = _read_curves(curves, _model(mats).feeder.n)
     q = _vector("q", q, mats.feeder.n)
-    cost = float(bundle.cost(q[bundle.positions]).sum()) if len(bundle) else 0.0
-    quad = float(0.5 * q @ mats.x_times(q))
-    linear = float(q @ (mats.vtilde - mats.feeder.v_nom))
-    return cost, quad, linear
+    return _objective_terms(mats, bundle, q, mats.x_times(q))
 
 
 def objective_f(mats, curves, q):
@@ -693,7 +706,7 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
     _check_count("max_iter", max_iter, 0)
     mats = sensitivity_matrices(feeder) if mats is None else _model(mats, feeder)
     if curves is None:
-        curves = ControllerConfig.from_feeder(feeder, "d1").bundle
+        curves = ControllerConfig.from_feeder(feeder, "d1").curves
     if q_min is None or q_max is None:  # each omitted bound from the feeder's limits
         lo, hi = limits_arrays(feeder)
         q_min = lo if q_min is None else q_min
@@ -704,7 +717,7 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
 
     q = np.zeros(feeder.n).clip(q_min, q_max)
     qa = q[act].copy()
-    x_aa, base_a = _curve_block(mats, act, q)
+    x_aa, base_a, _ = _curve_block(mats, act, _scatter(q, act, 0.0))
     lo_box, hi_box = q_min[act], q_max[act]
     eye = np.eye(act.size)
 
@@ -737,9 +750,10 @@ def solve_equilibrium(feeder, curves=None, q_min=None, q_max=None, tol=DEFAULT_T
             verr, u, res, residual = state(qa)
         best = min(best, residual)
     q[act] = qa
-    v_star = mats.voltage(q)
+    xq = mats.x_times(q)
+    v_star = xq + mats.vtilde  # mats.voltage(q), sharing X q with the objective
     _require_finite(q, v_star, "solve_equilibrium")
-    cost, quad, linear = objective_terms(mats, bundle, q)
+    cost, quad, linear = _objective_terms(mats, bundle, q, xq)
     return EquilibriumReport(
         q_star=q,
         v_star=v_star,

@@ -17,14 +17,18 @@ feeder (41 lines, five PV inverters, 12.35 kV / 1000 kVA bases).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 from collections.abc import Mapping
 from importlib import resources
+from types import MappingProxyType
+
+import numpy as np
 
 from .exceptions import InvalidRecord, ParseError
-from .network import Bases, Bus, Inverter, Line, _is_number, _real, build_feeder
+from .network import Bases, Bus, Inverter, Line, _is_number, _readonly, _real, build_feeder
 
 BUILTIN_PREFIX = "builtin:"
 DEFAULT_POWER_FACTOR = 0.9
@@ -151,8 +155,8 @@ def load_feeder(
     inverter_oversize = _real("inverter_oversize", inverter_oversize, "nonnegative")
     if not _is_number(power_factor):
         raise InvalidRecord(f"power_factor must be a number, got {power_factor!r}")
-    if not (tan_rho is None or _is_number(tan_rho) and tan_rho >= 0.0):  # inf is valid
-        raise InvalidRecord(f"tan_rho must be None or a number of at least 0, got {tan_rho!r}")
+    cap_rho = (None if tan_rho is None  # the rho of an inverter sized by capacity_mw
+               else math.atan(_real("tan_rho", tan_rho, "optional")))
     if not 0 < power_factor <= 1:
         raise ParseError(f"power factor must lie in (0, 1], got {power_factor}",
                          field="power_factor")
@@ -175,9 +179,7 @@ def load_feeder(
             p_c = _number(rec, "p_c", ctx, 0.0)
             q_c = _number(rec, "q_c", ctx, 0.0)
             p_g = _number(rec, "p_g", ctx, 0.0)
-        buses.append(
-            Bus(id=bid, v_nom=v_nom, p_c=load_scale * p_c, q_c=load_scale * q_c, p_g=p_g)
-        )
+        buses.append(Bus(id=bid, v_nom=v_nom, p_c=p_c, q_c=q_c, p_g=p_g))
 
     floor = DEFAULT_MIN_IMPEDANCE_OHM
     floored = []
@@ -210,7 +212,7 @@ def load_feeder(
                 raise InvalidRecord(
                     f"pv_operating_fraction={pv_operating_fraction} exceeds inverter_oversize="
                     f"{inverter_oversize}, so the inverter at bus {bus} would run at p > s")
-            rho = math.atan(tan_rho) if tan_rho is not None else None
+            rho = cap_rho
         else:
             s = _number(rec, "s", ctx)
             p = _number(rec, "p", ctx)
@@ -227,14 +229,14 @@ def load_feeder(
         "source": origin,
         "unit": unit,
         "power_factor": power_factor,
-        "load_scale": load_scale,
+        "load_scale": 1.0,
         "pv_operating_fraction": pv_operating_fraction,
         "inverter_oversize": inverter_oversize,
         "tan_rho": tan_rho,
         "floored_lines": floored,
         "min_impedance_ohm": DEFAULT_MIN_IMPEDANCE_OHM,
     }
-    return build_feeder(
+    feeder = build_feeder(
         buses,
         lines,
         inverters=inverters,
@@ -244,6 +246,24 @@ def load_feeder(
         curve_specs=curve_specs,
         meta=meta,
     )
+    return feeder if load_scale == 1.0 else _with_load_scale(feeder, load_scale)
+
+
+def _with_load_scale(feeder, load_scale):
+    """``feeder``, loaded at scale 1, with its loads scaled by ``load_scale``:
+    a ``dataclasses.replace`` copy with ``p_c``, ``q_c`` and
+    ``meta["load_scale"]`` changed.  :func:`load_feeder` and a ``load_scale``
+    sweep both scale this way."""
+    load_scale = _real("load_scale", load_scale, "nonnegative")
+    with np.errstate(over="ignore"):  # an overflowing load is rejected below
+        p_c, q_c = load_scale * feeder.p_c, load_scale * feeder.q_c
+    bad = ~np.isfinite((p_c, q_c)).all(axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidRecord(f"load_scale={load_scale} overflows the load at bus "
+                            f"{feeder.labels[k]}: p_c={p_c[k]}, q_c={q_c[k]}")
+    return dataclasses.replace(feeder, p_c=_readonly(p_c), q_c=_readonly(q_c),
+                               meta=MappingProxyType({**feeder.meta, "load_scale": load_scale}))
 
 
 def feeder_to_dict(feeder):
@@ -314,8 +334,6 @@ def feeder_hash(feeder):
 
 def feeders_equal(a, b):
     """Field-by-field equality of two feeders (labels, arrays, inverters)."""
-    import numpy as np
-
     if (a.slack_label, a.labels, a.v0) != (b.slack_label, b.labels, b.v0):
         return False
     for attr in ("parent", "r", "x", "p_c", "q_c", "p_g", "v_nom"):

@@ -42,10 +42,14 @@ DEFAULT_NOMINAL_VOLTAGE = 1.0
 _REAL = (float, int, numbers.Real)
 _INTEGRAL = (int, numbers.Integral)
 
-# the domains of _real: the least float in each (next above a bound it excludes), and its text
-_DOMAINS = {"finite": (math.nextafter(-math.inf, 0.0), "a finite number"),
-            "nonnegative": (0.0, "a finite number of at least 0"),
-            "positive": (math.nextafter(0.0, 1.0), "a positive finite number")}
+# the domains of _real: the least and the greatest float in each (next to a
+# bound it excludes), and its text; "optional" reads a knob whose caller
+# takes None itself, and it takes inf
+_BIG = math.nextafter(math.inf, 0.0)
+_DOMAINS = {"finite": (-_BIG, _BIG, "a finite number"),
+            "nonnegative": (0.0, _BIG, "a finite number of at least 0"),
+            "positive": (math.nextafter(0.0, 1.0), _BIG, "a positive finite number"),
+            "optional": (0.0, math.inf, "None or a number of at least 0")}
 
 
 def _is_number(value, kinds=_REAL):
@@ -56,9 +60,9 @@ def _is_number(value, kinds=_REAL):
 def _real(name, value, domain="finite"):
     """``value`` as a float once it is a real number in ``domain``, a key of ``_DOMAINS``;
     InvalidRecord whose message starts with ``name`` otherwise.  Floats skip the type tests."""
-    least, text = _DOMAINS[domain]
+    least, most, text = _DOMAINS[domain]
     if type(value) is float:
-        if least <= value < math.inf:
+        if least <= value <= most:
             return value
     elif _is_number(value):
         try:
@@ -215,6 +219,35 @@ def _path_sum(y, end):
     return np.add.accumulate(rows - leave[:, :-1], axis=-1).reshape(y.shape)
 
 
+def _fits_layout(parent, lines, preorder, depth):
+    """Whether ``parent`` is the tree that ``preorder`` lays out and each
+    ``depth`` row sums its ``lines`` row over the root paths, in O(n).
+
+    Each bus's parent must hold it in its subtree ``[a, end[a])``, and each
+    subtree must be its bus plus its children's subtrees; from the leaves
+    up, that leaves each bus one parent, the one of the preorder.  Each depth
+    sum must be the line's impedance plus its parent's sum, added as
+    :func:`build_feeder`'s walk adds them (the appended 0.0, at index -1,
+    is the slack's).
+    """
+    _, pos, end = preorder
+    n = len(pos)
+    if not (isinstance(parent, np.ndarray) and parent.dtype.kind == "i"
+            and parent.shape == (n,) and np.all((parent >= -1) & (parent < n))):
+        return False
+    kid = np.flatnonzero(parent >= 0)
+    up = pos[parent[kid]]
+    size = (end - np.arange(n))[pos]
+    if not (np.all((up < pos[kid]) & (pos[kid] < end[up]))
+            and np.array_equal(np.bincount(parent[kid], size[kid], n) + 1, size)):
+        return False
+    try:
+        return all(np.array_equal(dep, line + np.append(dep, 0.0).take(parent))
+                   for line, dep in zip(lines, depth))
+    except (TypeError, ValueError):  # no float rows of the right shape
+        return False
+
+
 @dataclass(frozen=True, eq=False)
 class Feeder:
     """A validated radial feeder rooted at the slack bus.
@@ -231,7 +264,8 @@ class Feeder:
       ``depth[0]`` sums x (the diagonal of X) and ``depth[1]`` sums r.
 
     A ``dataclasses.replace`` copy that changes loads keeps both; one that
-    changes the tree (``parent``, ``r`` or ``x``) is not supported.
+    changes the tree (``parent``, ``r`` or ``x``) no longer matches them and
+    raises InvalidRecord.
     """
 
     slack_label: int
@@ -250,6 +284,11 @@ class Feeder:
     depth: np.ndarray
     bases: Bases | None = None
     meta: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
+
+    def __post_init__(self):
+        if not _fits_layout(self.parent, (self.x, self.r), self.preorder, self.depth):
+            raise InvalidRecord("the feeder's preorder and depth do not match its parent, x "
+                                "and r; build a changed tree with build_feeder")
 
     @property
     def n(self):

@@ -206,6 +206,35 @@ class TestSweep:
         assert main(["sweep", "alpha", "--grid", "5,10,15", "--jobs", "1"]) == 0
         assert capsys.readouterr().out == text
 
+    def test_load_scale_sweep_loads_the_feeder_once(self, monkeypatch, capsys):
+        argv = ["sweep", "load_scale", "--grid", "0.5,0.8,1.3", "--alpha", "10"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        loads = []
+
+        def spy(*args, **kwargs):
+            loads.append(kwargs["load_scale"])
+            return vv.load_feeder(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_feeder", spy)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
+        assert loads == [1.0]
+        # each row is the library's answer on a feeder loaded at its scale
+        for row, scale in zip(text.splitlines()[1:], (0.5, 0.8, 1.3)):
+            feeder = vv.load_feeder("builtin:sce42", load_scale=scale)
+            cfg = vv.ControllerConfig.from_feeder(feeder, "d1", alpha=10.0)
+            eq = solve_equilibrium(feeder, cfg.curves, cfg.q_min, cfg.q_max)
+            assert row.split(",")[1] == repr(float(np.abs(eq.v_star - feeder.v_nom).max()))
+
+    @pytest.mark.parametrize("grid", ["0.5,-1", "0.5,nan"])
+    def test_bad_load_scale_point_is_named(self, grid, capsys):
+        assert main(["sweep", "load_scale", f"--grid={grid}", "--alpha", "10"]) == 1
+        bad = grid.split(",")[1]
+        assert capsys.readouterr().err == (
+            f"error: InvalidRecord: load_scale must be a finite number of at least 0, "
+            f"got {float(bad)!r}\n")
+
     def test_range_grid(self, capsys):
         assert main(["sweep", "alpha", "--grid", "1:10:3"]) == 0
         rows = capsys.readouterr().out.splitlines()

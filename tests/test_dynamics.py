@@ -752,6 +752,118 @@ def feeders_with_curves(draw, alpha_max=None, table_share=0.5):
     return feeder, {feeder.position[b]: c for b, c in curves.items()}
 
 
+def seeded_droop_setup(seed, n=60, m=8):
+    """A seeded random feeder with loads, droops on ``m`` buses and a box
+    that saturates some of them: ``(feeder, mats, config)``."""
+    rng = np.random.default_rng(seed)
+    base = random_feeder(rng, n)
+    feeder = dataclasses.replace(base, p_c=rng.uniform(0.0, 0.05, n),
+                                 q_c=rng.uniform(0.0, 0.02, n))
+    act = np.sort(rng.choice(n, size=m, replace=False))
+    curves = {int(k): vv.DroopCurve(alpha=float(rng.uniform(2.0, 20.0)),
+                                    deadband=float(rng.choice([0.0, 0.02, 0.04])))
+              for k in act}
+    q_max = np.zeros(n)
+    q_max[act] = rng.uniform(0.005, 0.05, m)
+    config = vv.ControllerConfig(kind="d1", curves=curves, q_min=-q_max, q_max=q_max)
+    return feeder, vv.sensitivity_matrices(feeder), config
+
+
+class TestOneCurveSet:
+    def test_config_curves_is_its_read_only_bundle(self, sce42):
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=10.0)
+        assert isinstance(cfg.curves, CurveBundle) and cfg.curves is cfg.bundle
+        positions = sorted(sce42.inverters)
+        assert list(cfg.curves) == positions == cfg.curves.positions.tolist()
+        assert cfg.curves == {k: vv.DroopCurve(alpha=10.0, deadband=0.04) for k in positions}
+        assert cfg.curves[positions[0]] == vv.DroopCurve(alpha=10.0, deadband=0.04)
+        other = min(set(range(sce42.n)) - set(positions))
+        assert other not in cfg.curves and cfg.curves.get(other) is None
+        with pytest.raises(TypeError):
+            cfg.curves[positions[0]] = vv.DroopCurve(alpha=1.0)
+        with pytest.raises(TypeError):
+            hash(cfg.curves)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.curves = {}
+        # a config built from another's curves keeps the same bundle
+        again = vv.ControllerConfig(kind="d3", curves=cfg.curves, q_min=cfg.q_min,
+                                    q_max=cfg.q_max, gamma3=0.5)
+        assert again.curves is cfg.curves
+        assert dataclasses.replace(cfg, kind="d2", gamma2=0.01).curves is cfg.curves
+
+    def test_solvers_take_a_config_bundle_without_rebuilding_it(self, sce42, sce42_mats,
+                                                                monkeypatch):
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d2", alpha=10.0, gamma2=0.01)
+        built = []
+        init = CurveBundle.__init__
+
+        def spy(self, curves):
+            built.append(len(curves))
+            init(self, curves)
+
+        monkeypatch.setattr(CurveBundle, "__init__", spy)
+        eq = vv.solve_equilibrium(sce42, cfg.curves, cfg.q_min, cfg.q_max, mats=sce42_mats)
+        vv.check_d1_condition(cfg.curves, sce42_mats)
+        vv.d3_stepsize_bound(cfg.curves, sce42_mats)
+        vv.objective_f(sce42_mats, cfg.curves, eq.q_star)
+        vv.estimate_gradient_bound(sce42_mats, cfg.curves, cfg.q_min, cfg.q_max)
+        vv.simulate(sce42, cfg, mats=sce42_mats, max_iter=20, track_objective=True)
+        assert built == []
+        vv.solve_equilibrium(sce42, dict(cfg.curves), cfg.q_min, cfg.q_max, mats=sce42_mats)
+        assert built == [len(sce42.inverters)]  # a plain dict is checked once
+
+    @pytest.mark.parametrize("setup", ["sce42", "seeded"])
+    def test_report_is_bit_equal_to_the_model_and_objective(self, sce42, sce42_mats, setup):
+        if setup == "sce42":
+            feeder, mats = sce42, sce42_mats
+            cfg = vv.ControllerConfig.from_feeder(sce42, "d1", alpha=27.0)
+        else:
+            feeder, mats, cfg = seeded_droop_setup(11)
+        eq = vv.solve_equilibrium(feeder, cfg.curves, cfg.q_min, cfg.q_max, tol=1e-12,
+                                  mats=mats)
+        assert eq.iterations > 0 and np.any(eq.q_star != 0.0)
+        np.testing.assert_array_equal(eq.v_star, mats.voltage(eq.q_star))
+        terms = vv.objective_terms(mats, cfg.curves, eq.q_star)
+        assert (eq.cost_term, eq.quadratic_term, eq.linear_term) == terms
+        assert eq.objective == vv.objective_f(mats, cfg.curves, eq.q_star)
+        assert eq.objective == sum(terms)
+
+    @pytest.mark.parametrize("kernel", ["float", "array"])
+    def test_tracked_objective_is_unchanged(self, sce42, sce42_mats, kernel):
+        # curves on 3 of the 5 inverters; the other two hold a non-zero q0,
+        # so the objective's constant part is not zero
+        cfg = vv.ControllerConfig.from_feeder(sce42, "d2", alpha=10.0, gamma2=0.02)
+        act = sorted(cfg.curves)[:3]
+        curves = {k: cfg.curves[k] if kernel == "float" else
+                  vv.TableCurve([(-0.1, 1.5), (-0.05, 0.5), (-0.02, 0.0), (0.02, 0.0),
+                                (0.05, -0.5), (0.1, -1.5)])
+                  for k in act}
+        cfg = dataclasses.replace(cfg, curves=curves)
+        q0 = np.random.default_rng(79).uniform(cfg.q_min, cfg.q_max)
+        traj = vv.simulate(sce42, cfg, mats=sce42_mats, q0=q0, max_iter=200,
+                           track_objective=True)
+        # the objective as the constant part and the curve-bus terms were
+        # formed before X q_o was shared: objective_f on q with act zeroed
+        q = q0.clip(cfg.q_min, cfg.q_max)
+        q_o = q.copy()
+        q_o[act] = 0.0
+        const_obj = vv.objective_f(sce42_mats, {}, q_o)
+        assert const_obj != 0.0
+        x_aa = sce42_mats.block(act)
+        base_err = (sce42_mats.voltage(q_o) - sce42.v_nom)[act]
+        if kernel == "float":
+            bundle = cfg.bundle
+            states = reference_float_kernel(
+                "d2", x_aa, base_err, bundle, bundle.end_slopes(), q[act], cfg.q_min[act],
+                cfg.q_max[act], cfg.gamma2, None, [0.0] * 3, const_obj)
+            want = [obj for _, (_, _, _, obj) in zip(traj.times, states)]
+        else:
+            assert cfg.bundle.end_slopes() is None
+            want = [float(cfg.bundle.cost(qa).sum() + 0.5 * qa @ (x_aa @ qa) + qa @ base_err
+                          + const_obj) for qa in traj.q[:, act]]
+        assert traj.objective.tolist() == want
+
+
 class TestWarmStartedPlant:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(feeders_with_curves(alpha_max=20.0, table_share=1.0), st.floats(0.2, 1.0))

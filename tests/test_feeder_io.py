@@ -109,6 +109,21 @@ class TestErrors:
         with pytest.raises(vv.InvalidRecord, match=knob):
             vv.load_feeder("builtin:sce42", **{knob: bad})
 
+    @pytest.mark.parametrize("tan_rho", [10**400, -(10**400)])
+    def test_tan_rho_past_float_range_is_named(self, tan_rho):
+        # 10**400 once raised a bare OverflowError from math.atan
+        with pytest.raises(vv.InvalidRecord, match="tan_rho"):
+            vv.load_feeder("builtin:sce42", tan_rho=tan_rho)
+        unbounded = vv.load_feeder("builtin:sce42", tan_rho=math.inf)
+        assert {inv.rho for inv in unbounded.inverters.values()} == {math.pi / 2}
+
+    def test_load_scale_that_overflows_a_load_is_rejected(self):
+        doc = edited(vv.feeder_to_dict(vv.load_feeder("builtin:sce42")), ("buses", 3, "q_c"),
+                     1e10)
+        vv.load_feeder(doc, load_scale=1e290)
+        with pytest.raises(vv.InvalidRecord, match="load_scale=1e.300 overflows the load"):
+            vv.load_feeder(doc, load_scale=1e300)
+
     def test_negative_load_scale_rejected(self):
         with pytest.raises(vv.InvalidRecord, match="load_scale"):
             vv.load_feeder("builtin:sce42", load_scale=-0.5)

@@ -141,6 +141,49 @@ def test_nan_load_fails_at_the_boundary():
         two_bus_feeder(p_c=math.nan)
 
 
+@pytest.mark.parametrize("change", ["x", "r", "parent", "short", "float-parent"])
+def test_replace_that_changes_the_tree_is_rejected(change):
+    # a copy with doubled x once kept the old depth: block and x_times disagreed
+    f = random_feeder(np.random.default_rng(5), 12)
+    kw = {"x": dict(x=2 * f.x), "r": dict(r=f.r + 0.01),
+          "parent": dict(parent=np.where(f.parent == 0, -1, f.parent)),
+          "short": dict(x=f.x[:-1]), "float-parent": dict(parent=f.parent + 0.0)}[change]
+    assert np.any(f.parent == 0)  # so the "parent" change moves a subtree
+    with pytest.raises(vv.InvalidRecord, match="depth"):
+        dataclasses.replace(f, **kw)
+
+
+def test_replace_that_moves_a_bus_between_equal_paths_is_rejected():
+    # 2 and 3 hang off bus 1 by equal lines, so moving bus 4 from 2 to 3
+    # keeps every depth sum bit-equal; the preorder still tells them apart
+    f = vv.build_feeder(
+        [Bus(k) for k in range(5)],
+        [Line(0, 1, r=0.1, x=0.2), Line(1, 2, r=0.3, x=0.4), Line(1, 3, r=0.3, x=0.4),
+         Line(2, 4, r=0.5, x=0.6)],
+        slack_label=0,
+    )
+    parent = f.parent.copy()
+    parent[f.position[4]] = f.position[3]
+    assert np.array_equal(f.depth, [f.x, f.r] + np.append(f.depth, [[0.0], [0.0]], axis=1)
+                          .take(parent, axis=1))
+    with pytest.raises(vv.InvalidRecord, match="preorder"):
+        dataclasses.replace(f, parent=parent)
+    # and so is every other single move, equal lines or not
+    g = random_feeder(np.random.default_rng(7), 9, z_lo=0.5, z_hi=0.5)
+    for k in range(g.n):
+        for p in set(range(-1, g.n)) - {int(g.parent[k])}:
+            with pytest.raises(vv.InvalidRecord, match="preorder"):
+                dataclasses.replace(g, parent=np.where(np.arange(g.n) == k, p, g.parent))
+
+
+def test_replace_that_changes_loads_keeps_the_layout():
+    f = random_feeder(np.random.default_rng(5), 12)
+    g = dataclasses.replace(f, p_c=np.full(f.n, 0.01), q_c=np.full(f.n, 0.005))
+    assert g.depth is f.depth and g.preorder is f.preorder
+    np.testing.assert_allclose(vv.sensitivity_matrices(g).X, brute_force_sensitivities(g)[1],
+                               rtol=1e-12)
+
+
 @pytest.mark.parametrize("kw", [dict(v_kv=0.0, s_kva=1000.0), dict(v_kv=12.35, s_kva=0.0),
                                 dict(v_kv="12.35", s_kva=1000.0),
                                 dict(v_kv=12.35, s_kva=1000.0, z_ohm=math.nan)])

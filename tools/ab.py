@@ -13,8 +13,10 @@ the host lands on both sides.
 A process prepares the workload at seed 1, runs one warm-up request, then
 runs every request of the pool three times.  Its samples are the sum over
 the pool of each entry's fastest request, in ms, and its steps/s: the
-pool's closed-loop steps over the sum of each entry's fastest ``sim_s``.
-Both follow the fastest-repeat rule of ``bench/run.py``.  Each process
+pool's closed-loop steps over the sum of each entry's fastest ``sim_s``,
+and its ``equilibrium_ms``: the median over the pool of each entry's
+fastest ``eq_ms`` samples, taken one by one.  All three follow the
+fastest-repeat rule of ``bench/run.py``.  Each process
 also reports its own peak resident set size (``ru_maxrss``) at the end,
 as ``bench/run.py`` does for ``peak_rss_mb``.  The report gives each
 side's median and quartiles over the rounds, the ratio of the medians
@@ -54,6 +56,7 @@ def child(tree, workload):
         wl.request(state, 0)
         best = [float("inf")] * wl.POOL
         best_sim = [float("inf")] * wl.POOL
+        best_eq = [None] * wl.POOL
         steps = [0] * wl.POOL
         for i in range(1, REPEATS * wl.POOL + 1):
             t0 = time.perf_counter()
@@ -61,9 +64,11 @@ def child(tree, workload):
             k = i % wl.POOL
             best[k] = min(best[k], time.perf_counter() - t0)
             best_sim[k] = min(best_sim[k], s["sim_s"])
+            best_eq[k] = [min(x, y) for x, y in zip(best_eq[k] or s["eq_ms"], s["eq_ms"])]
             steps[k] = s["steps"]
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps({"pool_ms": sum(best) * 1e3, "steps_per_s": sum(steps) / sum(best_sim),
+                      "equilibrium_ms": statistics.median([x for eq in best_eq for x in eq]),
                       "peak_rss_mb": rss_mb}))
 
 
@@ -104,7 +109,7 @@ def main(argv=None):
             out.append(run_side(tree, args.workload))
         print(f"round {r + 1}: " + "  ".join(
             f"{side} {s['pool_ms']:.2f} ms {s['steps_per_s']:.1f} steps/s "
-            f"{s['peak_rss_mb']:.1f} MB" for side, s in (("A", a[-1]), ("B", b[-1]))),
+            f"eq {s['equilibrium_ms']:.4f} ms {s['peak_rss_mb']:.1f} MB" for side, s in (("A", a[-1]), ("B", b[-1]))),
             flush=True)
     print(f"{args.workload}, {args.rounds} rounds, seed {SEED}: each sample takes the "
           f"fastest of {REPEATS} requests per pool entry")
@@ -112,6 +117,7 @@ def main(argv=None):
               "repeats": REPEATS, "a": a, "b": b, "summary": {}}
     for key, label, lower in (("pool_ms", "pool time (ms)", True),
                               ("steps_per_s", "steps/s", False),
+                              ("equilibrium_ms", "equilibrium (ms)", True),
                               ("peak_rss_mb", "peak RSS (MB)", True)):
         xa, xb = [s[key] for s in a], [s[key] for s in b]
         won = sum((y < x) if lower else (y > x) for x, y in zip(xa, xb))
