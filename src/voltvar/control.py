@@ -30,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidRecord
-from .network import Inverter, _check_positions, _real, _vector  # noqa: F401  Inverter: re-export
+from .network import (Inverter, _check_positions, _real, _shown,  # noqa: F401  Inverter: re-export
+                      _vector)
 
 DEFAULT_DEADBAND = 0.04  # total width, i.e. a 0.98..1.02 p.u. band
 
@@ -210,7 +211,7 @@ class TableCurve(ControlCurve):
     def __init__(self, points):
         try:
             pts = sorted((_spec_float(v), _spec_float(u)) for v, u in points)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # an int past float range
             raise InvalidRecord(
                 f"table points must be [v_err, q] number pairs: {exc}"
             ) from exc
@@ -277,7 +278,7 @@ def curve_from_spec(spec, alpha=None, deadband=None):
         if "points" not in spec:
             raise InvalidRecord("table curve spec needs 'points'")
         return TableCurve(spec["points"])
-    raise InvalidRecord(f"unknown curve type {kind!r}")
+    raise InvalidRecord(f"unknown curve type {_shown(kind)}")
 
 
 def _spec_float(raw):
@@ -290,11 +291,12 @@ def _spec_float(raw):
 def _spec_number(spec, key, override, default=None):
     raw = override if override is not None else spec.get(key, default)
     if raw is None:
-        raise InvalidRecord(f"droop curve spec needs {key!r}")
+        raise InvalidRecord(f"droop curve spec needs {_shown(key)}")
     try:
         return _spec_float(raw)
-    except (TypeError, ValueError) as exc:
-        raise InvalidRecord(f"droop curve {key} must be a number, got {raw!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # an int past float range
+        raise InvalidRecord(
+            f"droop curve {key} must be a number, got {_shown(raw)}") from exc
 
 
 class CurveBundle(Mapping):

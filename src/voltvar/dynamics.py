@@ -25,7 +25,7 @@ from .control import (DEFAULT_DEADBAND, CurveBundle, _read_curves, curve_from_sp
                       limits_arrays, validate_box)
 from .exceptions import DimensionMismatch, InvalidRecord, MaxIterations
 from .network import (SensitivityMatrices, _check_count, _check_tol, _deviation_terms,
-                      _floats, _model, _real, _vector, sensitivity_matrices)
+                      _floats, _model, _real, _shown, _vector, sensitivity_matrices)
 
 CONTROLLER_KINDS = ("d1", "d2", "d3")
 PLANT_KINDS = ("linear", "distflow")
@@ -419,7 +419,7 @@ def simulate(
         _check_count("oscillation_window", oscillation_window, 1)
     _check_tol(tol)
     if not (isinstance(plant, str) and plant in PLANT_KINDS):
-        raise InvalidRecord(f"plant must be one of {PLANT_KINDS}, got {plant!r}")
+        raise InvalidRecord(f"plant must be one of {PLANT_KINDS}, got {_shown(plant)}")
     linear = plant == "linear"
     if mats is not None:
         _model(mats, feeder)

@@ -28,7 +28,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .exceptions import InvalidRecord, ParseError
-from .network import Bases, Bus, Inverter, Line, _is_number, _readonly, _real, build_feeder
+from .network import (Bases, Bus, Inverter, Line, _is_number, _readonly, _real, _shown,
+                      build_feeder)
 
 BUILTIN_PREFIX = "builtin:"
 DEFAULT_POWER_FACTOR = 0.9
@@ -62,11 +63,11 @@ def _number(rec, key, context, default=_REQUIRED, integral=False):
             raise TypeError("a boolean is not a number")
         value = float(raw)
     except (TypeError, ValueError, OverflowError) as exc:  # an int past float range
-        raise ParseError(f"{context} needs a number, got {raw!r}", field=key) from exc
+        raise ParseError(f"{context} needs a number, got {_shown(raw)}", field=key) from exc
     if not integral:
         return value
     if not value.is_integer():
-        raise ParseError(f"{context} needs an integer, got {raw!r}", field=key)
+        raise ParseError(f"{context} needs an integer, got {_shown(raw)}", field=key)
     return raw if isinstance(raw, int) else int(value)
 
 
@@ -76,7 +77,7 @@ def _records(doc, key, required=True):
     if recs is _REQUIRED:
         raise ParseError("missing required value in document", field=key)
     if not isinstance(recs, (list, tuple)):
-        raise ParseError(f"{key} must be a list of records, got {recs!r}", field=key)
+        raise ParseError(f"{key} must be a list of records, got {_shown(recs)}", field=key)
     return recs
 
 
@@ -119,7 +120,7 @@ def load_feeder(
         name = source[len(BUILTIN_PREFIX):]
         ref = resources.files("voltvar.data").joinpath(f"{name}.json")
         if not ref.is_file():
-            raise ParseError(f"unknown builtin feeder {name!r}")
+            raise ParseError(f"unknown builtin feeder {_shown(name)}")
         doc, origin = json.loads(ref.read_text()), source
     else:
         try:
@@ -135,7 +136,7 @@ def load_feeder(
 
     unit = doc.get("unit", "pu")
     if unit not in ("ohm", "pu"):
-        raise ParseError(f"unit must be 'ohm' or 'pu', got {unit!r}", field="unit")
+        raise ParseError(f"unit must be 'ohm' or 'pu', got {_shown(unit)}", field="unit")
 
     bases = None
     if "bases" in doc:
@@ -154,11 +155,11 @@ def load_feeder(
     pv_operating_fraction = _real("pv_operating_fraction", pv_operating_fraction, "nonnegative")
     inverter_oversize = _real("inverter_oversize", inverter_oversize, "nonnegative")
     if not _is_number(power_factor):
-        raise InvalidRecord(f"power_factor must be a number, got {power_factor!r}")
+        raise InvalidRecord(f"power_factor must be a number, got {_shown(power_factor)}")
     cap_rho = (None if tan_rho is None  # the rho of an inverter sized by capacity_mw
                else math.atan(_real("tan_rho", tan_rho, "optional")))
     if not 0 < power_factor <= 1:
-        raise ParseError(f"power factor must lie in (0, 1], got {power_factor}",
+        raise ParseError(f"power factor must lie in (0, 1], got {_shown(power_factor)}",
                          field="power_factor")
     tan_phi = math.tan(math.acos(power_factor))
     buses = []

@@ -52,9 +52,38 @@ _DOMAINS = {"finite": (-_BIG, _BIG, "a finite number"),
             "optional": (0.0, math.inf, "None or a number of at least 0")}
 
 
+# the longest value text an error message shows
+_SHOWN_LIMIT = 200
+
+
 def _is_number(value, kinds=_REAL):
     """isinstance(value, kinds), but a bool, which Python counts as an int, is no number."""
     return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _shown(value, show=repr):
+    """``show(value)``, repr or str, for an error message, cut after
+    ``_SHOWN_LIMIT`` characters.
+
+    It never raises, where repr and str can: an int of more digits than
+    Python converts to a string (4300 by default) raises ValueError, and any
+    object's ``__repr__`` may raise.
+    """
+    try:
+        text = show(value)
+    except Exception:
+        if isinstance(value, int):
+            text = f"<an int of {value.bit_length()} bits>"
+        elif isinstance(value, list):
+            text = f"[{', '.join(map(_shown, value[:_SHOWN_LIMIT]))}]"
+        else:
+            text = f"<a {type(value).__name__} without a repr>"
+    return text if len(text) <= _SHOWN_LIMIT else f"{text[:_SHOWN_LIMIT]}..."
+
+
+def _line_name(ln):
+    """``line (from_bus, to_bus)`` of a line record, for error messages."""
+    return f"line ({_shown(ln.from_bus, str)}, {_shown(ln.to_bus, str)})"
 
 
 def _real(name, value, domain="finite"):
@@ -69,20 +98,21 @@ def _real(name, value, domain="finite"):
             return _real(name, float(value), domain)
         except OverflowError:  # an int past float range
             pass
-    raise InvalidRecord(f"{name} must be {text}, got {value!r}")
+    raise InvalidRecord(f"{name} must be {text}, got {_shown(value)}")
 
 
 def _check_tol(tol):
     """Raise InvalidRecord unless ``tol`` is a non-negative number; nan is not."""
     if not (_is_number(tol) and tol >= 0.0):
-        raise InvalidRecord(f"tol must be a non-negative number, got {tol!r}")
+        raise InvalidRecord(f"tol must be a non-negative number, got {_shown(tol)}")
 
 
 def _check_count(name, value, least):
     """Raise InvalidRecord unless ``value`` is an integer, a numpy one
     included, of at least ``least``."""
     if not (_is_number(value, _INTEGRAL) and value >= least):
-        raise InvalidRecord(f"{name} must be an integer of at least {least}, got {value!r}")
+        raise InvalidRecord(
+            f"{name} must be an integer of at least {least}, got {_shown(value)}")
 
 
 def _floats(name, value):
@@ -90,7 +120,7 @@ def _floats(name, value):
     cannot read it as floats."""
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int past float range
         raise InvalidRecord(f"{name} must be a numeric array: {exc}") from exc
 
 
@@ -125,7 +155,7 @@ def _check_positions(name, keys, n=None):
         raise InvalidRecord(f"{name} must be a sequence of bus positions: {exc}") from exc
     if bad:
         where = "non-negative integers" if n is None else f"integers in [0, {n})"
-        raise InvalidRecord(f"{name} must be {where}, got {bad}")
+        raise InvalidRecord(f"{name} must be {where}, got {_shown(bad, str)}")
 
 
 @dataclass(frozen=True)
@@ -196,10 +226,13 @@ def _readonly(a, dtype=float):
     return a
 
 
-def _subtree_sum(y, end):
-    """Subtree sums in preorder coordinates: entry a sums ``y[..., a:end[a]]``."""
+def _subtree_sum(y, end, out=None):
+    """Subtree sums in preorder coordinates: entry a sums ``y[..., a:end[a]]``,
+    written into ``out`` when given, an array of ``y``'s shape and dtype."""
     prefix = np.add.accumulate(y, axis=-1)
-    return prefix.take(end - 1, axis=-1) - (prefix - y)
+    out = prefix.take(end - 1, axis=-1, out=out, mode="clip")  # "raise" would buffer out
+    out -= np.subtract(prefix, y, out=prefix)
+    return out
 
 
 def _path_sum(y, end):
@@ -302,19 +335,27 @@ class Feeder:
     @cached_property
     def preorder_lines(self):
         """Line impedances in preorder coordinates, read-only: the stacked
-        ``(r, x)`` and ``z2 = r^2 + x^2``."""
+        ``(r, x)``, ``z2 = r^2 + x^2`` and the ``(n, 2)`` array of each
+        line's ``(r, x)`` pair."""
         r, x = rx = np.array((self.r, self.x)).take(self.preorder[0], axis=1)
-        return _readonly(rx), _readonly(r * r + x * x)
+        return _readonly(rx), _readonly(r * r + x * x), _readonly(rx.T.copy())
+
+    @cached_property
+    def preorder_loads(self):
+        """``net_p`` and ``q_c`` in preorder coordinates, stacked and read-only."""
+        return _readonly(np.array((self.net_p, self.q_c)).take(self.preorder[0], axis=1))
 
     def subtree_sum(self, y):
         """``D @ y`` along the last axis of ``y``: each bus's subtree sum, O(n)."""
         order, pos, end = self.preorder
-        return _subtree_sum(np.asarray(y, dtype=float)[..., order], end)[..., pos]
+        y = np.asarray(y, dtype=float).take(order, axis=-1)
+        return _subtree_sum(y, end).take(pos, axis=-1)
 
     def path_sum(self, y):
         """``D.T @ y`` along the last axis of ``y``: each bus's root-path sum, O(n)."""
         order, pos, end = self.preorder
-        return _path_sum(np.asarray(y, dtype=float)[..., order], end)[..., pos]
+        y = np.asarray(y, dtype=float).take(order, axis=-1)
+        return _path_sum(y, end).take(pos, axis=-1)
 
     @cached_property
     def descendant_matrix(self):
@@ -419,12 +460,14 @@ class SensitivityMatrices:
     def x_times(self, q):
         """The product ``X q`` along the last axis of ``q``, in O(n) through
         ``X = D.T diag(x) D``: the flow each line carries, weighted by its
-        reactance and summed along every root path."""
+        reactance and summed along every root path, all in preorder."""
         feeder = self.feeder
-        q = np.asarray(q, dtype=float)
+        q = _floats("q", q)
         if q.shape[-1:] != (feeder.n,):
             raise DimensionMismatch(f"expected q with last axis {feeder.n}, got {q.shape}")
-        return feeder.path_sum(feeder.x * feeder.subtree_sum(q))
+        order, pos, end = feeder.preorder
+        x = feeder.preorder_lines[0][1]
+        return _path_sum(x * _subtree_sum(q.take(order, axis=-1), end), end).take(pos, axis=-1)
 
     def voltage(self, q):
         """The linearized model's voltages ``X q + vtilde``, in O(n)."""
@@ -485,7 +528,7 @@ def build_feeder(
     curve_specs = dict(curve_specs or {})
 
     if not _is_number(slack_label, _INTEGRAL):
-        raise InvalidRecord(f"the slack label must be an integer, got {slack_label!r}")
+        raise InvalidRecord(f"the slack label must be an integer, got {_shown(slack_label)}")
     # per field, builtin type first: all() over a generator costs 6x more
     for b in buses:
         if not ((type(b.id) is int or _is_number(b.id, _INTEGRAL))
@@ -493,19 +536,20 @@ def build_feeder(
                 and (type(b.q_c) is float or _is_number(b.q_c))
                 and (type(b.p_g) is float or _is_number(b.p_g))
                 and (type(b.v_nom) is float or _is_number(b.v_nom))):
-            raise InvalidRecord(f"bus {b.id!r} needs an integer id and numeric p_c, q_c, p_g "
-                                f"and v_nom, got {b.p_c!r}, {b.q_c!r}, {b.p_g!r}, {b.v_nom!r}")
+            raise InvalidRecord(
+                f"bus {_shown(b.id)} needs an integer id and numeric p_c, q_c, p_g and "
+                f"v_nom, got {', '.join(_shown(a) for a in (b.p_c, b.q_c, b.p_g, b.v_nom))}")
     ids = [b.id for b in buses]
     if len(set(ids)) != len(ids):
         raise DuplicateId("duplicate bus ids")
     by_id = {b.id: b for b in buses}
     if slack_label not in by_id:
-        raise Disconnected(f"slack bus {slack_label} not among bus records")
+        raise Disconnected(f"slack bus {_shown(slack_label, str)} not among bus records")
 
     slack = by_id[slack_label]
     if slack.p_c or slack.q_c or slack.p_g or slack_label in inverters:
         raise InvalidRecord(
-            f"slack bus {slack_label} must carry no load, generation or inverter"
+            f"slack bus {_shown(slack_label, str)} must carry no load, generation or inverter"
         )
 
     adj = {i: [] for i in ids}
@@ -515,20 +559,19 @@ def build_feeder(
                 and (type(ln.to_bus) is int or _is_number(ln.to_bus, _INTEGRAL))
                 and (type(ln.r) is float or _is_number(ln.r))
                 and (type(ln.x) is float or _is_number(ln.x))):
-            raise InvalidRecord(f"line ({ln.from_bus!r}, {ln.to_bus!r}) needs integer ends "
-                                f"and numeric r and x, got {ln.r!r}, {ln.x!r}")
+            raise InvalidRecord(f"line ({_shown(ln.from_bus)}, {_shown(ln.to_bus)}) needs "
+                                f"integer ends and numeric r and x, got {_shown(ln.r)}, "
+                                f"{_shown(ln.x)}")
         if ln.from_bus not in by_id or ln.to_bus not in by_id:
-            raise Disconnected(
-                f"line ({ln.from_bus}, {ln.to_bus}) references an unknown bus"
-            )
-        if not (0 < ln.r < np.inf and 0 < ln.x < np.inf):
+            raise Disconnected(f"{_line_name(ln)} references an unknown bus")
+        if not (0 < ln.r <= _BIG and 0 < ln.x <= _BIG):
             raise NonPositiveImpedance(
-                f"line ({ln.from_bus}, {ln.to_bus}) has r={ln.r}, x={ln.x}; "
+                f"{_line_name(ln)} has r={_shown(ln.r, str)}, x={_shown(ln.x, str)}; "
                 "both must be positive and finite"
             )
         pair = frozenset((ln.from_bus, ln.to_bus))
         if len(pair) == 1 or pair in seen_pairs:
-            raise CycleDetected(f"repeated or self line ({ln.from_bus}, {ln.to_bus})")
+            raise CycleDetected(f"repeated or self {_line_name(ln)}")
         seen_pairs.add(pair)
         adj[ln.from_bus].append((ln.to_bus, ln))
         adj[ln.to_bus].append((ln.from_bus, ln))
@@ -563,9 +606,7 @@ def build_feeder(
             if ln is came_in[u]:
                 continue
             if w in came_in:
-                raise CycleDetected(
-                    f"cycle through line ({ln.from_bus}, {ln.to_bus})"
-                )
+                raise CycleDetected(f"cycle through {_line_name(ln)}")
             came_in[w] = ln
             k = pos[w]
             parent[k] = p
@@ -579,11 +620,10 @@ def build_feeder(
         # off-tree lines join unreached buses only: n lines leave them a cycle
         if len(lines) == n:
             raise CycleDetected(
-                f"buses {sorted(unreached)} form a cycle detached from the slack"
+                f"buses {_shown(sorted(unreached), str)} form a cycle detached from the slack"
             )
-        raise Disconnected(
-            f"buses {sorted(unreached)} unreachable from slack {slack_label}"
-        )
+        raise Disconnected(f"buses {_shown(sorted(unreached), str)} unreachable from "
+                           f"slack {_shown(slack_label, str)}")
     order = order[1:]  # the slack popped first
     size = [1] * (n + 1)  # size[-1]: the slack's
     for k in reversed(order):  # children before parents
@@ -594,20 +634,26 @@ def build_feeder(
 
     for lab in list(inverters) + list(curve_specs):
         if lab not in by_id or lab == slack_label:
-            raise InvalidRecord(f"inverter/curve attached to invalid bus {lab}")
+            raise InvalidRecord(f"inverter/curve attached to invalid bus {_shown(lab, str)}")
     for lab, inv in inverters.items():
         if not isinstance(inv, Inverter):
-            raise InvalidRecord(f"the inverter at bus {lab} must be an Inverter, got {inv!r}")
+            raise InvalidRecord(
+                f"the inverter at bus {_shown(lab, str)} must be an Inverter, got {_shown(inv)}")
 
-    p_c = np.array([by_id[lab].p_c for lab in nonslack])
-    q_c = np.array([by_id[lab].q_c for lab in nonslack])
-    p_g = np.array([by_id[lab].p_g for lab in nonslack])
-    v_nom = np.array([by_id[lab].v_nom for lab in nonslack])
+    cols = ([by_id[lab].p_c for lab in nonslack], [by_id[lab].q_c for lab in nonslack],
+            [by_id[lab].p_g for lab in nonslack], [by_id[lab].v_nom for lab in nonslack])
+    try:
+        p_c, q_c, p_g, v_nom = (np.array(col, dtype=float) for col in cols)
+    except OverflowError:  # an int past float range, which is no finite number either
+        p_c, q_c, p_g, v_nom = (np.array([a if -_BIG <= a <= _BIG else np.inf for a in col])
+                                for col in cols)
     bad = ~np.isfinite((p_c, q_c, p_g, v_nom)).all(axis=0) | ~(v_nom > 0.0)
     if bad.any():
         b = by_id[nonslack[int(np.argmax(bad))]]
-        raise InvalidRecord(f"bus {b.id} has p_c={b.p_c}, q_c={b.q_c}, p_g={b.p_g}, "
-                            f"v_nom={b.v_nom}: all must be finite, and v_nom positive")
+        shown = ", ".join(f"{k}={_shown(getattr(b, k), str)}"
+                          for k in ("p_c", "q_c", "p_g", "v_nom"))
+        raise InvalidRecord(f"bus {_shown(b.id, str)} has {shown}: all must be finite, "
+                            "and v_nom positive")
     v0 = _real("v0", v0, "positive")
 
     return Feeder(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidRecord, NegativeSquaredVoltage, NoConvergence
-from .network import (_check_count, _check_tol, _model, _path_sum, _subtree_sum, _vector,
-                      sensitivity_matrices)
+from .network import (_check_count, _check_tol, _model, _path_sum, _readonly, _subtree_sum,
+                      _vector, sensitivity_matrices)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -22,7 +22,15 @@ DEFAULT_MAX_ITER = 100
 
 @dataclass(frozen=True, eq=False)
 class VoltageSolution:
-    """Voltages plus per-line flows for one operating point."""
+    """Voltages plus per-line flows for one operating point.
+
+    The arrays of a solution that :func:`linear_voltage` or
+    :func:`distflow_sweep` returns are read-only.  A sweep's solution also
+    carries its feeder and its ``(ell, v)`` in preorder, so that a sweep of
+    that same feeder which starts from it skips the start's check; a
+    ``dataclasses.replace`` copy, a ``copy`` or a pickled one carries
+    nothing and is checked.
+    """
 
     v: np.ndarray
     P: np.ndarray
@@ -30,6 +38,13 @@ class VoltageSolution:
     ell: np.ndarray
     model: str
     iterations: int = 0
+    # distflow_sweep sets (feeder, ell, v) here; no field, so that replace,
+    # asdict and fields() pass it by
+    _warm = None
+
+    def __getstate__(self):
+        # a feeder does not pickle, and a copy needs no carried start
+        return {k: a for k, a in self.__dict__.items() if k != "_warm"}
 
 
 def linear_voltage(mats, q):
@@ -37,12 +52,12 @@ def linear_voltage(mats, q):
     the lossless line flows, each line carrying its subtree's net load."""
     feeder = _model(mats).feeder
     q = _vector("q", q, feeder.n)
-    P, Q = feeder.subtree_sum(np.array((feeder.net_p, feeder.q_c - q)))
+    P, Q = _readonly(feeder.subtree_sum(np.array((feeder.net_p, feeder.q_c - q))))
     return VoltageSolution(
-        v=mats.voltage(q),
+        v=_readonly(mats.voltage(q)),
         P=P,
         Q=Q,
-        ell=np.zeros(feeder.n),
+        ell=_readonly(np.zeros(feeder.n)),
         model="linear",
     )
 
@@ -55,7 +70,9 @@ def distflow_sweep(feeder, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, start=
     alternates flow accumulation, voltage propagation and current updates
     until the largest voltage change drops below ``tol``.  A start near the
     solution, such as the previous step's solution in a closed loop, needs
-    fewer sweeps to the same stopping rule.
+    fewer sweeps to the same stopping rule.  A start that this function
+    returned for this same feeder object is taken as it was solved; any
+    other start is checked first.
 
     Raises
     ------
@@ -74,45 +91,74 @@ def distflow_sweep(feeder, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, start=
     """
     _check_tol(tol)
     _check_count("max_iter", max_iter, 1)
-    q = _vector("q", q, feeder.n)
+    n = feeder.n
+    q = _vector("q", q, n)
     # the sweep runs in preorder coordinates, where subtrees are intervals
     order, pos, end = feeder.preorder
-    rx, z2 = feeder.preorder_lines
-    r, x = rx
-    load = np.array((feeder.net_p, feeder.q_c - q)).take(order, axis=1)
+    (r, x), z2, rx_pairs = feeder.preorder_lines
+    net_p, q_c = feeder.preorder_loads
     v0sq = feeder.v0**2
-
+    # The flows (P, Q) of a bus travel as one complex number: complex sums
+    # add the two parts apart, so one sum over P + iQ gives the bits of the
+    # two real sums in one pass.  Products stay real, on the (n, 2) float
+    # view whose columns are P and Q.  Each in-place update rounds as the
+    # expression in the comment above it.  Every buffer is this call's own:
+    # the solution carries the final ell and v rows.
+    y, flow, square = np.empty((3, n), dtype=complex)
+    pairs, square_pairs = flow.view(float).reshape(n, 2), square.view(float).reshape(n, 2)
+    y_p, y_q, sq_p, sq_q = y.real, y.imag, square.real, square.imag
+    state = np.empty((3, n))
+    ell, v, v_new = state
+    drop, tmp, v2, load_q = np.empty((4, n))
+    np.subtract(q_c, q.take(order), out=load_q)
     if start is None:
-        ell = np.zeros(feeder.n)
-        v = feeder.v0  # flat start
+        ell.fill(0.0)
+        v.fill(feeder.v0)  # flat start
     else:
-        ell, v = _start_point(feeder, start)
+        ell[:], v[:] = _start_point(feeder, start)
     change = np.inf
     for it in range(1, max_iter + 1):
-        P, Q = _subtree_sum(load + rx * ell, end)
-        drop = 2.0 * (r * P + x * Q) - z2 * ell
-        v2 = v0sq - _path_sum(drop, end)
+        # y = (net_p, q_c - q) + rx * ell
+        np.add(np.multiply(r, ell, out=y_p), net_p, out=y_p)
+        np.add(np.multiply(x, ell, out=y_q), load_q, out=y_q)
+        _subtree_sum(y, end, out=flow)
+        # drop = 2 (r P + x Q) - z2 ell
+        np.multiply(rx_pairs, pairs, out=square_pairs)
+        np.add(sq_p, sq_q, out=drop)
+        drop *= 2.0
+        drop -= np.multiply(z2, ell, out=tmp)
+        # v2 = v0^2 - path sums of drop
+        np.subtract(v0sq, _path_sum(drop, end), out=v2)
         if v2.min() <= 0.0:
             raise NegativeSquaredVoltage(
                 f"squared voltage non-positive at bus positions "
                 f"{np.sort(order[v2 <= 0.0]).tolist()}"
             )
-        # the sending end of line k is its parent bus, whose squared
-        # voltage lacks only line k's own drop
-        ell = (P * P + Q * Q) / (v2 + drop)
-        v_new = np.sqrt(v2)
-        change = float(np.abs(v_new - v).max())
-        v = v_new
+        # ell = (P^2 + Q^2) / (v2 + drop): the sending end of line k is its
+        # parent bus, whose squared voltage lacks only line k's own drop
+        np.multiply(pairs, pairs, out=square_pairs)
+        np.add(sq_p, sq_q, out=ell)
+        ell /= np.add(v2, drop, out=tmp)
+        np.sqrt(v2, out=v_new)
+        change = float(np.abs(np.subtract(v_new, v, out=tmp), out=tmp).max())
+        v, v_new = v_new, v
         if change < tol:
-            v, P, Q, ell = np.array((v, P, Q, ell)).take(pos, axis=1)
-            return VoltageSolution(v=v, P=P, Q=Q, ell=ell, model="distflow", iterations=it)
+            state.setflags(write=False)
+            out = _readonly(np.array((v, flow.real, flow.imag, ell)).take(pos, axis=1))
+            sol = VoltageSolution(*out, model="distflow", iterations=it)
+            object.__setattr__(sol, "_warm", (feeder, ell, v))
+            return sol
     raise NoConvergence(max_iter, change)
 
 
 def _start_point(feeder, start):
-    """The checked ``(ell, v)`` of a warm start, taken into preorder."""
+    """The ``(ell, v)`` of a warm start in preorder: as carried, when
+    :func:`distflow_sweep` solved ``start`` on this very feeder, and checked
+    and gathered otherwise."""
     if not isinstance(start, VoltageSolution):
         raise InvalidRecord(f"start must be a VoltageSolution, got {type(start).__name__}")
+    if start._warm is not None and start._warm[0] is feeder:
+        return start._warm[1:]
     ell = _vector("start.ell", start.ell, feeder.n)
     v = _vector("start.v", start.v, feeder.n)
     if not (v > 0.0).all():

@@ -8,8 +8,9 @@ from voltvar.network import Bus, Line
 # every exception class of voltvar.exceptions derives from one of these
 PACKAGE_ERRORS = (vv.FeederValidationError, vv.DimensionMismatch, vv.ParseError,
                   vv.PowerFlowError, vv.MaxIterations)
-# non-finite, zero, negative, huge, non-integral, numpy integer and string values
-NUMBERS = (np.nan, np.inf, -np.inf, 0, -3, -0.5, 1e308, 2.5, np.int64(20), "5", "x")
+# non-finite, zero, negative, huge, non-integral, numpy integer and string values, and an
+# int of more digits than Python will turn into a string
+NUMBERS = (np.nan, np.inf, -np.inf, 0, -3, -0.5, 1e308, 2.5, np.int64(20), "5", "x", 10**5000)
 
 
 def package_outcome(call):
@@ -114,6 +115,52 @@ def single_line_distflow_oracle(r, x, p_net, q_net, v0=1.0):
     q = q_net + x * ell
     v1sq = v0**2 - 2 * (r * p + x * q) + (r * r + x * x) * ell
     return np.sqrt(v1sq), ell
+
+
+def reference_distflow_sweep(feeder, q, tol, max_iter, start=None):
+    """Reference ``powerflow.distflow_sweep``: the plain sweep loop, one
+    whole-array expression per quantity, in preorder, with the tree sums
+    written out.  ``start`` is an ``(ell, v)`` pair in model order, or None
+    for the flat start.  Returns ``(v, P, Q, ell, iterations)`` in model
+    order, or raises NegativeSquaredVoltage or NoConvergence as the library
+    does."""
+    order, pos, end = feeder.preorder
+    n = feeder.n
+
+    def subtree_sum(y):
+        prefix = np.add.accumulate(y, axis=-1)
+        return prefix[..., end - 1] - (prefix - y)
+
+    def path_sum(y):
+        return np.add.accumulate(y - np.bincount(end, y, n + 1)[:-1])
+
+    r, x = rx = np.array((feeder.r, feeder.x))[:, order]
+    z2 = r * r + x * x
+    net_p = feeder.p_c - feeder.injected_real_power()
+    load = np.array((net_p, feeder.q_c - np.asarray(q, dtype=float)))[:, order]
+    v0sq = feeder.v0**2
+    if start is None:
+        ell, v = np.zeros(n), feeder.v0
+    else:
+        ell, v = np.array(start, dtype=float)[:, order]
+    change = np.inf
+    for it in range(1, max_iter + 1):
+        P, Q = subtree_sum(load + rx * ell)
+        drop = 2.0 * (r * P + x * Q) - z2 * ell
+        v2 = v0sq - path_sum(drop)
+        if v2.min() <= 0.0:
+            raise vv.NegativeSquaredVoltage(
+                f"squared voltage non-positive at bus positions "
+                f"{np.sort(order[v2 <= 0.0]).tolist()}"
+            )
+        ell = (P * P + Q * Q) / (v2 + drop)
+        v_new = np.sqrt(v2)
+        change = float(np.abs(v_new - v).max())
+        v = v_new
+        if change < tol:
+            v, P, Q, ell = np.array((v, P, Q, ell))[:, pos]
+            return v, P, Q, ell, it
+    raise vv.NoConvergence(max_iter, change)
 
 
 def numpy_hinge_sides(lo, hi, left, right):

@@ -1269,8 +1269,10 @@ def test_vector_arguments_fail_typed(sce42, sce42_mats, probe):
 
 # (call on sce42, its model, a d2 config and the value; the argument its
 # message names; a value outside its domain, or None where every finite
-# value lies in it): the bool True, NaN, inf, the string "1" and that value
-# each raise InvalidRecord. True once read as 1 at every one of them
+# value lies in it): the bool True, NaN, inf, the string "1", -10**5000 and
+# that value each raise InvalidRecord. True once read as 1 at every one of
+# them, and -10**5000, an int past Python's 4300-digit limit for str, once
+# raised a bare ValueError from the message
 SCALAR_PROBES = {
     "v_kv": (lambda f, m, c, x: vv.Bases(x, 1000.0), "v_kv", 0.0),
     "s_kva": (lambda f, m, c, x: vv.Bases(12.35, x), "s_kva", -1.0),
@@ -1315,7 +1317,8 @@ SCALAR_PROBES = {
 
 def scalar_cases():
     for probe, (_, name, outside) in sorted(SCALAR_PROBES.items()):
-        bad = {"bool": True, "nan": math.nan, "inf": math.inf, "string": "1", "outside": outside}
+        bad = {"bool": True, "nan": math.nan, "inf": math.inf, "string": "1", "huge": -10**5000,
+               "outside": outside}
         for kind, value in bad.items():
             if not (value is None or (kind == "inf" and name == "tol")):
                 yield pytest.param(probe, value, id=f"{probe}-{kind}")

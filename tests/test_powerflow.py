@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +13,7 @@ import voltvar as vv
 from helpers import (
     random_feeder,
     random_tree_records,
+    reference_distflow_sweep,
     single_line_distflow_oracle,
     two_bus_feeder,
 )
@@ -180,6 +184,100 @@ class TestWarmStart:
         bad = replace(sol, **{field: arr})
         with pytest.raises(vv.InvalidRecord):
             vv.distflow_sweep(sce42, np.zeros(sce42.n), start=bad, max_iter=1)
+
+
+def _outcome(call):
+    """``call()`` as ``(v, P, Q, ell, iterations)`` with the arrays as bytes, or
+    the type, message and residual bits of the power-flow error it raised."""
+    try:
+        out = call()
+    except vv.PowerFlowError as exc:
+        return type(exc), str(exc), float(getattr(exc, "residual", 0.0)).hex()
+    if isinstance(out, vv.VoltageSolution):
+        out = (out.v, out.P, out.Q, out.ell, out.iterations)
+    *arrays, iterations = out
+    return tuple(np.asarray(a, dtype=float).tobytes() for a in arrays), iterations
+
+
+def _loaded_feeder(rng, n, scale, v0):
+    buses, lines = random_tree_records(rng, n, z_hi=0.1)
+    loaded = [buses[0]] + [
+        vv.Bus(b.id, p_c=float(rng.uniform(0.0, scale)), q_c=float(rng.uniform(0.0, scale)))
+        for b in buses[1:]
+    ]
+    return vv.build_feeder(loaded, lines, slack_label=0, v0=v0)
+
+
+class TestReferenceLoop:
+    """The sweep against ``helpers.reference_distflow_sweep``, bit for bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20),
+           st.sampled_from((0.0, 0.01, 0.05, 2.0, 50.0)), st.floats(0.95, 1.05),
+           st.sampled_from((0.0, 1e-12, 1e-8, 1e-3)), st.integers(1, 40))
+    def test_cold_and_warm_sweeps_are_the_reference_loop(self, seed, n, scale, v0, tol,
+                                                         max_iter):
+        # scale 2 and 50 push many feeders past the solvable region, tol 0 and
+        # small budgets run out: the errors must match as well
+        rng = np.random.default_rng(seed)
+        f = _loaded_feeder(rng, n, scale, v0)
+        q1, q2 = rng.uniform(-0.05, 0.05, size=(2, n))
+        assert _outcome(lambda: vv.distflow_sweep(f, q2, tol, max_iter)) == _outcome(
+            lambda: reference_distflow_sweep(f, q2, tol, max_iter))
+        try:
+            start = vv.distflow_sweep(f, q1, tol=1e-12)
+        except vv.PowerFlowError:
+            return
+        want = _outcome(lambda: reference_distflow_sweep(f, q2, tol, max_iter,
+                                                         start=(start.ell, start.v)))
+        # a carried start, and a replace copy, which is checked and gathered
+        for s in (start, replace(start)):
+            assert _outcome(lambda: vv.distflow_sweep(f, q2, tol, max_iter, start=s)) == want
+
+    def test_carried_start_outlives_later_sweeps(self, sce42):
+        # every call owns its buffers: sweeps after the start's own leave it as solved
+        q_min, q_max = vv.limits_arrays(sce42)
+        q1, q2, q3 = np.random.default_rng(11).uniform(q_min, q_max, size=(3, sce42.n))
+        first = vv.distflow_sweep(sce42, q1, tol=1e-10)
+        state = (first.ell.copy(), first.v.copy())
+        vv.distflow_sweep(sce42, q2, tol=1e-10, start=first)
+        vv.distflow_sweep(sce42, q3, tol=1e-10)
+        assert _outcome(lambda: vv.distflow_sweep(sce42, q3, 1e-10, 100, start=first)) == (
+            _outcome(lambda: reference_distflow_sweep(sce42, q3, 1e-10, 100, start=state)))
+
+    def test_start_from_another_feeder_is_checked(self):
+        # same n, another tree: the start's carried preorder is not this
+        # feeder's, so its model-order ell and v are gathered anew
+        rng = np.random.default_rng(23)
+        a, b = (_loaded_feeder(rng, 12, 0.05, 1.0) for _ in range(2))
+        assert not np.array_equal(a.preorder[0], b.preorder[0])
+        q = rng.uniform(-0.05, 0.05, 12)
+        start = vv.distflow_sweep(a, q, tol=1e-12)
+        assert _outcome(lambda: vv.distflow_sweep(b, q, 1e-12, 100, start=start)) == _outcome(
+            lambda: reference_distflow_sweep(b, q, 1e-12, 100, start=(start.ell, start.v)))
+        bad = replace(start, v=np.full(12, -1.0))
+        with pytest.raises(vv.InvalidRecord):
+            vv.distflow_sweep(b, q, start=bad)
+
+    def test_copies_carry_nothing(self, sce42):
+        # the carried feeder would not pickle or asdict; every copy takes the
+        # checked path
+        q = np.zeros(sce42.n)
+        sol = vv.distflow_sweep(sce42, q, tol=1e-12)
+        want = _outcome(lambda: vv.distflow_sweep(sce42, q, 1e-13, 100, start=sol))
+        assert dataclasses.asdict(sol).keys() == dataclasses.asdict(replace(sol)).keys()
+        for copied in (pickle.loads(pickle.dumps(sol)), copy.deepcopy(sol), copy.copy(sol),
+                       replace(sol)):
+            assert copied._warm is None
+            np.testing.assert_array_equal(copied.v, sol.v)
+            assert _outcome(lambda: vv.distflow_sweep(sce42, q, 1e-13, 100, start=copied)) == want
+
+    def test_returned_arrays_are_read_only(self, sce42, sce42_mats):
+        q = np.zeros(sce42.n)
+        for sol in (vv.distflow_sweep(sce42, q), vv.linear_voltage(sce42_mats, q)):
+            for a in (sol.v, sol.P, sol.Q, sol.ell):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
 
 
 class TestLinearizationError:

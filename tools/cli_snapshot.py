@@ -1,6 +1,6 @@
 """Write the canonical ``builtin:sce42`` CLI outputs of one source tree.
 
-    python3 tools/cli_snapshot.py OUT_DIR [--tree TREE]
+    python3 tools/cli_snapshot.py OUT_DIR [--tree TREE] [--manifest FILE]
 
 Runs ``check``, ``simulate`` (d1, d2 and d3 on the linear plant, d1 on the
 distflow plant), ``equilibrium``, ``sweep`` over alpha, gamma2 and
@@ -19,12 +19,21 @@ or error message::
     python3 tools/cli_snapshot.py /tmp/old --tree OLD_TREE
     python3 tools/cli_snapshot.py /tmp/new --tree NEW_TREE
     diff -r /tmp/old /tmp/new
+
+``--manifest FILE`` also writes one ``SHA-256  NAME`` line per snapshot
+file, sorted by name, into FILE.  ``tests/golden/cli_snapshot.sha256`` is
+that manifest for this checkout; ``tests/test_cli_snapshot.py`` compares a
+fresh snapshot with it.  A change that moves an output on purpose rewrites
+it with::
+
+    python3 tools/cli_snapshot.py /tmp/snap --manifest tests/golden/cli_snapshot.sha256
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -80,11 +89,25 @@ DOCUMENTS = (
 )
 
 
+def digests(out_dir):
+    """``{name: SHA-256 hex digest}`` of every file in ``out_dir``."""
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(Path(out_dir).iterdir()) if f.is_file()}
+
+
+def read_manifest(path):
+    """The ``{name: digest}`` of a manifest that ``--manifest`` wrote."""
+    return {name: digest for digest, name in
+            (line.split("  ", 1) for line in Path(path).read_text().splitlines())}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("out_dir", help="directory for the snapshot (created if missing)")
     p.add_argument("--tree", default=str(TREE), help="source tree holding src/voltvar")
+    p.add_argument("--manifest", help="also write the SHA-256 of each snapshot file here")
     args = p.parse_args(argv)
+    manifest = args.manifest and Path(args.manifest).resolve()
     sys.path.insert(0, str(Path(args.tree).resolve() / "src"))
     from voltvar.cli import main as cli_main
 
@@ -99,6 +122,9 @@ def main(argv=None):
             code = cli_main(argv_)
         Path(f"{name}.txt").write_text(
             f"$ voltvar {' '.join(argv_)}\n{stdout.getvalue()}{stderr.getvalue()}exit {code}\n")
+    if manifest:
+        manifest.write_text("".join(f"{digest}  {name}\n"
+                                    for name, digest in digests(".").items()))
 
 
 if __name__ == "__main__":
