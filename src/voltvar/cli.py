@@ -86,6 +86,12 @@ def _config(args, feeder, kind="d1"):
     )
 
 
+def _setup(args, kind="d1"):
+    """The feeder, its sensitivity matrices and the ``kind`` config of a command."""
+    feeder = _load(args)
+    return feeder, sensitivity_matrices(feeder), _config(args, feeder, kind)
+
+
 def _run_meta(args, feeder, extra):
     """The parsed options, less dispatch and output, plus version and feeder facts."""
     meta = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
@@ -122,9 +128,7 @@ def write_trajectory_csv(trajectory, path):
 
 
 def cmd_check(args):
-    feeder = _load(args)
-    mats = sensitivity_matrices(feeder)
-    config = _config(args, feeder)
+    feeder, mats, config = _setup(args)
     report = check_d1_condition(config.curves, mats)
     g3 = d3_stepsize_bound(config.curves, mats)
     print(f"feedback modulus sigma            : {report.sigma:.6f}")
@@ -144,9 +148,7 @@ def cmd_check(args):
 
 
 def cmd_simulate(args):
-    feeder = _load(args)
-    mats = sensitivity_matrices(feeder)
-    config = _config(args, feeder, kind=args.controller)
+    feeder, mats, config = _setup(args, args.controller)
     traj = simulate(
         feeder, config, plant=args.plant, tol=args.tol, max_iter=args.max_iter,
         record_every=args.record_every, track_objective=True, mats=mats,
@@ -170,9 +172,7 @@ def cmd_simulate(args):
 
 
 def cmd_equilibrium(args):
-    feeder = _load(args)
-    mats = sensitivity_matrices(feeder)
-    config = _config(args, feeder, kind="d1")  # curves/limits only; solver picks gamma3
+    feeder, mats, config = _setup(args)  # curves/limits only; solver picks gamma3
     report = solve_equilibrium(
         feeder, curves=config.curves, q_min=config.q_min, q_max=config.q_max,
         tol=args.tol, max_iter=args.max_iter, mats=mats,
@@ -206,16 +206,10 @@ def _parse_grid(text):
 
 
 def _sweep_point(args, feeder, mats, value):
-    controller, alpha, gamma2, gamma3 = args.controller, args.alpha, args.gamma2, args.gamma3
-    if args.parameter == "alpha":
-        alpha = value
-    elif args.parameter == "gamma2":
-        controller, gamma2 = "d2", value
-    elif args.parameter == "gamma3":
-        controller, gamma3 = "d3", value
-    config = ControllerConfig.from_feeder(
-        feeder, controller, alpha=alpha, deadband=args.deadband, gamma2=gamma2, gamma3=gamma3
-    )
+    # the swept value replaces its option; a swept stepsize selects its law
+    param = args.parameter
+    config = _config(argparse.Namespace(**{**vars(args), param: value}), feeder,
+                     {"gamma2": "d2", "gamma3": "d3"}.get(param, args.controller))
     report = check_d1_condition(config.curves, mats)
     eq = solve_equilibrium(
         feeder, curves=config.curves, q_min=config.q_min, q_max=config.q_max,

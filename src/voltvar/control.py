@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidRecord
-from .network import (Inverter, _check_positions, _real, _shown,  # noqa: F401  Inverter: re-export
-                      _vector)
+from .network import (Inverter, _check_positions, _doc_float,  # noqa: F401  Inverter: re-export
+                      _real, _shown, _vector)
 
 DEFAULT_DEADBAND = 0.04  # total width, i.e. a 0.98..1.02 p.u. band
 
@@ -210,7 +210,7 @@ class TableCurve(ControlCurve):
 
     def __init__(self, points):
         try:
-            pts = sorted((_spec_float(v), _spec_float(u)) for v, u in points)
+            pts = sorted((_doc_float(v), _doc_float(u)) for v, u in points)
         except (TypeError, ValueError, OverflowError) as exc:  # an int past float range
             raise InvalidRecord(
                 f"table points must be [v_err, q] number pairs: {exc}"
@@ -281,19 +281,12 @@ def curve_from_spec(spec, alpha=None, deadband=None):
     raise InvalidRecord(f"unknown curve type {_shown(kind)}")
 
 
-def _spec_float(raw):
-    """``float(raw)``, where a numeric string counts, as in documents, and a bool does not."""
-    if isinstance(raw, bool):
-        raise TypeError("a boolean is not a number")
-    return float(raw)
-
-
 def _spec_number(spec, key, override, default=None):
     raw = override if override is not None else spec.get(key, default)
     if raw is None:
         raise InvalidRecord(f"droop curve spec needs {_shown(key)}")
     try:
-        return _spec_float(raw)
+        return _doc_float(raw)
     except (TypeError, ValueError, OverflowError) as exc:  # an int past float range
         raise InvalidRecord(
             f"droop curve {key} must be a number, got {_shown(raw)}") from exc
@@ -348,12 +341,14 @@ class CurveBundle(Mapping):
         return len(self._curves)
 
     def end_slopes(self):
-        """Slope magnitudes (left, right) of the segments next to each
-        plateau, or None unless every curve has one segment per side."""
-        w = self._hinges.w
-        if w.shape[0] != 2:
+        """``(a_lo, a_hi, c_lo, c_hi)``, or None unless every curve has one
+        segment per side: its slope magnitudes left and right of the plateau
+        ``[lo, hi]``, and its cost ``(-lo + c_lo q) q`` for q > 0 and
+        ``(hi + c_hi z) z``, ``z = -q``, for q < 0."""
+        h = self._hinges
+        if h.w.shape[0] != 2:
             return None
-        return w[0], -w[1]
+        return h.w[0], -h.w[1], h.b[0], h.b[1]
 
     def evaluate(self, v_err):
         return _evaluate(self._hinges, np.asarray(v_err)[self._grid])

@@ -204,7 +204,8 @@ def _array_kernel(kind, verr_of, qa, bundle, lo_box, hi_box, gamma2, gamma3, f_a
 def _float_kernel(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi_box, gamma2, gamma3,
                   q_sum, const_obj=None):
     """Plain-float step for small systems of one-segment-per-side curves on
-    the linear plant; ``slopes`` are the (left, right) slope magnitudes.
+    the linear plant; ``slopes`` are ``bundle.end_slopes()``, the slope
+    magnitudes and cost curvatures on both sides of the plateaus.
 
     Same yields as ``_array_kernel``, from straight-line code that
     ``_float_step`` generates once per law, curve-bus count and tracked
@@ -217,34 +218,28 @@ def _float_kernel(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi_box, gam
     ``const_obj``, the objective less its curve-bus terms, each state comes
     with ``const_obj + sum_i [cost_i(q_i) + q_i ((x_aa q)_i / 2 + base_err_i)]``.
     """
-    hinges = None
-    if const_obj is not None:
-        # hinges[i]: the (tau_j, tau_j Q_j, a_j, b_j) of curve i's hinges
-        h = bundle._hinges
-        hinges = np.stack((h.tq, h.tkq, h.a, h.b), axis=-1).transpose(1, 0, 2).tolist()
-    kernel = _float_step(kind, qa0.size, 0 if hinges is None else len(hinges[0]))
+    kernel = _float_step(kind, qa0.size, const_obj is not None)
     return kernel(*(np.asarray(a, dtype=float).tolist() for a in (
         x_aa, base_err, *slopes, bundle.lo, bundle.hi, lo_box, hi_box, qa0)),
-        gamma2, gamma3, q_sum, const_obj, hinges)
+        gamma2, gamma3, q_sum, const_obj)
 
 
 @cache
-def _float_step(kind, m, n_hinges):
+def _float_step(kind, m, tracked):
     """The compiled step generator of ``_float_step_source``, under a file
     name that gives its shape, such as ``<voltvar float kernel d2 m=5
     tracked>``, so profiles and tracebacks name it."""
-    src = _float_step_source(kind, m, n_hinges)
-    where = f"<voltvar float kernel {kind} m={m} {'tracked' if n_hinges else 'untracked'}>"
+    src = _float_step_source(kind, m, tracked)
+    where = f"<voltvar float kernel {kind} m={m} {'tracked' if tracked else 'untracked'}>"
     linecache.cache[where] = (len(src), None, src.splitlines(True), where)
     namespace = {}
     exec(compile(src, where, "exec"), namespace)
     return namespace["kernel"]
 
 
-def _float_step_source(kind, m, n_hinges):
+def _float_step_source(kind, m, tracked):
     """Source text of ``kind``'s step generator on ``m`` curve buses, which
-    also yields each state's objective when ``n_hinges``, the hinges per
-    curve, is non-zero.
+    also yields each state's objective when ``tracked``.
 
     The text depends on the shape alone: state i lives in the local ``q{i}``,
     row i of ``x`` in ``x{i}_{j}``, and every coefficient is unpacked from
@@ -255,37 +250,32 @@ def _float_step_source(kind, m, n_hinges):
     def names(prefix):  # "prefix0, prefix1, ...,": a tuple target or value
         return "".join(f"{prefix}{i}, " for i in rng)
 
-    def hinge(i, k):
-        return f"(t{i}_{k}, s{i}_{k}, a{i}_{k}, c{i}_{k})"
-
     def x_times_q(i):
         return " + ".join(f"x{i}_{j} * q{j}" for j in rng)
 
     out = [
-        "def kernel(x, base, a_lo, a_hi, lo, hi, lob, hib, q, gamma2, gamma3, q_sum,",
-        "           const_obj, hinges):",
+        "def kernel(x, base, a_lo, a_hi, c_lo, c_hi, lo, hi, lob, hib, q, gamma2, gamma3,",
+        "           q_sum, const_obj):",
         "    " + "".join(f"({names(f'x{i}_')}), " for i in rng) + "= x",
     ]
-    for local, arg in (("b", "base"), ("al", "a_lo"), ("ah", "a_hi"), ("lo", "lo"),
-                       ("hi", "hi"), ("lb", "lob"), ("hb", "hib"), ("q", "q")):
+    for local, arg in (("b", "base"), ("al", "a_lo"), ("ah", "a_hi"), ("cl", "c_lo"),
+                       ("ch", "c_hi"), ("lo", "lo"), ("hi", "hi"), ("lb", "lob"),
+                       ("hb", "hib"), ("q", "q")):
         out.append(f"    {names(local)}= {arg}")
-    if n_hinges:
-        out.append("    " + "".join(
-            "(" + "".join(hinge(i, k) + ", " for k in range(n_hinges)) + "), " for i in rng)
-            + "= hinges")
     if kind == "d3":
         out.append("    g3c = 1.0 - gamma3")
     out += ["    res = 0.0", "    while True:"]
-    if n_hinges:
+    if tracked:
         out.append("        obj = const_obj")
         for i in rng:
             out += [f"        xq = 0.0 + {x_times_q(i)}",
-                    f"        obj += q{i} * (0.5 * xq + b{i})"]
-            for k in range(n_hinges):
-                out += [f"        z = t{i}_{k} * q{i} - s{i}_{k}",
-                        "        if z > 0.0:",
-                        f"            obj += (a{i}_{k} + c{i}_{k} * z) * z"]
-    out += [f"        yield ({names('q')}), res, None, {'obj' if n_hinges else 'None'}",
+                    f"        obj += q{i} * (0.5 * xq + b{i})",
+                    f"        if q{i} > 0.0:",
+                    f"            obj += (-lo{i} + cl{i} * q{i}) * q{i}",
+                    f"        elif q{i} < 0.0:",
+                    f"            z = -q{i}",
+                    f"            obj += (hi{i} + ch{i} * z) * z"]
+    out += [f"        yield ({names('q')}), res, None, {'obj' if tracked else 'None'}",
             "        res = 0.0"]
     for i in rng:
         out += [f"        q_sum[{i}] += q{i}",

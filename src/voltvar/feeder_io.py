@@ -28,8 +28,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .exceptions import InvalidRecord, ParseError
-from .network import (Bases, Bus, Inverter, Line, _is_number, _readonly, _real, _shown,
-                      build_feeder)
+from .network import (Bases, Bus, Inverter, Line, _doc_float, _is_number, _readonly, _real,
+                      _shown, build_feeder)
 
 BUILTIN_PREFIX = "builtin:"
 DEFAULT_POWER_FACTOR = 0.9
@@ -59,9 +59,7 @@ def _number(rec, key, context, default=_REQUIRED, integral=False):
     if raw is None and default is None:
         return None
     try:
-        if isinstance(raw, bool):
-            raise TypeError("a boolean is not a number")
-        value = float(raw)
+        value = _doc_float(raw)
     except (TypeError, ValueError, OverflowError) as exc:  # an int past float range
         raise ParseError(f"{context} needs a number, got {_shown(raw)}", field=key) from exc
     if not integral:
@@ -128,6 +126,8 @@ def load_feeder(
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{source}: invalid JSON at line {exc.lineno}") from exc
+        except ValueError as exc:  # an int of more digits than Python reads, or bad UTF-8
+            raise ParseError(f"{source}: unreadable JSON: {exc}") from exc
         except FileNotFoundError as exc:
             raise ParseError(f"{source}: no such feeder file") from exc
         origin = str(source)

@@ -61,6 +61,13 @@ def _is_number(value, kinds=_REAL):
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _doc_float(raw):
+    """``float(raw)``, where a numeric string counts, as in documents, and a bool does not."""
+    if isinstance(raw, bool):
+        raise TypeError("a boolean is not a number")
+    return float(raw)
+
+
 def _shown(value, show=repr):
     """``show(value)``, repr or str, for an error message, cut after
     ``_SHOWN_LIMIT`` characters.
@@ -578,6 +585,14 @@ def build_feeder(
 
     nonslack = sorted(i for i in ids if i != slack_label)
     n = len(nonslack)
+    # no id has more digits than the least or the greatest, so writing
+    # those and the slack's checks that every id can be written in decimal
+    for lab in (slack_label, *nonslack[:1], *nonslack[-1:]):
+        try:
+            str(lab)
+        except ValueError as exc:  # more digits than Python converts (4300 by default)
+            raise InvalidRecord(f"bus {_shown(lab)} needs an id that Python can write in "
+                                "decimal") from exc
     if len(lines) > n:
         raise CycleDetected(
             f"{n} non-slack buses admit at most {n} lines, got {len(lines)}"

@@ -237,7 +237,7 @@ def reference_float_kernel(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi
     m = qa0.size
     rows, base, a_lo, a_hi, lo, hi, lob, hib, q = (
         np.asarray(a, dtype=float).tolist()
-        for a in (x_aa, base_err, *slopes, bundle.lo, bundle.hi, lo_box, hi_box, qa0))
+        for a in (x_aa, base_err, *slopes[:2], bundle.lo, bundle.hi, lo_box, hi_box, qa0))
     if const_obj is not None:
         # hinges[i]: the (tau_j, tau_j Q_j, a_j, b_j) of curve i's two hinges
         h = bundle._hinges

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import traceback
 import types
@@ -349,12 +350,14 @@ class TestSimulate:
             vv.ControllerConfig.from_feeder(sce42, kind, alpha=10.0, gamma2=gamma, gamma3=gamma)
 
 
-def kernel_inputs(sce42_mats, m, kind, start, tracked):
-    """The ``_float_kernel`` arguments less ``q_sum`` for ``m`` droop buses:
+def kernel_inputs(sce42_mats, m, kind, start, tracked, shape="droop"):
+    """The ``_float_kernel`` arguments less ``q_sum`` for ``m`` curve buses:
     X on sce42's first ``m`` inverters, or on 16 buses of a random feeder,
     random base errors on both sides of the plateaus and boxes narrow
     enough to saturate.  ``start`` is ``zero`` (d2's kink), ``saturated``
-    (a box corner) or ``interior``."""
+    (a box corner) or ``interior``.  ``shape`` is ``droop`` or ``table``:
+    one segment per side with unequal slopes, and plateau edges that the
+    table extrapolates from its end points, or a lone zero point."""
     rng = np.random.default_rng([m, ("zero", "saturated", "interior").index(start)])
     if m == 16:
         feeder = random_feeder(np.random.default_rng(16), 40)
@@ -362,9 +365,16 @@ def kernel_inputs(sce42_mats, m, kind, start, tracked):
         act = np.sort(rng.choice(feeder.n, size=m, replace=False))
     else:
         mats, act = sce42_mats, np.array(sorted(sce42_mats.feeder.inverters)[:m])
-    bundle = CurveBundle({int(k): vv.DroopCurve(alpha=float(rng.uniform(5.0, 40.0)),
-                                                deadband=float(rng.choice([0.0, 0.02, 0.04])))
-                          for k in act})
+
+    def curve():
+        if shape == "droop":
+            return vv.DroopCurve(alpha=float(rng.uniform(5.0, 40.0)),
+                                 deadband=float(rng.choice([0.0, 0.02, 0.04])))
+        zeros = ([(0.0, 0.0)], [(-0.02, 0.0), (0.03, 0.0)])[int(rng.integers(2))]
+        return vv.TableCurve([(-0.2, float(rng.uniform(1.0, 8.0))), *zeros,
+                              (0.25, -float(rng.uniform(1.0, 8.0)))])
+
+    bundle = CurveBundle({int(k): curve() for k in act})
     hi_box = rng.uniform(0.05, 0.3, m)
     lo_box = -rng.uniform(0.05, 0.3, m)
     qa0 = {"zero": np.zeros(m), "saturated": np.where(rng.random(m) < 0.5, lo_box, hi_box),
@@ -380,8 +390,9 @@ class TestGeneratedFloatKernel:
     @pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
     def test_matches_reference_loop_bit_for_bit(self, sce42_mats, kind, m, tracked):
         moved = set()
-        for start in ("zero", "saturated", "interior"):
-            args, const_obj = kernel_inputs(sce42_mats, m, kind, start, tracked)
+        for shape, start in itertools.product(("droop", "table"),
+                                              ("zero", "saturated", "interior")):
+            args, const_obj = kernel_inputs(sce42_mats, m, kind, start, tracked, shape)
             sums = [0.0] * m, [0.0] * m
             runs = (dynamics._float_kernel(*args, sums[0], const_obj),
                     reference_float_kernel(*args, sums[1], const_obj))
@@ -440,8 +451,7 @@ class TestGeneratedFloatKernel:
         assert kernel.__code__.co_filename == where
         assert dynamics._float_step("d2", 5, 2).__code__.co_filename == (
             "<voltvar float kernel d2 m=5 tracked>")
-        states = kernel([[1.0]], *[[0.0, 0.0]] * 7, [0.0, 0.0], None, None, [0.0, 0.0], None,
-                        None)
+        states = kernel([[1.0]], *[[0.0, 0.0]] * 10, None, None, [0.0, 0.0], None)
         with pytest.raises(ValueError) as err:
             next(states)  # one row where the shape needs two
         frame = traceback.extract_tb(err.value.__traceback__)[-1]

@@ -192,6 +192,13 @@ class TestErrors:
         with pytest.raises(vv.ParseError):
             vv.load_feeder(str(p))
 
+    def test_json_number_past_the_digit_limit_is_named(self, tmp_path):
+        # json reads such an int with int(), whose bare ValueError once escaped
+        p = tmp_path / "huge_id.json"
+        p.write_text('{"unit": "pu", "buses": [{"id": 1' + "0" * 5000 + "}]}")
+        with pytest.raises(vv.ParseError, match="huge_id.json: unreadable JSON"):
+            vv.load_feeder(str(p))
+
     @pytest.mark.parametrize("text", ["[1, 2]", "3.5", "null", '"builtin:sce42"'])
     def test_json_file_not_an_object(self, tmp_path, text):
         p = tmp_path / "not_an_object.json"

@@ -96,10 +96,13 @@ def test_disconnected_rejected():
     ([Bus(0), Bus(1)], [Line(0, 1, True, 0.5)], {}, vv.InvalidRecord),
     ([Bus(0), Bus(True)], [Line(0, True, 0.1, 0.5)], {}, vv.InvalidRecord),
     ([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)], {"slack_label": True}, vv.InvalidRecord),
+    # an id of more digits than Python writes once built a feeder that no
+    # document or hash could hold
+    ([Bus(0), Bus(10**5000, p_c=0.1)], [Line(0, 10**5000, 0.1, 0.1)], {}, vv.InvalidRecord),
 ], ids=["no-slack", "unknown-bus", "self-line", "cycle-from-slack", "curve-on-unknown-bus",
         "string-load", "none-v_nom", "list-slack-load", "string-r", "none-x", "string-id",
         "float-id", "list-end", "list-slack", "string-v0", "bool-load", "bool-v_nom", "bool-r",
-        "bool-id", "bool-slack"])
+        "bool-id", "bool-slack", "unwritable-id"])
 def test_malformed_records_rejected(buses, lines, kw, error):
     with pytest.raises(error):
         vv.build_feeder(buses, lines, **kw)

@@ -4,14 +4,15 @@
 
 Runs ``check``, ``simulate`` (d1, d2 and d3 on the linear plant, d1 on the
 distflow plant), ``equilibrium``, ``sweep`` over alpha, gamma2 and
-load_scale, ``export-feeder``, and eleven commands the CLI rejects (a zero
+load_scale, ``export-feeder``, and twelve commands the CLI rejects (a zero
 ``--max-iter``, a nan ``--tol``, a missing feeder file, a zero
 ``--gamma2``, a negative ``--alpha``, ``--deadband``, ``--load-scale`` and
-``--tan-rho``, a zero ``--oversize``, and a cyclic and a disconnected
-feeder) in this process, with voltvar imported from ``TREE/src`` (default:
-the checkout holding this script).  The two bad feeders are written into
-OUT_DIR as JSON documents first.  Every command writes its ``--out`` files into
-OUT_DIR, and its stdout, stderr and exit code into ``OUT_DIR/NAME.txt``.
+``--tan-rho``, a zero ``--oversize``, a cyclic and a disconnected feeder,
+and a feeder whose bus id has 5000 digits) in this process, with voltvar
+imported from ``TREE/src`` (default: the checkout holding this script).
+The three bad feeders are written into OUT_DIR as JSON documents first.
+Every command writes its ``--out`` files into OUT_DIR, and its stdout,
+stderr and exit code into ``OUT_DIR/NAME.txt``.
 The CLI's outputs are byte-identical across identical runs, so ``diff -r``
 over the snapshots of two trees shows whether a change moved any number
 or error message::
@@ -72,20 +73,25 @@ COMMANDS = (
     ("reject_check_oversize", ["check", "--oversize", "0"]),
     ("reject_check_cyclic", ["check", "--feeder", "cyclic.json"]),
     ("reject_check_disconnected", ["check", "--feeder", "disconnected.json"]),
+    ("reject_check_huge_id", ["check", "--feeder", "huge_id.json"]),
 )
 
 
 def _document(lines):
-    """A per-unit feeder document on buses 0-4, slack 0, with these lines."""
-    return {"unit": "pu", "slack": 0, "buses": [{"id": i} for i in range(5)],
-            "lines": [{"from": a, "to": b, "r": 0.1, "x": 0.1} for a, b in lines]}
+    """The text of a per-unit feeder document on buses 0-4, slack 0, with these lines."""
+    return json.dumps({"unit": "pu", "slack": 0, "buses": [{"id": i} for i in range(5)],
+                       "lines": [{"from": a, "to": b, "r": 0.1, "x": 0.1} for a, b in lines]},
+                      indent=1) + "\n"
 
 
-# (file name, document) for the rejected feeders: the cycle 1-2-3 hangs off
-# the slack and leaves bus 4 out, and buses 2-4 are cut off from it
+# (file name, text) of the rejected feeders: the cycle 1-2-3 hangs off the
+# slack and leaves bus 4 out, buses 2-4 are cut off from it, and bus N =
+# 10^4999 has an id that json.dumps cannot write, so its text is spelled out
 DOCUMENTS = (
     ("cyclic.json", _document([(0, 1), (1, 2), (2, 3), (3, 1)])),
     ("disconnected.json", _document([(0, 1), (2, 3), (3, 4)])),
+    ("huge_id.json", '{"unit": "pu", "buses": [{"id": 0}, {"id": N}], "lines": [{"from": 0, '
+                     '"to": N, "r": 0.1, "x": 0.1}]}\n'.replace("N", "1" + "0" * 4999)),
 )
 
 
@@ -114,8 +120,8 @@ def main(argv=None):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)  # relative --out paths, so no absolute path reaches an output
-    for name, doc in DOCUMENTS:
-        Path(name).write_text(json.dumps(doc, indent=1) + "\n")
+    for name, text in DOCUMENTS:
+        Path(name).write_text(text)
     for name, argv_ in COMMANDS:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
