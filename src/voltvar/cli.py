@@ -8,22 +8,19 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
 
 from . import __version__
 from .control import DEFAULT_DEADBAND
-from .dynamics import (
-    ControllerConfig,
-    check_d1_condition,
-    d3_stepsize_bound,
-    simulate,
-    solve_equilibrium,
-)
+from .dynamics import (CONTROLLER_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL, PLANT_KINDS,
+                       _STEPSIZE_LAWS, ControllerConfig, check_d1_condition, d3_stepsize_bound,
+                       simulate, solve_equilibrium)
 from .exceptions import MaxIterations
-from .feeder_io import _with_load_scale, feeder_hash, load_feeder, save_feeder
+from .feeder_io import (DEFAULT_INVERTER_OVERSIZE, DEFAULT_POWER_FACTOR,
+                        DEFAULT_PV_OPERATING_FRACTION, _with_load_scale, _write_json,
+                        feeder_hash, load_feeder, save_feeder)
 from .network import sensitivity_matrices
 
 
@@ -35,10 +32,10 @@ def _add_feeder_options(p):
     p.add_argument("--feeder", default="builtin:sce42",
                    help="feeder JSON path or builtin:<name> (default builtin:sce42)")
     p.add_argument("--load-scale", type=float, default=1.0)
-    p.add_argument("--power-factor", type=float, default=0.9)
-    p.add_argument("--pv-fraction", type=float, default=1.0,
+    p.add_argument("--power-factor", type=float, default=DEFAULT_POWER_FACTOR)
+    p.add_argument("--pv-fraction", type=float, default=DEFAULT_PV_OPERATING_FRACTION,
                    help="inverter real output as a fraction of nameplate")
-    p.add_argument("--oversize", type=float, default=1.1,
+    p.add_argument("--oversize", type=float, default=DEFAULT_INVERTER_OVERSIZE,
                    help="inverter apparent capacity as a multiple of nameplate")
     p.add_argument("--tan-rho", type=float, default=None,
                    help="power-factor limit tan(rho); omitted = capacity circle only")
@@ -53,13 +50,13 @@ def _add_curve_options(p):
 
 
 def _add_run_options(p):
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
 
 def _add_law_options(p):
-    p.add_argument("--controller", choices=("d1", "d2", "d3"), default="d1")
-    p.add_argument("--plant", choices=("linear", "distflow"), default="linear")
+    p.add_argument("--controller", choices=CONTROLLER_KINDS, default="d1")
+    p.add_argument("--plant", choices=PLANT_KINDS, default="linear")
     p.add_argument("--gamma2", type=float, default=None)
     p.add_argument("--gamma3", type=float, default=None)
 
@@ -102,12 +99,6 @@ def _run_meta(args, feeder, extra):
         **extra,
     )
     return meta
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def write_trajectory_csv(trajectory, path):
@@ -171,13 +162,17 @@ def cmd_simulate(args):
     return 0 if traj.verdict == "converged" else 2
 
 
+def _equilibrium(args, feeder, mats, config):
+    """The equilibrium of ``config``'s curves and box (the solver picks its
+    stepsize), and its max |v* - v_nom|."""
+    eq = solve_equilibrium(feeder, curves=config.curves, q_min=config.q_min,
+                           q_max=config.q_max, tol=args.tol, max_iter=args.max_iter, mats=mats)
+    return eq, float(np.abs(eq.v_star - feeder.v_nom).max())
+
+
 def cmd_equilibrium(args):
-    feeder, mats, config = _setup(args)  # curves/limits only; solver picks gamma3
-    report = solve_equilibrium(
-        feeder, curves=config.curves, q_min=config.q_min, q_max=config.q_max,
-        tol=args.tol, max_iter=args.max_iter, mats=mats,
-    )
-    dev = float(np.abs(report.v_star - feeder.v_nom).max())
+    feeder, mats, config = _setup(args)
+    report, dev = _equilibrium(args, feeder, mats, config)
     print(f"objective           : {report.objective:.8e}")
     print(f"  curve cost        : {report.cost_term:.8e}")
     print(f"  quadratic term    : {report.quadratic_term:.8e}")
@@ -209,15 +204,11 @@ def _sweep_point(args, feeder, mats, value):
     # the swept value replaces its option; a swept stepsize selects its law
     param = args.parameter
     config = _config(argparse.Namespace(**{**vars(args), param: value}), feeder,
-                     {"gamma2": "d2", "gamma3": "d3"}.get(param, args.controller))
+                     _STEPSIZE_LAWS.get(param, args.controller))
     report = check_d1_condition(config.curves, mats)
-    eq = solve_equilibrium(
-        feeder, curves=config.curves, q_min=config.q_min, q_max=config.q_max,
-        tol=args.tol, max_iter=args.max_iter, mats=mats,
-    )
+    _, dev = _equilibrium(args, feeder, mats, config)
     traj = simulate(feeder, config, plant=args.plant, tol=args.tol, max_iter=args.max_iter,
                     mats=mats, record_every=args.max_iter)
-    dev = float(np.abs(eq.v_star - feeder.v_nom).max())
     return f"{_fmt(value)},{_fmt(dev)},{traj.verdict},{_fmt(report.sigma)}"
 
 

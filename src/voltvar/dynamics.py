@@ -31,6 +31,7 @@ CONTROLLER_KINDS = ("d1", "d2", "d3")
 PLANT_KINDS = ("linear", "distflow")
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10000
+_STEPSIZE_LAWS = {"gamma2": "d2", "gamma3": "d3"}  # each stepsize and the law that takes it
 OSCILLATION_WINDOW = 50
 
 
@@ -53,9 +54,9 @@ class ControllerConfig:
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
             raise InvalidRecord(f"controller kind must be one of {CONTROLLER_KINDS}")
-        for kind, name, gamma in (("d2", "gamma2", self.gamma2), ("d3", "gamma3", self.gamma3)):
+        for name, kind in _STEPSIZE_LAWS.items():
             if self.kind == kind:
-                _real(name, gamma, "positive")
+                _real(name, getattr(self, name), "positive")
         lo, hi = validate_box(self.q_min, self.q_max)
         # keep the checked float arrays, so step and simulate index them
         object.__setattr__(self, "q_min", lo)
@@ -72,21 +73,16 @@ class ControllerConfig:
         buses without a stored spec get a droop curve when ``alpha`` is
         given.
         """
+        default = {"type": "droop", "deadband": DEFAULT_DEADBAND}
         curves = {}
         for k in feeder.inverters:
-            spec = feeder.curve_specs.get(k)
-            if spec is not None:
-                curves[k] = curve_from_spec(spec, alpha=alpha, deadband=deadband)
-            elif alpha is not None:
-                curves[k] = curve_from_spec(
-                    {"type": "droop", "alpha": alpha, "deadband": DEFAULT_DEADBAND},
-                    deadband=deadband,
-                )
-            else:
+            spec = feeder.curve_specs.get(k, default)
+            if spec is default and alpha is None:
                 raise InvalidRecord(
                     f"bus {feeder.labels[k]} has an inverter but no curve; "
                     "provide alpha or a curve spec"
                 )
+            curves[k] = curve_from_spec(spec, alpha=alpha, deadband=deadband)
         q_min, q_max = limits_arrays(feeder)
         return cls(kind=kind, curves=curves, q_min=q_min, q_max=q_max,
                    gamma2=gamma2, gamma3=gamma3)

@@ -321,10 +321,14 @@ def feeder_to_dict(feeder):
     return doc
 
 
-def save_feeder(feeder, path):
+def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(feeder_to_dict(feeder), fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def save_feeder(feeder, path):
+    _write_json(path, feeder_to_dict(feeder))
 
 
 def feeder_hash(feeder):
@@ -334,14 +338,8 @@ def feeder_hash(feeder):
 
 
 def feeders_equal(a, b):
-    """Field-by-field equality of two feeders (labels, arrays, inverters)."""
-    if (a.slack_label, a.labels, a.v0) != (b.slack_label, b.labels, b.v0):
-        return False
-    for attr in ("parent", "r", "x", "p_c", "q_c", "p_g", "v_nom"):
-        if not np.array_equal(getattr(a, attr), getattr(b, attr)):
-            return False
-    if dict(a.inverters) != dict(b.inverters):
-        return False
-    return {k: dict(v) for k, v in a.curve_specs.items()} == {
-        k: dict(v) for k, v in b.curve_specs.items()
-    }
+    """Equality of the canonical documents of two feeders, less ``name`` and
+    ``bases``; floats compare with ``==``, so -0.0 equals 0.0."""
+    def doc(feeder):
+        return {k: v for k, v in feeder_to_dict(feeder).items() if k not in ("name", "bases")}
+    return doc(a) == doc(b)

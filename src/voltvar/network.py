@@ -521,7 +521,7 @@ def build_feeder(
         Slack-bus voltage in per unit, positive and finite.
     curve_specs : dict, optional
         Bus label -> control-curve description (kept verbatim, see control
-        module for the schema).
+        module for the schema); each bus needs an inverter.
     meta : dict, optional
         Free-form provenance (unit conversions applied, power factor, ...).
 
@@ -650,6 +650,8 @@ def build_feeder(
     for lab in list(inverters) + list(curve_specs):
         if lab not in by_id or lab == slack_label:
             raise InvalidRecord(f"inverter/curve attached to invalid bus {_shown(lab, str)}")
+        if lab not in inverters:  # a document keeps a curve in its inverter's record
+            raise InvalidRecord(f"bus {_shown(lab, str)} has a curve spec but no inverter")
     for lab, inv in inverters.items():
         if not isinstance(inv, Inverter):
             raise InvalidRecord(

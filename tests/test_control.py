@@ -325,6 +325,18 @@ def test_feeder_curve_without_alpha_is_invalid_record(sce42):
         vv.ControllerConfig.from_feeder(feeder, "d1")
 
 
+def test_inverter_without_curve_gets_the_default_droop(sce42):
+    doc = vv.feeder_to_dict(sce42)
+    del doc["inverters"][0]["curve"]
+    feeder = vv.load_feeder(doc)
+    curve = vv.ControllerConfig.from_feeder(feeder, "d1", alpha=7.0).curves[0]
+    assert (curve.alpha, curve.deadband) == (7.0, vv.DEFAULT_DEADBAND)
+    curve = vv.ControllerConfig.from_feeder(feeder, "d1", alpha=7.0, deadband=0.02).curves[0]
+    assert (curve.alpha, curve.deadband) == (7.0, 0.02)
+    with pytest.raises(vv.InvalidRecord, match="^bus 2 has an inverter but no curve; "):
+        vv.ControllerConfig.from_feeder(feeder, "d1", deadband=0.02)
+
+
 # ---------------------------------------------------------------------------
 # Property tests of the hinge kernel against oracles that do not use it:
 # np.interp with end-slope extrapolation for the curve, bisection on that

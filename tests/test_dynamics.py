@@ -1213,6 +1213,8 @@ VECTOR_PROBES = {
                      vv.InvalidRecord, "curve positions"),
     "d1-dense-string": (lambda f, m, c: vv.check_d1_condition(c.curves, "X"),
                         vv.InvalidRecord, "X"),
+    "d1-dense-rectangular": (lambda f, m, c: vv.check_d1_condition(
+        c.curves, np.zeros((f.n, f.n - 1))), vv.DimensionMismatch, "X"),
     "d3-dense-nan": (lambda f, m, c: vv.d3_stepsize_bound(
         c.curves, np.full((f.n, f.n), np.nan)), vv.InvalidRecord, "X"),
     "step-short-v_nom": (lambda f, m, c: vv.step(np.zeros(f.n), f.v_nom, c, np.ones(3)),

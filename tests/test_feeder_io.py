@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -206,6 +207,14 @@ class TestErrors:
         with pytest.raises(vv.ParseError, match="JSON object"):
             vv.load_feeder(str(p))
 
+    @pytest.mark.parametrize("key", ["buses", "lines"])
+    def test_missing_record_list_is_named(self, sce42, key):
+        doc = vv.feeder_to_dict(sce42)
+        del doc[key]
+        with pytest.raises(vv.ParseError) as err:
+            vv.load_feeder(doc)
+        assert err.value.field == key
+
     def test_missing_field(self):
         doc = {"unit": "pu", "buses": [{"id": 0}, {"id": 1}], "lines": [{"from": 0, "to": 1}]}
         with pytest.raises(vv.ParseError) as err:
@@ -255,6 +264,41 @@ class TestRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["unit"] == "pu"
         assert {b["id"] for b in doc["buses"]} == set(range(1, 43))
+
+    # (path in sce42's per-unit document, new value): each a fact that
+    # feeders_equal compares
+    @pytest.mark.parametrize("path, value", [
+        (("buses", 1, "p_c"), 0.5),
+        (("buses", 1, "q_c"), 0.2),
+        (("buses", 1, "p_g"), 0.1),
+        (("buses", 1, "v_nom"), 1.01),
+        (("lines", 0, "r"), 0.002),
+        (("lines", 0, "x"), 0.006),
+        (("lines", 1, "from"), 1),  # bus 3 hangs off the slack
+        (("v0",), 1.02),
+        (("inverters", 0, "s"), 1.2),
+        (("inverters", 0, "p"), 0.9),
+        (("inverters", 0, "rho"), 0.3),
+        (("inverters", 0, "curve", "alpha"), 12.0),
+        (("inverters", 0, "curve"), {"type": "droop", "alpha": 10.0}),
+    ], ids=["p_c", "q_c", "p_g", "v_nom", "r", "x", "parent", "v0", "s", "p", "rho",
+            "curve-alpha", "curve-keys"])
+    def test_a_copy_differing_in_one_fact_is_unequal(self, sce42, path, value):
+        other = vv.load_feeder(edited(vv.feeder_to_dict(sce42), path, value))
+        assert not vv.feeders_equal(sce42, other)
+        assert not vv.feeders_equal(other, sce42)
+
+    def test_name_bases_meta_and_signed_zeros_are_not_compared(self, sce42):
+        doc = vv.feeder_to_dict(sce42)
+        unbased = copy.deepcopy(doc)
+        del unbased["bases"]
+        others = [vv.load_feeder(d) for d in (
+            edited(doc, ("name",), "other"), edited(doc, ("bases", "v_kv"), 4.16), unbased,
+            edited(doc, ("buses", 1, "p_c"), -0.0))]
+        others.append(dataclasses.replace(sce42, meta={"name": "other"}))
+        for other in others:
+            assert vv.feeders_equal(sce42, other)
+            assert vv.feeders_equal(other, sce42)
 
 
 # a document's records and the fields they may carry, in either unit

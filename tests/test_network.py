@@ -99,10 +99,15 @@ def test_disconnected_rejected():
     # an id of more digits than Python writes once built a feeder that no
     # document or hash could hold
     ([Bus(0), Bus(10**5000, p_c=0.1)], [Line(0, 10**5000, 0.1, 0.1)], {}, vv.InvalidRecord),
+    # a curve on a bus without an inverter once built, was never used, and
+    # fell out of the feeder's document
+    ([Bus(0), Bus(1, p_c=0.1), Bus(2, p_c=0.1)], [Line(0, 1, 0.1, 0.1), Line(1, 2, 0.1, 0.1)],
+     {"inverters": {1: vv.Inverter(1.0, 0.5)},
+      "curve_specs": {2: {"type": "droop", "alpha": 1.0}}}, vv.InvalidRecord),
 ], ids=["no-slack", "unknown-bus", "self-line", "cycle-from-slack", "curve-on-unknown-bus",
         "string-load", "none-v_nom", "list-slack-load", "string-r", "none-x", "string-id",
         "float-id", "list-end", "list-slack", "string-v0", "bool-load", "bool-v_nom", "bool-r",
-        "bool-id", "bool-slack", "unwritable-id"])
+        "bool-id", "bool-slack", "unwritable-id", "curve-without-inverter"])
 def test_malformed_records_rejected(buses, lines, kw, error):
     with pytest.raises(error):
         vv.build_feeder(buses, lines, **kw)
@@ -129,6 +134,30 @@ def test_nonfinite_impedance_rejected(bad):
 def test_bad_bus_values_rejected(field, bad):
     with pytest.raises(vv.InvalidRecord, match=f"{field}={bad}"):
         vv.build_feeder([Bus(0), Bus(1, **{field: bad})], [Line(0, 1, 0.1, 0.5)])
+
+
+class NoRepr:
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+# (call, the whole message of its InvalidRecord): a value that repr cannot
+# write is described, in a list too, and a curve's bus is named
+@pytest.mark.parametrize("call, message", [
+    (lambda: vv.CurveBundle({10**5000: vv.DroopCurve(1.0)}),
+     "curve positions must be non-negative integers, got [<an int of 16610 bits>]"),
+    (lambda: vv.DroopCurve(alpha=NoRepr()),
+     "alpha must be a positive finite number, got <a NoRepr without a repr>"),
+    (lambda: vv.build_feeder([Bus(0), Bus(1), Bus(2)],
+                             [Line(0, 1, 0.1, 0.1), Line(1, 2, 0.1, 0.1)],
+                             inverters={1: vv.Inverter(1.0, 0.5)},
+                             curve_specs={2: {"type": "droop", "alpha": 1.0}}),
+     "bus 2 has a curve spec but no inverter"),
+], ids=["huge-int-in-list", "no-repr", "curve-without-inverter"])
+def test_rejection_messages(call, message):
+    with pytest.raises(vv.InvalidRecord) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("v0", [math.nan, math.inf, 0.0, -1.05])

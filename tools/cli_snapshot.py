@@ -4,8 +4,9 @@
 
 Runs ``check``, ``simulate`` (d1, d2 and d3 on the linear plant, d1 on the
 distflow plant), ``equilibrium``, ``sweep`` over alpha, gamma2 and
-load_scale, ``export-feeder``, and twelve commands the CLI rejects (a zero
-``--max-iter``, a nan ``--tol``, a missing feeder file, a zero
+load_scale, ``export-feeder``, ``equilibrium`` again on the per-unit
+document that ``export-feeder`` wrote, and twelve commands the CLI rejects
+(a zero ``--max-iter``, a nan ``--tol``, a missing feeder file, a zero
 ``--gamma2``, a negative ``--alpha``, ``--deadband``, ``--load-scale`` and
 ``--tan-rho``, a zero ``--oversize``, a cyclic and a disconnected feeder,
 and a feeder whose bus id has 5000 digits) in this process, with voltvar
@@ -62,6 +63,8 @@ COMMANDS = (
     ("sweep_load_scale", ["sweep", "load_scale", "--grid", "0.5,1.0,1.5", "--alpha", "10",
                           "--out", "sweep_load_scale.csv"]),
     ("export_feeder", ["export-feeder", "--out", "feeder_pu.json"]),
+    ("equilibrium_pu", ["equilibrium", "--feeder", "feeder_pu.json", "--alpha", "27",
+                        "--out", "equilibrium_pu.json"]),
     ("reject_simulate_max_iter", ["simulate", "--max-iter", "0"]),
     ("reject_equilibrium_tol", ["equilibrium", "--tol", "nan"]),
     ("reject_check_feeder", ["check", "--feeder", "no_such.json"]),
