@@ -17,7 +17,7 @@ from .control import DEFAULT_DEADBAND
 from .dynamics import (CONTROLLER_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL, PLANT_KINDS,
                        _STEPSIZE_LAWS, ControllerConfig, check_d1_condition, d3_stepsize_bound,
                        simulate, solve_equilibrium)
-from .exceptions import MaxIterations
+from .exceptions import InvalidRecord, MaxIterations
 from .feeder_io import (DEFAULT_INVERTER_OVERSIZE, DEFAULT_POWER_FACTOR,
                         DEFAULT_PV_OPERATING_FRACTION, _with_load_scale, _write_json,
                         feeder_hash, load_feeder, save_feeder)
@@ -194,10 +194,18 @@ def cmd_equilibrium(args):
 
 
 def _parse_grid(text):
-    if ":" in text:
-        lo, hi, num = text.split(":")
-        return [float(v) for v in np.linspace(float(lo), float(hi), int(num))]
-    return [float(v) for v in text.split(",")]
+    try:
+        if ":" in text:
+            lo, hi, num = text.split(":")
+            grid = [float(v) for v in np.linspace(float(lo), float(hi), int(num))]
+        else:
+            grid = [float(v) for v in text.split(",")]
+    except ValueError:
+        grid = []
+    if not grid:
+        raise InvalidRecord(f"--grid takes a list such as 1,5,10 or a range lo:hi:n with an "
+                            f"integer n >= 1, got {text!r}")
+    return grid
 
 
 def _sweep_point(args, feeder, mats, value):
@@ -214,9 +222,6 @@ def _sweep_point(args, feeder, mats, value):
 
 def cmd_sweep(args):
     grid = _parse_grid(args.grid)
-    if not grid:
-        print("error: empty grid", file=sys.stderr)
-        return 1
     per_point = args.parameter == "load_scale"
     if per_point:  # load once at scale 1, and scale a copy for each point
         base = _load(args, load_scale=1.0)

@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from collections.abc import Mapping
 from importlib import resources
 from types import MappingProxyType
@@ -120,6 +121,10 @@ def load_feeder(
         if not ref.is_file():
             raise ParseError(f"unknown builtin feeder {_shown(name)}")
         doc, origin = json.loads(ref.read_text()), source
+    elif not isinstance(source, (str, bytes, os.PathLike)):
+        # open() would take an int as a file descriptor, and close it
+        raise ParseError(f"a feeder source must be a dict, a path or 'builtin:<name>', "
+                         f"got {type(source).__name__}")
     else:
         try:
             with open(source) as fh:

@@ -240,9 +240,13 @@ class TestSweep:
         rows = capsys.readouterr().out.splitlines()
         assert [float(r.split(",")[0]) for r in rows[1:]] == [1.0, 5.5, 10.0]
 
-    def test_empty_grid_exits_1(self, capsys):
-        assert main(["sweep", "alpha", "--grid", "1:2:0"]) == 1
-        assert "error: empty grid" in capsys.readouterr().err
+    @pytest.mark.parametrize("grid", ["1:5", "1:5:x", "1:5:-1", "a,b", "", "5,,6", "1:5:0"])
+    def test_malformed_grid_exits_1(self, grid, capsys):
+        # all but the empty range 1:5:0 once printed a bare ValueError
+        assert main(["sweep", "alpha", "--grid", grid]) == 1
+        assert capsys.readouterr().err == (
+            f"error: InvalidRecord: --grid takes a list such as 1,5,10 or a range lo:hi:n "
+            f"with an integer n >= 1, got {grid!r}\n")
 
     @pytest.mark.parametrize("case", SWEEP_GOLDEN, ids=lambda c: " ".join(c["argv"][1:]))
     def test_matches_golden(self, case, capsys):

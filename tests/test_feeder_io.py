@@ -2,7 +2,11 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +128,29 @@ class TestErrors:
         vv.load_feeder(doc, load_scale=1e290)
         with pytest.raises(vv.InvalidRecord, match="load_scale=1e.300 overflows the load"):
             vv.load_feeder(doc, load_scale=1e300)
+
+    @pytest.mark.parametrize("source", [None, 3.5])
+    def test_source_of_another_type_is_named(self, source):
+        # each once raised a bare TypeError from open()
+        with pytest.raises(vv.ParseError, match=type(source).__name__):
+            vv.load_feeder(source)
+
+    @pytest.mark.parametrize("source", ["0", "True"])
+    def test_int_source_leaves_the_standard_streams_open(self, source):
+        # open() once took these as file descriptors: 0 read the feeder from
+        # stdin, True read stdout, and each closed its descriptor
+        code = ("import os, voltvar as vv\n"
+                "try:\n"
+                f"    vv.load_feeder({source})\n"
+                "except vv.ParseError as exc:\n"
+                "    os.fstat(0), os.fstat(1)\n"
+                "    print('ParseError:', exc)\n")
+        src = str(Path(vv.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(SCE42_DOC),
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ParseError:"), proc.stdout
 
     def test_negative_load_scale_rejected(self):
         with pytest.raises(vv.InvalidRecord, match="load_scale"):

@@ -1,134 +1,132 @@
-"""Interleaved A/B timing of one benchmark workload on two source trees.
+"""Interleaved A/B runs of one benchmark workload on two source trees.
 
     python3 tools/ab.py PARENT_TREE CHANGE_TREE --workload sce42-regret --rounds 10
 
-A source tree is a checkout that holds ``src/voltvar``.  Each round runs
-the workload once per tree, each in a fresh Python process that imports
-voltvar from ``TREE/src`` and the workload definitions from this
-checkout's ``bench/`` (imported, never changed), so both trees run the
-same requests and checks.  One process runs at a time, and the order of
-the two trees flips every round (A B, B A, A B, ...), so a slow spell of
-the host lands on both sides.
-
-A process prepares the workload at seed 1, runs one warm-up request, then
-runs every request of the pool three times.  Its samples are the sum over
-the pool of each entry's fastest request, in ms, and its steps/s: the
-pool's closed-loop steps over the sum of each entry's fastest ``sim_s``,
-and its ``equilibrium_ms``: the median over the pool of each entry's
-fastest ``eq_ms`` samples, taken one by one.  All three follow the
-fastest-repeat rule of ``bench/run.py``.  Each process
-also reports its own peak resident set size (``ru_maxrss``) at the end,
-as ``bench/run.py`` does for ``peak_rss_mb``.  The report gives each
-side's median and quartiles over the rounds, the ratio of the medians
-(B over A) and the number of rounds in which B was better, for each
-sample.  ``--json FILE`` also writes every round's samples and that
-summary as JSON.  A request that fails its checks stops the run with that
-process's error.
+A source tree is a checkout that holds ``src/`` and ``bench/``; the two
+trees' ``bench/`` files must be identical, or the tool stops before the
+first round and names the files that differ.  Each round runs the
+benchmark command of this checkout's ``BENCHMARK.json`` (``bench/run.py``)
+once in each tree at ``--seed 1 --seconds 0``, the bench's shortest
+complete run.  One run goes at a time, and the order of the two trees
+flips every round (A B, B A, ...), so a slow spell of the host lands on
+both sides.  For each end-to-end metric of ``BENCHMARK.json`` the report
+gives each side's median and quartiles, the ratio of the medians (B over
+A), the rounds B won and the ``verdict`` under the metric's bound, then
+each side's failed operations.  ``--json FILE`` also writes every run's
+metrics and that summary.  A run that fails stops the tool with its error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import resource
 import statistics
 import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
-REPEATS = 3  # requests per pool entry in each process
+SECONDS = 0  # the bench then runs its minimum: 100 requests, every pool input 3 times
 
 
-def child(tree, workload):
-    """Time one side's pass in this process and print it as JSON."""
-    sys.path[:0] = [str(Path(tree).resolve() / "src"), str(BENCH)]
-    from workloads import WORKLOADS
-
-    wl = WORKLOADS[workload]
-    with tempfile.TemporaryDirectory() as workdir:
-        state = wl.prepare(SEED, Path(workdir))
-        wl.request(state, 0)
-        best = [float("inf")] * wl.POOL
-        best_sim = [float("inf")] * wl.POOL
-        best_eq = [None] * wl.POOL
-        steps = [0] * wl.POOL
-        for i in range(1, REPEATS * wl.POOL + 1):
-            t0 = time.perf_counter()
-            s = wl.request(state, i)
-            k = i % wl.POOL
-            best[k] = min(best[k], time.perf_counter() - t0)
-            best_sim[k] = min(best_sim[k], s["sim_s"])
-            best_eq[k] = [min(x, y) for x, y in zip(best_eq[k] or s["eq_ms"], s["eq_ms"])]
-            steps[k] = s["steps"]
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"pool_ms": sum(best) * 1e3, "steps_per_s": sum(steps) / sum(best_sim),
-                      "equilibrium_ms": statistics.median([x for eq in best_eq for x in eq]),
-                      "peak_rss_mb": rss_mb}))
+def quartiles(xs):
+    return statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
 
 
-def run_side(tree, workload):
-    env = dict(os.environ, **{k: "1" for k in BLAS_ENV})
+def rounds_won(a, b, better):
+    """Paired rounds in which B reads better than A; ties count for neither."""
+    return sum((y > x) if better == "higher" else (y < x) for x, y in zip(a, b))
+
+
+def verdict(a, b, better, bound):
+    """Judge B's runs of one metric against A's.
+
+    ``worse``: B's median is worse than A's by more than ``bound`` times
+    A's median.  ``unresolved``: A's interquartile range exceeds ``bound``
+    times its median, and not every run of B beats every run of A.
+    ``better``: B won at least 9 of 10 paired rounds and its median beats
+    A's by more than A's interquartile range.  ``within bound`` otherwise.
+    """
+    sign = 1 if better == "higher" else -1
+    med_a, med_b = statistics.median(a), statistics.median(b)
+    q1, _, q3 = quartiles(a)
+    if sign * (med_b - med_a) < -bound * abs(med_a):
+        return "worse"
+    if q3 - q1 > bound * abs(med_a) and not all(sign * (y - x) > 0 for x in a for y in b):
+        return "unresolved"
+    if 10 * rounds_won(a, b, better) >= 9 * len(a) and sign * (med_b - med_a) > q3 - q1:
+        return "better"
+    return "within bound"
+
+
+def differing_bench_files(tree_a, tree_b):
+    def files(tree):
+        root = Path(tree) / "bench"
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+                if p.is_file() and "__pycache__" not in p.relative_to(root).parts}
+
+    fa, fb = files(tree_a), files(tree_b)
+    return sorted(name for name in fa.keys() | fb.keys() if fa.get(name) != fb.get(name))
+
+
+def run_side(command, tree, workload, metrics):
     proc = subprocess.run(
-        [sys.executable, __file__, "--child", tree, "--workload", workload],
-        capture_output=True, text=True, env=env,
+        [*command, "--workload", workload, "--seed", str(SEED), "--seconds", str(SECONDS)],
+        capture_output=True, text=True, cwd=tree,
     )
     if proc.returncode != 0:
-        sys.exit(f"{tree}: workload process failed\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def summary(xs):
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
-    return f"median {med:.2f}  q1 {q1:.2f}  q3 {q3:.2f}  (IQR/median {(q3 - q1) / med:.3f})"
+        sys.exit(f"{tree}: benchmark run failed (exit {proc.returncode})\n{proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return {"attempted": result["attempted"], "failed": result["failed"],
+            **{m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}}
 
 
 def main(argv=None):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = spec["end_to_end"]
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("tree_a", nargs="?", help="source tree A (the baseline)")
-    p.add_argument("tree_b", nargs="?", help="source tree B (the change)")
-    p.add_argument("--workload", required=True)
+    p.add_argument("tree_a", help="source tree A (the baseline)")
+    p.add_argument("tree_b", help="source tree B (the change)")
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--json", metavar="FILE", help="also write every round's samples here")
-    p.add_argument("--child", metavar="TREE", help=argparse.SUPPRESS)
+    p.add_argument("--json", metavar="FILE", help="also write every run's metrics here")
     args = p.parse_args(argv)
-    if args.child:
-        return child(args.child, args.workload)
-    if not (args.tree_a and args.tree_b) or args.rounds < 1:
-        p.error("two source trees and --rounds >= 1 are required")
+    if args.rounds < 1:
+        p.error("--rounds must be at least 1")
+    differ = differing_bench_files(args.tree_a, args.tree_b)
+    if differ:
+        sys.exit(f"the two trees' bench/ files differ: {', '.join(differ)}")
 
     a, b = [], []
     for r in range(args.rounds):
-        order = ((args.tree_a, a), (args.tree_b, b))
-        for tree, out in order if r % 2 == 0 else order[::-1]:
-            out.append(run_side(tree, args.workload))
-        print(f"round {r + 1}: " + "  ".join(
-            f"{side} {s['pool_ms']:.2f} ms {s['steps_per_s']:.1f} steps/s "
-            f"eq {s['equilibrium_ms']:.4f} ms {s['peak_rss_mb']:.1f} MB" for side, s in (("A", a[-1]), ("B", b[-1]))),
-            flush=True)
-    print(f"{args.workload}, {args.rounds} rounds, seed {SEED}: each sample takes the "
-          f"fastest of {REPEATS} requests per pool entry")
+        order = (("A", args.tree_a, a), ("B", args.tree_b, b))
+        for side, tree, out in order if r % 2 == 0 else order[::-1]:
+            out.append(run_side(spec["command"], tree, args.workload, metrics))
+            print(f"round {r + 1} {side}: " + "  ".join(
+                f"{m['name']} {out[-1][m['name']]:.4g}" for m in metrics)
+                + f"  failed {out[-1]['failed']}/{out[-1]['attempted']}", flush=True)
+    print(f"{args.workload}, {args.rounds} rounds, seed {SEED}, --seconds {SECONDS}")
     record = {"workload": args.workload, "rounds": args.rounds, "seed": SEED,
-              "repeats": REPEATS, "a": a, "b": b, "summary": {}}
-    for key, label, lower in (("pool_ms", "pool time (ms)", True),
-                              ("steps_per_s", "steps/s", False),
-                              ("equilibrium_ms", "equilibrium (ms)", True),
-                              ("peak_rss_mb", "peak RSS (MB)", True)):
-        xa, xb = [s[key] for s in a], [s[key] for s in b]
-        won = sum((y < x) if lower else (y > x) for x, y in zip(xa, xb))
-        ratio = statistics.median(xb) / statistics.median(xa)
-        record["summary"][key] = {"median_a": statistics.median(xa),
-                                  "median_b": statistics.median(xb),
-                                  "ratio_b_over_a": ratio, "b_better_rounds": won}
-        print(f"{label}:")
-        print(f"  A {args.tree_a}: {summary(xa)}")
-        print(f"  B {args.tree_b}: {summary(xb)}")
-        print(f"  median ratio B/A {ratio:.4f}; B better in {won}/{args.rounds} rounds")
+              "seconds": SECONDS, "a": a, "b": b, "summary": {}}
+    for m in metrics:
+        name, better = m["name"], m["better"]
+        xa, xb = [s[name] for s in a], [s[name] for s in b]
+        summary = record["summary"][name] = {
+            "median_a": statistics.median(xa), "median_b": statistics.median(xb),
+            "b_better_rounds": rounds_won(xa, xb, better),
+            "verdict": verdict(xa, xb, better, m["bound"])}
+        print(f"{name} ({m['unit']}, {better} is better, bound {m['bound']}): "
+              f"{summary['verdict']}")
+        for side, tree, xs in (("A", args.tree_a, xa), ("B", args.tree_b, xb)):
+            q1, med, q3 = quartiles(xs)
+            print(f"  {side} {tree}: median {med:.4g}  q1 {q1:.4g}  q3 {q3:.4g}"
+                  f"  (IQR/median {(q3 - q1) / med:.3f})")
+        print(f"  median ratio B/A {summary['median_b'] / summary['median_a']:.4f}; "
+              f"B better in {summary['b_better_rounds']}/{args.rounds} rounds")
+    for side, runs in (("A", a), ("B", b)):
+        print(f"failed operations {side}: {sum(s['failed'] for s in runs)} of "
+              f"{sum(s['attempted'] for s in runs)}")
     if args.json:
         Path(args.json).write_text(json.dumps(record, indent=1) + "\n")
 
