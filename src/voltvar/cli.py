@@ -208,32 +208,31 @@ def _parse_grid(text):
     return grid
 
 
-def _sweep_point(args, feeder, mats, value):
-    # the swept value replaces its option; a swept stepsize selects its law
-    param = args.parameter
-    config = _config(argparse.Namespace(**{**vars(args), param: value}), feeder,
-                     _STEPSIZE_LAWS.get(param, args.controller))
-    report = check_d1_condition(config.curves, mats)
-    _, dev = _equilibrium(args, feeder, mats, config)
-    traj = simulate(feeder, config, plant=args.plant, tol=args.tol, max_iter=args.max_iter,
-                    mats=mats, record_every=args.max_iter)
-    return f"{_fmt(value)},{_fmt(dev)},{traj.verdict},{_fmt(report.sigma)}"
-
-
 def cmd_sweep(args):
     grid = _parse_grid(args.grid)
-    per_point = args.parameter == "load_scale"
+    param = args.parameter
+    per_point = param == "load_scale"
     if per_point:  # load once at scale 1, and scale a copy for each point
         base = _load(args, load_scale=1.0)
     else:
         feeder = _load(args)
         mats = sensitivity_matrices(feeder)
-    lines = [f"{args.parameter},eq_max_deviation,verdict,sigma"]
+    lines = [f"{param},eq_max_deviation,verdict,sigma"]
+    solved = None  # sigma and max |v* - v_nom|, which a stepsize leaves as they are
     for value in grid:
         if per_point:
             feeder = _with_load_scale(base, value)
             mats = sensitivity_matrices(feeder)
-        lines.append(_sweep_point(args, feeder, mats, value))
+        # the swept value replaces its option; a swept stepsize selects its law
+        config = _config(argparse.Namespace(**{**vars(args), param: value}), feeder,
+                         _STEPSIZE_LAWS.get(param, args.controller))
+        if solved is None or param not in _STEPSIZE_LAWS:
+            solved = (check_d1_condition(config.curves, mats).sigma,
+                      _equilibrium(args, feeder, mats, config)[1])
+        sigma, dev = solved
+        traj = simulate(feeder, config, plant=args.plant, tol=args.tol, max_iter=args.max_iter,
+                        mats=mats, record_every=args.max_iter)
+        lines.append(f"{_fmt(value)},{_fmt(dev)},{traj.verdict},{_fmt(sigma)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -18,10 +18,12 @@ feeder (41 lines, five PV inverters, 12.35 kV / 1000 kVA bases).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+import threading
 from collections.abc import Mapping
 from importlib import resources
 from types import MappingProxyType
@@ -29,14 +31,19 @@ from types import MappingProxyType
 import numpy as np
 
 from .exceptions import InvalidRecord, ParseError
-from .network import (Bases, Bus, Inverter, Line, _doc_float, _is_number, _readonly, _real,
-                      _shown, build_feeder)
+from .network import (Bases, Bus, Inverter, Line, _doc_float, _is_number, _plain, _readonly,
+                      _real, _shown, build_feeder)
 
 BUILTIN_PREFIX = "builtin:"
 DEFAULT_POWER_FACTOR = 0.9
 DEFAULT_PV_OPERATING_FRACTION = 1.0
 DEFAULT_INVERTER_OVERSIZE = 1.1
 DEFAULT_MIN_IMPEDANCE_OHM = 1e-3
+
+# builtin feeders at load scale 1, by source and exact knobs, oldest first
+_BUILTIN_CACHE_SIZE = 8
+_BUILTIN_FEEDERS = {}
+_BUILTIN_LOCK = threading.Lock()
 
 
 _REQUIRED = object()
@@ -94,6 +101,8 @@ def load_feeder(
     ----------
     source : str | pathlib.Path | dict
         File path, ``"builtin:<name>"``, or an already-parsed document.
+        The builtin names are those of the documents shipped in
+        ``voltvar.data``.
     power_factor : float
         Lagging power factor in (0, 1] used to split ``load_mva`` entries
         into real and reactive consumption.
@@ -112,30 +121,85 @@ def load_feeder(
     In ``"ohm"`` documents, impedances below ``DEFAULT_MIN_IMPEDANCE_OHM``
     (zeros appear in some published datasets) are lifted to it before
     per-unit conversion; ``meta`` records the floor and the lifted lines.
+
+    The feeder is built at load scale 1 and ``load_scale`` scales a copy.
+    A builtin feeder at scale 1 is built once per process for each knob
+    set, the same in type and bits (``-0.0`` is not ``0.0``, nor ``1``
+    ``1.0``), and then shared: a Feeder is read-only all the way down.
+    At most ``_BUILTIN_CACHE_SIZE`` are kept, the oldest dropped first.
     """
+    load_scale = _real("load_scale", load_scale, "nonnegative")
+    pv_operating_fraction = _real("pv_operating_fraction", pv_operating_fraction, "nonnegative")
+    inverter_oversize = _real("inverter_oversize", inverter_oversize, "nonnegative")
+    if not _is_number(power_factor):
+        raise InvalidRecord(f"power_factor must be a number, got {_shown(power_factor)}")
+    if tan_rho is not None:
+        _real("tan_rho", tan_rho, "optional")
+    if not 0 < power_factor <= 1:
+        raise ParseError(f"power factor must lie in (0, 1], got {_shown(power_factor)}",
+                         field="power_factor")
+    knobs = (power_factor, pv_operating_fraction, inverter_oversize, tan_rho)
+    key = None
+    if isinstance(source, str) and source.startswith(BUILTIN_PREFIX):
+        exact = tuple(map(_exact, knobs))
+        key = None if None in exact else (source, exact)
+    feeder = _BUILTIN_FEEDERS.get(key)
+    if feeder is None:
+        feeder = _from_document(*_document(source), *knobs)
+    scaled = feeder if load_scale == 1.0 else _with_load_scale(feeder, load_scale)
+    if key is not None and key not in _BUILTIN_FEEDERS:
+        with _BUILTIN_LOCK:
+            _BUILTIN_FEEDERS[key] = feeder
+            while len(_BUILTIN_FEEDERS) > _BUILTIN_CACHE_SIZE:
+                del _BUILTIN_FEEDERS[next(iter(_BUILTIN_FEEDERS))]
+    return scaled
+
+
+def _exact(value):
+    """``value``'s type and bits, so that -0.0 and 0.0, or 1 and 1.0, key
+    apart; None for a type whose bits this does not read."""
+    kind = type(value)
+    if kind is float:
+        return kind, value.hex()
+    return (kind, value) if kind is int or value is None else None
+
+
+@functools.cache
+def _builtin_names():
+    """The names of the feeder documents shipped in ``voltvar.data``."""
+    return frozenset(ref.name[:-len(".json")] for ref in resources.files("voltvar.data").iterdir()
+                     if ref.name.endswith(".json") and ref.is_file())
+
+
+def _document(source):
+    """The parsed document of ``source`` and the origin its meta records."""
     if isinstance(source, dict):
-        doc, origin = source, "<dict>"
-    elif isinstance(source, str) and source.startswith(BUILTIN_PREFIX):
+        return source, "<dict>"
+    if isinstance(source, str) and source.startswith(BUILTIN_PREFIX):
         name = source[len(BUILTIN_PREFIX):]
-        ref = resources.files("voltvar.data").joinpath(f"{name}.json")
-        if not ref.is_file():
+        if name not in _builtin_names():
             raise ParseError(f"unknown builtin feeder {_shown(name)}")
-        doc, origin = json.loads(ref.read_text()), source
-    elif not isinstance(source, (str, bytes, os.PathLike)):
+        ref = resources.files("voltvar.data").joinpath(f"{name}.json")
+        return json.loads(ref.read_text()), source
+    if not isinstance(source, (str, bytes, os.PathLike)):
         # open() would take an int as a file descriptor, and close it
         raise ParseError(f"a feeder source must be a dict, a path or 'builtin:<name>', "
                          f"got {type(source).__name__}")
-    else:
-        try:
-            with open(source) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{source}: invalid JSON at line {exc.lineno}") from exc
-        except ValueError as exc:  # an int of more digits than Python reads, or bad UTF-8
-            raise ParseError(f"{source}: unreadable JSON: {exc}") from exc
-        except FileNotFoundError as exc:
-            raise ParseError(f"{source}: no such feeder file") from exc
-        origin = str(source)
+    try:
+        with open(source) as fh:
+            return json.load(fh), str(source)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source}: invalid JSON at line {exc.lineno}") from exc
+    except ValueError as exc:  # an int of more digits than Python reads, or bad UTF-8
+        raise ParseError(f"{source}: unreadable JSON: {exc}") from exc
+    except FileNotFoundError as exc:
+        raise ParseError(f"{source}: no such feeder file") from exc
+
+
+def _from_document(doc, origin, power_factor, pv_operating_fraction, inverter_oversize,
+                   tan_rho):
+    """The feeder of document ``doc`` at load scale 1, for knobs that
+    :func:`load_feeder` has checked."""
     if not isinstance(doc, Mapping):
         raise ParseError(f"{origin}: a feeder document must be a JSON object")
 
@@ -156,16 +220,7 @@ def load_feeder(
     s_base_mva = bases.s_kva / 1e3 if bases else 1.0
     z_base = bases.z_ohm if bases else 1.0
 
-    load_scale = _real("load_scale", load_scale, "nonnegative")
-    pv_operating_fraction = _real("pv_operating_fraction", pv_operating_fraction, "nonnegative")
-    inverter_oversize = _real("inverter_oversize", inverter_oversize, "nonnegative")
-    if not _is_number(power_factor):
-        raise InvalidRecord(f"power_factor must be a number, got {_shown(power_factor)}")
-    cap_rho = (None if tan_rho is None  # the rho of an inverter sized by capacity_mw
-               else math.atan(_real("tan_rho", tan_rho, "optional")))
-    if not 0 < power_factor <= 1:
-        raise ParseError(f"power factor must lie in (0, 1], got {_shown(power_factor)}",
-                         field="power_factor")
+    cap_rho = None if tan_rho is None else math.atan(tan_rho)  # of a capacity_mw inverter
     tan_phi = math.tan(math.acos(power_factor))
     buses = []
     for rec in _records(doc, "buses"):
@@ -228,7 +283,7 @@ def load_feeder(
             if not isinstance(rec["curve"], Mapping):
                 raise ParseError(f"inverter curve at bus {bus} must be an object",
                                  field="curve")
-            curve_specs[bus] = dict(rec["curve"])
+            curve_specs[bus] = rec["curve"]
 
     meta = {
         "name": doc.get("name", ""),
@@ -242,7 +297,7 @@ def load_feeder(
         "floored_lines": floored,
         "min_impedance_ohm": DEFAULT_MIN_IMPEDANCE_OHM,
     }
-    feeder = build_feeder(
+    return build_feeder(
         buses,
         lines,
         inverters=inverters,
@@ -252,7 +307,6 @@ def load_feeder(
         curve_specs=curve_specs,
         meta=meta,
     )
-    return feeder if load_scale == 1.0 else _with_load_scale(feeder, load_scale)
 
 
 def _with_load_scale(feeder, load_scale):
@@ -306,7 +360,7 @@ def feeder_to_dict(feeder):
             "rho": inv.rho,
         }
         if k in feeder.curve_specs:
-            rec["curve"] = dict(feeder.curve_specs[k])
+            rec["curve"] = _plain(feeder.curve_specs[k])
         inverters.append(rec)
     doc = {
         "name": feeder.meta.get("name", ""),

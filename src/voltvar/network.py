@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -233,6 +234,31 @@ def _readonly(a, dtype=float):
     return a
 
 
+def _frozen(value):
+    """A read-only copy of ``value``, all the way down: a mapping becomes a
+    read-only mapping, a list or tuple a tuple, and an array a read-only
+    copy, each of frozen values; any other value stays as it is."""
+    if isinstance(value, (dict, Mapping)):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_frozen, value))
+    if isinstance(value, np.ndarray):
+        return _readonly(value.copy(), value.dtype)
+    return value
+
+
+def _plain(value):
+    """``value`` with what :func:`_frozen` made read-only turned back into
+    plain dicts and lists, as a JSON document holds them."""
+    if isinstance(value, (dict, Mapping)):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(_plain, value))
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
 def _subtree_sum(y, end, out=None):
     """Subtree sums in preorder coordinates: entry a sums ``y[..., a:end[a]]``,
     written into ``out`` when given, an array of ``y``'s shape and dtype."""
@@ -302,6 +328,10 @@ class Feeder:
       siblings in position order.
     * ``depth``, the line impedances summed over each bus's root path:
       ``depth[0]`` sums x (the diagonal of X) and ``depth[1]`` sums r.
+
+    ``curve_specs`` and ``meta`` are read-only all the way down, so one
+    Feeder can be shared: :func:`load_feeder` hands the same builtin feeder
+    to every caller with the same knobs.
 
     A ``dataclasses.replace`` copy that changes loads keeps both; one that
     changes the tree (``parent``, ``r`` or ``x``) no longer matches them and
@@ -520,10 +550,13 @@ def build_feeder(
     v0 : float
         Slack-bus voltage in per unit, positive and finite.
     curve_specs : dict, optional
-        Bus label -> control-curve description (kept verbatim, see control
-        module for the schema); each bus needs an inverter.
+        Bus label -> control-curve description, a mapping (see control
+        module for the schema); each bus needs an inverter.  Each is kept
+        as a read-only copy, all the way down: its lists become tuples and
+        its mappings read-only mappings.
     meta : dict, optional
-        Free-form provenance (unit conversions applied, power factor, ...).
+        Free-form provenance (unit conversions applied, power factor, ...),
+        kept read-only all the way down like the specs.
 
     Raises
     ------
@@ -656,6 +689,15 @@ def build_feeder(
         if not isinstance(inv, Inverter):
             raise InvalidRecord(
                 f"the inverter at bus {_shown(lab, str)} must be an Inverter, got {_shown(inv)}")
+    for lab, spec in curve_specs.items():
+        if not isinstance(spec, (dict, Mapping)):
+            raise InvalidRecord(
+                f"the curve spec at bus {_shown(lab, str)} must be a mapping, got {_shown(spec)}")
+    try:  # a value that holds itself never bottoms out
+        specs = {pos[lab]: _frozen(spec) for lab, spec in curve_specs.items()}
+        meta = _frozen(dict(meta or {}))
+    except RecursionError as exc:
+        raise InvalidRecord("a curve spec or meta nests too deeply to copy") from exc
 
     cols = ([by_id[lab].p_c for lab in nonslack], [by_id[lab].q_c for lab in nonslack],
             [by_id[lab].p_g for lab in nonslack], [by_id[lab].v_nom for lab in nonslack])
@@ -685,13 +727,11 @@ def build_feeder(
         v_nom=_readonly(v_nom),
         v0=v0,
         inverters=MappingProxyType({pos[lab]: inv for lab, inv in inverters.items()}),
-        curve_specs=MappingProxyType(
-            {pos[lab]: dict(spec) for lab, spec in curve_specs.items()}
-        ),
+        curve_specs=MappingProxyType(specs),
         preorder=(_readonly(order, int), _readonly(at, int), _readonly(end, int)),
         depth=_readonly((dx[:n], dr[:n])),
         bases=bases,
-        meta=MappingProxyType(dict(meta or {})),
+        meta=meta,
     )
 
 

@@ -227,6 +227,30 @@ class TestSweep:
             eq = solve_equilibrium(feeder, cfg.curves, cfg.q_min, cfg.q_max)
             assert row.split(",")[1] == repr(float(np.abs(eq.v_star - feeder.v_nom).max()))
 
+    @pytest.mark.parametrize("param", ["gamma2", "gamma3"])
+    def test_stepsize_sweep_solves_once(self, param, monkeypatch, capsys):
+        # a stepsize moves neither the curves nor the box, so every point has
+        # the first point's sigma and equilibrium
+        calls = []
+
+        def counting(name, original):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return spy
+
+        for name in ("solve_equilibrium", "check_d1_condition", "simulate"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        assert main(["sweep", param, "--grid", "0.01,0.02,0.03", "--alpha", "10"]) == 0
+        assert sorted(calls) == ["check_d1_condition", "simulate", "simulate", "simulate",
+                                 "solve_equilibrium"]
+        rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+        assert len({(r[1], r[3]) for r in rows}) == 1
+
+    def test_bad_stepsize_point_is_named(self, capsys):
+        assert main(["sweep", "gamma3", "--grid", "0.5,-1", "--alpha", "10"]) == 1
+        assert "gamma3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["0.5,-1", "0.5,nan"])
     def test_bad_load_scale_point_is_named(self, grid, capsys):
         assert main(["sweep", "load_scale", f"--grid={grid}", "--alpha", "10"]) == 1
@@ -342,3 +366,25 @@ def test_commands_never_build_dense_matrices(argv, tmp_path, monkeypatch, capsys
     monkeypatch.setattr(vv.SensitivityMatrices, "_row_copy", refuse)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_commands_repeat_byte_for_byte_in_one_process(tmp_path, monkeypatch, capsys):
+    # the second pass loads the builtin feeder from the process's cache
+    argvs = (
+        ["sweep", "alpha", "--grid", "5,10,27", "--out", "alpha.csv"],
+        ["sweep", "load_scale", "--grid", "0.5,1,1.3", "--alpha", "10", "--out", "scale.csv"],
+        ["sweep", "gamma3", "--grid", "0.2,0.5,0.9", "--alpha", "20", "--out", "gamma3.csv"],
+        ["simulate", "--alpha", "10", "--out", "run"],
+        ["equilibrium", "--alpha", "27", "--out", "equilibrium.json"],
+        ["check", "--alpha", "10", "--out", "check.json"],
+        ["export-feeder", "--out", "feeder.json"],
+    )
+    passes = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        outs = [(main(argv), capsys.readouterr()) for argv in argvs]
+        files = {p.name: p.read_bytes() for p in sorted(pathlib.Path().iterdir())}
+        passes.append((outs, files))
+    assert len(passes[0][1]) == 8
+    assert passes[0] == passes[1]

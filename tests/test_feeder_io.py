@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -61,7 +62,7 @@ class TestBuiltinSce42:
         assert set(sce42.curve_specs) == set(sce42.inverters)
 
     def test_zero_reactance_line_floored_and_recorded(self, sce42):
-        assert sce42.meta["floored_lines"] == [(28, 29)]
+        assert sce42.meta["floored_lines"] == ((28, 29),)
         k = sce42.position[29]
         assert sce42.x[k] == pytest.approx(1e-3 / 152.52, rel=1e-12)
         assert sce42.x[k] > 0
@@ -74,6 +75,136 @@ class TestBuiltinSce42:
     def test_total_load_magnitude(self, sce42):
         total_mva = np.hypot(sce42.p_c, sce42.q_c).sum()
         assert total_mva == pytest.approx(10.30, abs=1e-9)
+
+
+class TestReadOnly:
+    def test_specs_and_meta_refuse_item_assignment(self, sce42):
+        # each once changed the feeder in place: a spec's alpha reached every
+        # later config and feeder_hash, and the floored lines every run report
+        with pytest.raises(TypeError):
+            sce42.curve_specs[0]["alpha"] = 99.0
+        with pytest.raises(TypeError):
+            sce42.meta["floored_lines"][0] = (1, 2)
+        assert not hasattr(sce42.meta["floored_lines"], "append")
+        assert vv.feeder_hash(sce42) == vv.feeder_hash(vv.load_feeder(SCE42_DOC))
+
+    def test_table_points_are_not_the_documents(self):
+        doc = copy.deepcopy(SCE42_DOC)
+        points = [[-0.1, 0.5], [-0.02, 0.0], [0.02, 0.0], [0.1, -0.5]]
+        doc["inverters"][0]["curve"] = {"type": "table", "points": points}
+        f = vv.load_feeder(doc)
+        stored = f.curve_specs[f.position[doc["inverters"][0]["bus"]]]["points"]
+        with pytest.raises(TypeError):
+            stored[0] = [0.0, 0.0]
+        points[0][1] = 9.0
+        assert stored[0] == (-0.1, 0.5)
+        assert vv.feeder_to_dict(f)["inverters"][0]["curve"]["points"][0] == [-0.1, 0.5]
+
+
+class TestCache:
+    def test_equal_knobs_share_one_feeder(self):
+        assert vv.load_feeder("builtin:sce42") is vv.load_feeder("builtin:sce42")
+        pf = vv.load_feeder("builtin:sce42", power_factor=0.95)
+        assert vv.load_feeder("builtin:sce42", power_factor=0.95) is pf
+        assert pf is not vv.load_feeder("builtin:sce42")
+
+    def test_load_scale_scales_a_fresh_copy(self):
+        a, b = (vv.load_feeder("builtin:sce42", load_scale=0.7) for _ in range(2))
+        uncached = vv.load_feeder(SCE42_DOC, load_scale=0.7)
+        assert a is not b
+        assert a.meta["load_scale"] == 0.7
+        for f in (a, b):
+            assert vv.feeders_equal(f, uncached)
+            for field in ("p_c", "q_c", "p_g", "r", "x", "v_nom", "parent"):
+                assert np.array_equal(getattr(f, field), getattr(uncached, field))
+
+    @pytest.mark.parametrize("knob", ["tan_rho", "pv_operating_fraction"])
+    def test_signed_zeros_stay_apart(self, knob):
+        neg, pos = (vv.load_feeder("builtin:sce42", **{knob: z}) for z in (-0.0, 0.0))
+        assert neg is not pos
+        assert vv.feeder_hash(neg) != vv.feeder_hash(pos)
+        assert vv.feeder_hash(neg) == vv.feeder_hash(vv.load_feeder(SCE42_DOC, **{knob: -0.0}))
+        assert vv.feeder_hash(pos) == vv.feeder_hash(vv.load_feeder(SCE42_DOC, **{knob: 0.0}))
+
+    def test_an_int_knob_keeps_its_type(self):
+        for pf in (1, 1.0, 1, 1.0):
+            assert type(vv.load_feeder("builtin:sce42", power_factor=pf).meta["power_factor"]) \
+                is type(pf)
+
+    @pytest.mark.parametrize("knob", ["power_factor", "load_scale", "pv_operating_fraction",
+                                      "inverter_oversize", "tan_rho"])
+    @pytest.mark.parametrize("bad", [math.nan, True, -1.0, 10**400],
+                             ids=["nan", "bool", "negative", "huge-int"])
+    def test_a_rejected_knob_raises_every_time(self, knob, bad, monkeypatch):
+        monkeypatch.setattr(vv.feeder_io, "_BUILTIN_FEEDERS", {})
+        errors = []
+        for _ in range(2):
+            with pytest.raises((vv.InvalidRecord, vv.ParseError)) as err:
+                vv.load_feeder("builtin:sce42", **{knob: bad})
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+        assert vv.feeder_io._BUILTIN_FEEDERS == {}
+
+    def test_a_load_that_raises_stores_nothing(self, monkeypatch):
+        monkeypatch.setattr(vv.feeder_io, "_BUILTIN_FEEDERS", {})
+        with pytest.raises(vv.InvalidRecord, match="pv_operating_fraction"):
+            vv.load_feeder("builtin:sce42", pv_operating_fraction=2.0)
+        with pytest.raises(vv.InvalidRecord, match="overflows the load"):
+            vv.load_feeder("builtin:sce42", load_scale=1.7e308)
+        assert vv.feeder_io._BUILTIN_FEEDERS == {}
+
+    def test_the_cache_keeps_its_bound(self, monkeypatch):
+        monkeypatch.setattr(vv.feeder_io, "_BUILTIN_FEEDERS", {})
+        bound = vv.feeder_io._BUILTIN_CACHE_SIZE
+        fractions = [0.05 * (i + 1) for i in range(bound + 3)]
+        loaded = [vv.load_feeder("builtin:sce42", pv_operating_fraction=x) for x in fractions]
+        assert len(vv.feeder_io._BUILTIN_FEEDERS) == bound
+        assert vv.load_feeder("builtin:sce42", pv_operating_fraction=fractions[-1]) \
+            is loaded[-1]
+        assert vv.load_feeder("builtin:sce42", pv_operating_fraction=fractions[0]) \
+            is not loaded[0]
+        assert len(vv.feeder_io._BUILTIN_FEEDERS) == bound
+
+    def test_threads_share_the_cache_safely(self, monkeypatch):
+        # more knob sets than the bound, and a stand-in for the build, so
+        # threads store and evict at once, thousands of times
+        monkeypatch.setattr(vv.feeder_io, "_BUILTIN_FEEDERS", {})
+        monkeypatch.setattr(vv.feeder_io, "_document", lambda source: (None, source))
+        monkeypatch.setattr(vv.feeder_io, "_from_document", lambda doc, origin, *knobs: knobs)
+        bound = vv.feeder_io._BUILTIN_CACHE_SIZE
+        fractions = [0.05 * (i + 1) for i in range(bound + 4)]
+        wrong, errors = [], []
+
+        def work(k):
+            try:
+                for i in range(3000):
+                    x = fractions[(k + i) % len(fractions)]
+                    if vv.load_feeder("builtin:sce42", pv_operating_fraction=x)[1] != x:
+                        wrong.append(x)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and wrong == []
+        assert len(vv.feeder_io._BUILTIN_FEEDERS) == bound
+
+    def test_paths_and_dicts_build_anew(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(vv.feeder_io, "_BUILTIN_FEEDERS", {})
+        path = tmp_path / "sce42.json"
+        path.write_text(json.dumps(SCE42_DOC))
+        for source in (SCE42_DOC, str(path), path):
+            assert vv.load_feeder(source) is not vv.load_feeder(source)
+        assert vv.feeder_io._BUILTIN_FEEDERS == {}
 
 
 class TestKnobs:
@@ -208,6 +339,16 @@ class TestErrors:
     def test_unknown_builtin(self):
         with pytest.raises(vv.ParseError):
             vv.load_feeder("builtin:nope")
+
+    def test_builtin_names_are_the_shipped_documents_only(self, tmp_path):
+        # a relative name once loaded any file as package data, under a
+        # builtin label, and sce42 under a second name
+        (tmp_path / "outside.json").write_text(json.dumps(SCE42_DOC))
+        data = Path(vv.__file__).resolve().parent / "data"
+        outside = os.path.relpath(tmp_path / "outside", data)
+        for name in (outside, "../data/sce42"):
+            with pytest.raises(vv.ParseError, match="unknown builtin feeder"):
+                vv.load_feeder(f"builtin:{name}")
 
     def test_missing_file_is_named(self, tmp_path):
         path = tmp_path / "absent.json"

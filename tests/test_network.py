@@ -104,13 +104,57 @@ def test_disconnected_rejected():
     ([Bus(0), Bus(1, p_c=0.1), Bus(2, p_c=0.1)], [Line(0, 1, 0.1, 0.1), Line(1, 2, 0.1, 0.1)],
      {"inverters": {1: vv.Inverter(1.0, 0.5)},
       "curve_specs": {2: {"type": "droop", "alpha": 1.0}}}, vv.InvalidRecord),
+    # a spec that is no mapping once raised a bare TypeError or ValueError
+    *(([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)],
+       {"inverters": {1: vv.Inverter(1.0, 0.5)}, "curve_specs": {1: spec}}, vv.InvalidRecord)
+      for spec in (5, [1, 2], "ab", None)),
 ], ids=["no-slack", "unknown-bus", "self-line", "cycle-from-slack", "curve-on-unknown-bus",
         "string-load", "none-v_nom", "list-slack-load", "string-r", "none-x", "string-id",
         "float-id", "list-end", "list-slack", "string-v0", "bool-load", "bool-v_nom", "bool-r",
-        "bool-id", "bool-slack", "unwritable-id", "curve-without-inverter"])
+        "bool-id", "bool-slack", "unwritable-id", "curve-without-inverter", "int-spec",
+        "list-spec", "str-spec", "none-spec"])
 def test_malformed_records_rejected(buses, lines, kw, error):
     with pytest.raises(error):
         vv.build_feeder(buses, lines, **kw)
+
+
+def test_specs_and_meta_are_read_only_copies():
+    points = [[-0.1, 0.5], [0.0, 0.0], [0.1, -0.5]]
+    weights = np.array([1.0, 2.0])
+    spec = {"type": "table", "points": points, "extra": {"tags": ["a"]}, "weights": weights}
+    meta = {"floored_lines": [(0, 1)]}
+    f = vv.build_feeder([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)],
+                        inverters={1: vv.Inverter(1.0, 0.5)}, curve_specs={1: spec}, meta=meta)
+    stored = f.curve_specs[0]
+    for target, key in ((stored, "alpha"), (stored["points"], 0), (stored["points"][0], 0),
+                        (stored["extra"], "tags"), (stored["extra"]["tags"], 0),
+                        (f.meta, "floored_lines"), (f.meta["floored_lines"], 0)):
+        with pytest.raises(TypeError):
+            target[key] = 99.0
+    with pytest.raises(ValueError, match="read-only"):
+        stored["weights"][0] = 99.0
+    # the caller's objects are copied, not shared
+    points[0][1] = 9.0
+    spec["extra"]["tags"].append("b")
+    meta["floored_lines"].append((1, 2))
+    weights[0] = 9.0
+    assert stored["weights"].tolist() == [1.0, 2.0]
+    assert stored["points"] == ((-0.1, 0.5), (0.0, 0.0), (0.1, -0.5))
+    assert stored["extra"]["tags"] == ("a",)
+    assert f.meta["floored_lines"] == ((0, 1),)
+    # the document keeps plain lists and dicts
+    curve = vv.feeder_to_dict(f)["inverters"][0]["curve"]
+    assert curve == {"type": "table", "points": [[-0.1, 0.5], [0.0, 0.0], [0.1, -0.5]],
+                     "extra": {"tags": ["a"]}, "weights": [1.0, 2.0]}
+    assert type(curve["points"][0]) is list and type(curve["extra"]) is dict
+
+
+def test_a_spec_that_holds_itself_is_rejected():
+    spec = {"type": "droop", "alpha": 1.0}
+    spec["self"] = spec
+    with pytest.raises(vv.InvalidRecord, match="nests too deeply"):
+        vv.build_feeder([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)],
+                        inverters={1: vv.Inverter(1.0, 0.5)}, curve_specs={1: spec})
 
 
 def test_nonpositive_impedance_rejected():
