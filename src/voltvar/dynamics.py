@@ -181,43 +181,59 @@ _FLOAT_KERNEL_LIMIT = 16
 
 
 def _array_kernel(kind, verr_of, qa, bundle, lo_box, hi_box, gamma2, gamma3, f_active,
-                  q_sum):
-    """Vectorized step: yields ``(qa, residual, v_full, objective)`` per state.
+                  q_sum, tol):
+    """Vectorized step under the protocol of ``_iterate``.
 
-    ``verr_of(qa)`` gives (active voltage error, full voltages or None);
-    each state the loop advances from is added into ``q_sum``.
+    The generator first yields state 0; each ``send(target)`` then steps
+    until step ``target`` or until a residual drops below ``tol``, and
+    yields ``(t, qa, residual, v_full, objective, low, cum)`` there:
+    ``low`` is the smallest residual of the states stepped through and
+    ``cum`` the objective summed over the states before ``t``.
+    ``verr_of(qa)`` gives (active voltage error, full voltages or None) and
+    runs once per state; each state the loop advances from is added into
+    ``q_sum``.
     """
-    res = 0.0
+    t = target = 0
+    res, low, cum = 0.0, math.inf, 0.0
     while True:
         verr, v_full = verr_of(qa)
-        yield qa, res, v_full, f_active(qa) if f_active is not None else None
+        obj = f_active(qa) if f_active is not None else None
+        if t == target or res < tol:
+            target = yield t, qa, res, v_full, obj, low, cum
+            low = math.inf
         q_sum += qa
+        if obj is not None:
+            cum += obj
         nxt = _active_update(kind, qa, None, verr, bundle, lo_box, hi_box, gamma2, gamma3)
         res = float(np.abs(nxt - qa).max())
         qa = nxt
+        t += 1
+        if res < low:
+            low = res
 
 
 def _float_kernel(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi_box, gamma2, gamma3,
-                  q_sum, const_obj=None):
+                  q_sum, tol, const_obj=None):
     """Plain-float step for small systems of one-segment-per-side curves on
     the linear plant; ``slopes`` are ``bundle.end_slopes()``, the slope
     magnitudes and cost curvatures on both sides of the plateaus.
 
-    Same yields as ``_array_kernel``, from straight-line code that
-    ``_float_step`` generates once per law, curve-bus count and tracked
-    flag in each process (about 0.2-6 ms on first use).  numpy's per-call
-    overhead dominates on five-dimensional arrays, and the generated step
-    gives sce42's d2 runs about 1.9x the steps per second of an indexed
-    double loop over lists (``reference_float_kernel`` in the tests); its
-    arithmetic keeps that loop's order, so the states are bit-identical to
-    it.  ``q_sum`` is a list.  Given
-    ``const_obj``, the objective less its curve-bus terms, each state comes
-    with ``const_obj + sum_i [cost_i(q_i) + q_i ((x_aa q)_i / 2 + base_err_i)]``.
+    Same protocol and yields as ``_array_kernel``, with ``q_sum`` a list
+    written at each yield, from straight-line code that ``_float_step``
+    generates once per law, curve-bus count and tracked flag in each
+    process (about 0.2-6 ms on first use).  numpy's per-call overhead
+    dominates on five-dimensional arrays, and a generator that runs
+    straight to its next decision step spends no switch on the steps in
+    between; the states are bit-identical to those of an indexed double
+    loop over lists that yields every state (``reference_float_kernel`` in
+    the tests).  Given ``const_obj``, the objective less its curve-bus
+    terms, each state comes with
+    ``const_obj + sum_i [cost_i(q_i) + q_i ((x_aa q)_i / 2 + base_err_i)]``.
     """
     kernel = _float_step(kind, qa0.size, const_obj is not None)
     return kernel(*(np.asarray(a, dtype=float).tolist() for a in (
         x_aa, base_err, *slopes, bundle.lo, bundle.hi, lo_box, hi_box, qa0)),
-        gamma2, gamma3, q_sum, const_obj)
+        gamma2, gamma3, q_sum, tol, const_obj)
 
 
 @cache
@@ -228,7 +244,7 @@ def _float_step(kind, m, tracked):
     src = _float_step_source(kind, m, tracked)
     where = f"<voltvar float kernel {kind} m={m} {'tracked' if tracked else 'untracked'}>"
     linecache.cache[where] = (len(src), None, src.splitlines(True), where)
-    namespace = {}
+    namespace = {"inf": math.inf}
     exec(compile(src, where, "exec"), namespace)
     return namespace["kernel"]
 
@@ -238,8 +254,9 @@ def _float_step_source(kind, m, tracked):
     also yields each state's objective when ``tracked``.
 
     The text depends on the shape alone: state i lives in the local ``q{i}``,
-    row i of ``x`` in ``x{i}_{j}``, and every coefficient is unpacked from
-    the arguments, never written into the code.
+    its running sum in ``s{i}``, row i of ``x`` in ``x{i}_{j}``, and every
+    coefficient, ``tol`` included, is unpacked from the arguments, never
+    written into the code.
     """
     rng = range(m)
 
@@ -251,7 +268,7 @@ def _float_step_source(kind, m, tracked):
 
     out = [
         "def kernel(x, base, a_lo, a_hi, c_lo, c_hi, lo, hi, lob, hib, q, gamma2, gamma3,",
-        "           q_sum, const_obj):",
+        "           q_sum, tol, const_obj):",
         "    " + "".join(f"({names(f'x{i}_')}), " for i in rng) + "= x",
     ]
     for local, arg in (("b", "base"), ("al", "a_lo"), ("ah", "a_hi"), ("cl", "c_lo"),
@@ -260,7 +277,10 @@ def _float_step_source(kind, m, tracked):
         out.append(f"    {names(local)}= {arg}")
     if kind == "d3":
         out.append("    g3c = 1.0 - gamma3")
-    out += ["    res = 0.0", "    while True:"]
+    out += ["    " + "".join(f"s{i} = " for i in rng) + "res = cum = 0.0",
+            "    t = target = 0",
+            "    low = inf",
+            "    while True:"]
     if tracked:
         out.append("        obj = const_obj")
         for i in rng:
@@ -271,18 +291,25 @@ def _float_step_source(kind, m, tracked):
                     f"        elif q{i} < 0.0:",
                     f"            z = -q{i}",
                     f"            obj += (hi{i} + ch{i} * z) * z"]
-    out += [f"        yield ({names('q')}), res, None, {'obj' if tracked else 'None'}",
-            "        res = 0.0"]
+    out += ["        if t == target or res < tol:",
+            f"            q_sum[:] = {names('s')}",
+            f"            target = yield t, ({names('q')}), res, None, "
+            f"{'obj' if tracked else 'None'}, low, cum",
+            "            low = inf"]
+    if tracked:
+        out.append("        cum += obj")
+    out.append("        res = 0.0")
     for i in rng:
-        out += [f"        q_sum[{i}] += q{i}",
+        out += [f"        s{i} += q{i}",
                 f"        v = b{i} + {x_times_q(i)}"]
         # v - hi > 0.0 exactly when v > hi, so the plateau tests skip the difference
         if kind == "d2":
+            # q / a - hi is the reference's -(-q / a + hi) exactly, as rounding is symmetric
             out += [f"        if q{i} != 0.0:",
                     f"            if q{i} < 0.0:",
-                    f"                g = -(-q{i} / ah{i} + hi{i}) + v",
+                    f"                g = (q{i} / ah{i} - hi{i}) + v",
                     "            else:",
-                    f"                g = -(-q{i} / al{i} + lo{i}) + v",
+                    f"                g = (q{i} / al{i} - lo{i}) + v",
                     f"        elif v > hi{i}:",
                     f"            g = v - hi{i}",
                     f"        elif v < lo{i}:",
@@ -295,38 +322,49 @@ def _float_step_source(kind, m, tracked):
                  f" + (al{i} * (lo{i} - v) if v < lo{i} else 0.0)")
             out.append(f"        n{i} = {u}" if kind == "d1" else
                        f"        n{i} = g3c * q{i} + gamma3 * ({u})")
+        # |n - q| by a branch: q - n is -(n - q) exactly
         out += [f"        if n{i} < lb{i}:",
                 f"            n{i} = lb{i}",
                 f"        elif n{i} > hb{i}:",
                 f"            n{i} = hb{i}",
-                f"        d = n{i} - q{i}",
-                "        if d < 0.0:",
-                "            d = -d",
+                f"        d = n{i} - q{i} if n{i} > q{i} else q{i} - n{i}",
                 "        if d > res:",
                 "            res = d"]
-    out.append(f"        {names('q')}= {names('n')}")
+    out += [f"        {names('q')}= {names('n')}",
+            "        t += 1",
+            "        if res < low:",
+            "            low = res"]
     return "\n".join(out) + "\n"
 
 
 def _iterate(states, tol, max_iter, record_every, window):
-    """The closed-loop time loop over a kernel's ``states``.
+    """The closed-loop time loop over a kernel generator ``states``.
 
-    Owns the verdicts, the thinned records and the running objective sum;
-    returns the Trajectory fields on the active coordinates as a dict, with
-    ``v`` None unless the kernel yields full voltages and ``q_average`` left
-    to the caller.
+    Owns the verdicts, the thinned records and the objective records.  It
+    takes state 0 from ``next(states)`` and then sends the kernel the next
+    step at which it must decide something: the next multiple of
+    ``record_every``, the next multiple of ``window`` when one is set, or
+    ``max_iter``, whichever comes first.  The kernel runs straight there,
+    or stops early at a residual below ``tol``, and yields
+    ``(t, q, res, v, obj, low, cum)``; ``low``, the smallest residual since
+    the last yield, feeds the window minimum, and ``cum`` is the objective
+    summed over the states before ``t``.  So every verdict and record is
+    the one a step-by-step loop gives.  Returns the Trajectory fields on
+    the active coordinates as a dict, with ``v`` None unless the kernel
+    yields full voltages and ``q_average`` left to the caller; the
+    generator is closed on return.
     """
     times, qs, vs, residuals, objective, cum_objective = [], [], [], [], [], []
     verdict, converged_at = "max_iterations", None
-    cum = 0.0
     win_min, prev_win_min = np.inf, None
-    for t, (q, res, v, obj) in enumerate(states):
+    t, q, res, v, obj, low, cum = next(states)
+    while True:
         stop = t == max_iter
         if t > 0 and res < tol:
             verdict, converged_at, stop = "converged", t, True
         elif t > 0 and window and not stop:
-            if res < win_min:
-                win_min = res
+            if low < win_min:
+                win_min = low
             if t % window == 0:
                 if prev_win_min is not None and win_min >= prev_win_min and win_min >= tol:
                     verdict, stop = "oscillating", True
@@ -341,8 +379,13 @@ def _iterate(states, tol, max_iter, record_every, window):
                 cum_objective.append(cum)
         if stop:
             break
-        if obj is not None:
-            cum += obj
+        target = t - t % record_every + record_every
+        if window and t - t % window + window < target:
+            target = t - t % window + window
+        if target > max_iter:
+            target = max_iter
+        t, q, res, v, obj, low, cum = states.send(target)
+    states.close()
     return dict(
         times=np.array(times, dtype=int),
         q=np.array(qs),
@@ -397,7 +440,12 @@ def simulate(
     per law, curve-bus count and tracked flag in each process, at about
     0.2-6 ms on first use; its states are bit-identical to those of the
     indexed reference loop in the tests.  Tracking the objective leaves
-    the states unchanged.  Either kernel runs under one time loop.
+    the states unchanged.  Either kernel runs under one time loop,
+    ``_iterate``, which owns every verdict and record: it sends the kernel
+    the next step at which it must decide something (the next record, the
+    next oscillation-window boundary or ``max_iter``), and the kernel steps
+    straight there, or stops at the first residual below ``tol``, so the
+    steps in between cost no generator switch.
     """
     _check_count("record_every", record_every, 1)
     _check_count("max_iter", max_iter, 1)
@@ -440,7 +488,7 @@ def simulate(
     if linear and slopes is not None and act.size <= _FLOAT_KERNEL_LIMIT:
         q_sum = [0.0] * act.size
         states = _float_kernel(config.kind, x_aa, base_err, bundle, slopes, qa, lo_box,
-                               hi_box, config.gamma2, config.gamma3, q_sum, const_obj)
+                               hi_box, config.gamma2, config.gamma3, q_sum, tol, const_obj)
     else:
         if linear:
             def verr_of(qa):
@@ -458,7 +506,7 @@ def simulate(
 
         q_sum = np.zeros(act.size)
         states = _array_kernel(config.kind, verr_of, qa, bundle, lo_box, hi_box,
-                               config.gamma2, config.gamma3, f_active, q_sum)
+                               config.gamma2, config.gamma3, f_active, q_sum, tol)
     run = _iterate(states, tol, max_iter, record_every, oscillation_window)
 
     q_full = np.tile(q, (len(run["q"]), 1))

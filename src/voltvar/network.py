@@ -247,6 +247,16 @@ def _frozen(value):
     return value
 
 
+def _mapping(name, value):
+    """A plain copy of the mapping argument ``name`` of :func:`build_feeder`,
+    ``{}`` for None; any other value raises InvalidRecord."""
+    if value is None:
+        return {}
+    if not isinstance(value, (dict, Mapping)):
+        raise InvalidRecord(f"{name} must be a mapping, got {_shown(value)}")
+    return dict(value)
+
+
 def _plain(value):
     """``value`` with what :func:`_frozen` made read-only turned back into
     plain dicts and lists, as a JSON document holds them."""
@@ -542,21 +552,24 @@ def build_feeder(
         a positive finite ``v_nom``.
     lines : iterable of Line
         Exactly one line per non-slack bus; endpoint order is irrelevant.
-    inverters : dict, optional
+    inverters : mapping, optional
         Bus label -> :class:`Inverter`; any other value raises InvalidRecord.
     bases : Bases, optional
     slack_label : int
         Label of the fixed-voltage substation bus.
     v0 : float
         Slack-bus voltage in per unit, positive and finite.
-    curve_specs : dict, optional
+    curve_specs : mapping, optional
         Bus label -> control-curve description, a mapping (see control
         module for the schema); each bus needs an inverter.  Each is kept
         as a read-only copy, all the way down: its lists become tuples and
         its mappings read-only mappings.
-    meta : dict, optional
+    meta : mapping, optional
         Free-form provenance (unit conversions applied, power factor, ...),
         kept read-only all the way down like the specs.
+
+    ``inverters``, ``curve_specs`` and ``meta`` are each None or a mapping;
+    any other container raises InvalidRecord naming the argument.
 
     Raises
     ------
@@ -564,8 +577,9 @@ def build_feeder(
     """
     buses = list(buses)
     lines = list(lines)
-    inverters = dict(inverters or {})
-    curve_specs = dict(curve_specs or {})
+    inverters = _mapping("inverters", inverters)
+    curve_specs = _mapping("curve_specs", curve_specs)
+    meta = _mapping("meta", meta)
 
     if not _is_number(slack_label, _INTEGRAL):
         raise InvalidRecord(f"the slack label must be an integer, got {_shown(slack_label)}")
@@ -695,7 +709,7 @@ def build_feeder(
                 f"the curve spec at bus {_shown(lab, str)} must be a mapping, got {_shown(spec)}")
     try:  # a value that holds itself never bottoms out
         specs = {pos[lab]: _frozen(spec) for lab, spec in curve_specs.items()}
-        meta = _frozen(dict(meta or {}))
+        meta = _frozen(meta)
     except RecursionError as exc:
         raise InvalidRecord("a curve spec or meta nests too deeply to copy") from exc
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 import voltvar as vv
+from voltvar import dynamics
 from voltvar.network import Bus, Line
 
 # every exception class of voltvar.exceptions derives from one of these
@@ -299,3 +300,125 @@ def reference_float_kernel(kind, x_aa, base_err, bundle, slopes, qa0, lo_box, hi
             if d > res:
                 res = d
         q = nxt
+
+
+def reference_array_kernel(kind, verr_of, qa, bundle, lo_box, hi_box, gamma2, gamma3, f_active,
+                           q_sum):
+    """Reference ``dynamics._array_kernel``: a per-step numpy loop that yields
+    ``(qa, residual, v_full, objective)`` at every state and adds each state
+    it advances from into ``q_sum``."""
+    res = 0.0
+    while True:
+        verr, v_full = verr_of(qa)
+        yield qa, res, v_full, f_active(qa) if f_active is not None else None
+        q_sum += qa
+        nxt = dynamics._active_update(kind, qa, None, verr, bundle, lo_box, hi_box, gamma2,
+                                      gamma3)
+        res = float(np.abs(nxt - qa).max())
+        qa = nxt
+
+
+def reference_iterate(states, tol, max_iter, record_every, window):
+    """Reference ``dynamics._iterate``: the time loop that takes every state
+    of a kernel that yields ``(q, residual, v, objective)`` per step, and
+    decides the verdict, the records and the objective sum at each."""
+    times, qs, vs, residuals, objective, cum_objective = [], [], [], [], [], []
+    verdict, converged_at = "max_iterations", None
+    cum = 0.0
+    win_min, prev_win_min = np.inf, None
+    for t, (q, res, v, obj) in enumerate(states):
+        stop = t == max_iter
+        if t > 0 and res < tol:
+            verdict, converged_at, stop = "converged", t, True
+        elif t > 0 and window and not stop:
+            if res < win_min:
+                win_min = res
+            if t % window == 0:
+                if prev_win_min is not None and win_min >= prev_win_min and win_min >= tol:
+                    verdict, stop = "oscillating", True
+                prev_win_min, win_min = win_min, np.inf
+        if stop or t % record_every == 0:
+            times.append(t)
+            qs.append(np.array(q))
+            vs.append(v)
+            residuals.append(res)
+            if obj is not None:
+                objective.append(obj)
+                cum_objective.append(cum)
+        if stop:
+            break
+        if obj is not None:
+            cum += obj
+    return dict(
+        times=np.array(times, dtype=int),
+        q=np.array(qs),
+        v=np.array(vs) if v is not None else None,
+        residuals=np.array(residuals),
+        verdict=verdict,
+        steps=t,
+        converged_at=converged_at,
+        objective=np.array(objective) if objective else None,
+        cum_objective=np.array(cum_objective) if objective else None,
+    )
+
+
+def reference_simulate(feeder, config, plant="linear", q0=None, tol=1e-6, max_iter=10000,
+                       record_every=1, track_objective=False, oscillation_window=50, mats=None):
+    """Reference ``simulate`` for valid arguments and finite runs: the same
+    set-up and kernel choice, with ``reference_float_kernel`` or
+    ``reference_array_kernel`` stepping under ``reference_iterate``."""
+    linear = plant == "linear"
+    if mats is None:
+        mats = vv.sensitivity_matrices(feeder)
+    bundle = config.curves
+    act = bundle.positions
+    q = (np.zeros(feeder.n) if q0 is None else np.asarray(q0, dtype=float)).clip(
+        config.q_min, config.q_max)
+    qa = q[act].copy()
+    lo_box, hi_box = config.q_min[act], config.q_max[act]
+    q_o = q.copy()
+    q_o[act] = 0.0
+    x_aa, base_err, xq_o = dynamics._curve_block(mats, act, q_o)
+    f_active = const_obj = None
+    if track_objective:
+        const_obj = sum(dynamics._objective_terms(mats, None, q_o, xq_o))
+
+        def f_active(qa):
+            return float(
+                bundle.cost(qa).sum() + 0.5 * qa @ (x_aa @ qa) + qa @ base_err + const_obj
+            )
+
+    slopes = bundle.end_slopes()
+    if linear and slopes is not None and act.size <= dynamics._FLOAT_KERNEL_LIMIT:
+        q_sum = [0.0] * act.size
+        states = reference_float_kernel(config.kind, x_aa, base_err, bundle, slopes, qa,
+                                        lo_box, hi_box, config.gamma2, config.gamma3, q_sum,
+                                        const_obj)
+    else:
+        sweeps = []
+        if linear:
+            def verr_of(qa):
+                return x_aa @ qa + base_err, None
+        else:
+            def verr_of(qa):
+                full = q.copy()
+                full[act] = qa
+                sol = vv.distflow_sweep(feeder, full, tol=1e-10,
+                                        start=sweeps[-1] if sweeps else None)
+                sweeps.append(sol)
+                return (sol.v - feeder.v_nom)[act], sol.v
+
+        q_sum = np.zeros(act.size)
+        states = reference_array_kernel(config.kind, verr_of, qa, bundle, lo_box, hi_box,
+                                        config.gamma2, config.gamma3, f_active, q_sum)
+    run = reference_iterate(states, tol, max_iter, record_every, oscillation_window)
+    q_full = np.tile(q, (len(run["q"]), 1))
+    q_full[:, act] = run["q"]
+    q_avg = q.copy()
+    q_avg[act] = np.array(q_sum) / max(run["steps"], 1)
+    run["q"], run["q_average"] = q_full, q_avg
+    if linear:
+        run["v"] = mats.voltage(q_full)
+    else:
+        run["sweep_iterations"] = sum(sol.iterations for sol in sweeps)
+    return vv.Trajectory(**run)

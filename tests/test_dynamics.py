@@ -20,7 +20,9 @@ from helpers import (
     package_outcome,
     random_feeder,
     random_tree_records,
+    reference_array_kernel,
     reference_float_kernel,
+    reference_simulate,
     two_bus_feeder,
 )
 
@@ -393,17 +395,46 @@ class TestGeneratedFloatKernel:
         for shape, start in itertools.product(("droop", "table"),
                                               ("zero", "saturated", "interior")):
             args, const_obj = kernel_inputs(sce42_mats, m, kind, start, tracked, shape)
-            sums = [0.0] * m, [0.0] * m
-            runs = (dynamics._float_kernel(*args, sums[0], const_obj),
-                    reference_float_kernel(*args, sums[1], const_obj))
-            for _, (q, res, v, obj), (q_ref, res_ref, v_ref, obj_ref) in zip(range(400), *runs):
-                # hex tells -0.0 from 0.0, which == does not
-                assert list(map(float.hex, q)) == list(map(float.hex, q_ref)), start
-                assert res.hex() == res_ref.hex() and obj == obj_ref, start
-                assert v is v_ref is None and (obj is None) == (not tracked)
+            # every state of the reference loop, with its q_sum and objective sum
+            sums, cum, ref = [0.0] * m, 0.0, []
+            for _, (q, res, v, obj) in zip(range(400), reference_float_kernel(
+                    *args, sums, const_obj)):
+                assert v is None and (obj is None) == (not tracked)
+                ref.append((q, res, obj, list(sums), cum))
+                cum += obj if tracked else 0.0
                 moved.add(res > 0.0)
-            assert sums[0] == sums[1], start
+            # targets t + 1 yield every state; long strides reach the same
+            # states at their events, with the smallest residual in between
+            for events in (range(1, 400), (1, 7, 50, 51, 123, 399)):
+                q_sum = [0.0] * m
+                kernel = dynamics._float_kernel(*args, q_sum, 0.0, const_obj)
+                got = [(next(kernel), list(q_sum))]
+                got += [(kernel.send(target), list(q_sum)) for target in events]
+                kernel.close()
+                last = 0
+                for (t, q, res, v, obj, low, cum), q_sum in got:
+                    q_ref, res_ref, obj_ref, sums_ref, cum_ref = ref[t]
+                    # hex tells -0.0 from 0.0, which == does not
+                    assert list(map(float.hex, q)) == list(map(float.hex, q_ref)), start
+                    assert res.hex() == res_ref.hex() and obj == obj_ref, start
+                    assert v is None and q_sum == sums_ref and cum == cum_ref, start
+                    if t:
+                        assert low == min(r for _, r, *_ in ref[last + 1:t + 1]), start
+                    last = t
+                assert [state[0] for state, _ in got] == [0, *events]
         assert True in moved  # the states changed
+
+    @pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
+    def test_kernel_stops_at_the_first_residual_below_tol(self, sce42_mats, kind):
+        args, const_obj = kernel_inputs(sce42_mats, 5, kind, "interior", True)
+        res = [r for _, (_, r, _, _) in zip(range(400), reference_float_kernel(
+            *args, [0.0] * 5, const_obj))]
+        moved = sorted(r for r in res if r > 0.0)
+        tol = moved[len(moved) // 2]  # the median non-zero residual
+        first = next(t for t in range(1, 400) if res[t] < tol)
+        kernel = dynamics._float_kernel(*args, [0.0] * 5, tol, const_obj)
+        assert next(kernel)[0] == 0
+        assert kernel.send(399)[:3:2] == (first, res[first])
 
     def test_compiled_once_per_shape(self, sce42, sce42_mats):
         dynamics._float_step.cache_clear()
@@ -451,11 +482,127 @@ class TestGeneratedFloatKernel:
         assert kernel.__code__.co_filename == where
         assert dynamics._float_step("d2", 5, 2).__code__.co_filename == (
             "<voltvar float kernel d2 m=5 tracked>")
-        states = kernel([[1.0]], *[[0.0, 0.0]] * 10, None, None, [0.0, 0.0], None)
+        states = kernel([[1.0]], *[[0.0, 0.0]] * 10, None, None, [0.0, 0.0], 0.0, None)
         with pytest.raises(ValueError) as err:
             next(states)  # one row where the shape needs two
         frame = traceback.extract_tb(err.value.__traceback__)[-1]
         assert frame.filename == where and frame.line.startswith("(x0_0, x0_1, )")
+
+
+def sce42_config(sce42, kind, alpha, curve="droop"):
+    """sce42's d1/d2/d3 config with droops of slope ``alpha``, which the
+    float kernel steps, or with table curves of slopes ``alpha`` and
+    ``0.6 alpha`` on each side, which the array kernel steps."""
+    cfg = vv.ControllerConfig.from_feeder(sce42, kind, alpha=alpha, gamma2=1e-2, gamma3=0.5)
+    if curve == "table":
+        table = vv.TableCurve([(-0.1, 0.06 * alpha), (-0.05, 0.03 * alpha), (-0.02, 0.0),
+                               (0.02, 0.0), (0.05, -0.03 * alpha), (0.1, -0.06 * alpha)])
+        cfg = dataclasses.replace(cfg, curves={k: table for k in cfg.curves})
+    return cfg
+
+
+def assert_same_trajectory(got, want):
+    for field in dataclasses.fields(vv.Trajectory):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+        else:
+            assert a == b, field.name
+
+
+class TestDecisionSteps:
+    """``simulate`` runs its kernel straight to the next record, window
+    boundary or ``max_iter``; the step-by-step loop of ``reference_simulate``
+    must give every field of the same Trajectory."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_step_by_step_loop(self, sce42, sce42_mats, data):
+        draw = data.draw
+        kind = draw(st.sampled_from(["d1", "d2", "d3"]))
+        curve = draw(st.sampled_from(["droop", "table"]))
+        plant = draw(st.sampled_from(["linear", "distflow"])) if curve == "table" else "linear"
+        # d1 oscillates from alpha 40 on, d3 at 150
+        cfg = sce42_config(sce42, kind, draw(st.sampled_from([10.0, 40.0, 150.0])), curve)
+        seed = draw(st.none() | st.integers(0, 3))
+        q0 = None if seed is None else np.random.default_rng(seed).uniform(cfg.q_min, cfg.q_max)
+        tol = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]) | st.floats(0.0, 1e-2))
+        window = draw(st.none() | st.integers(1, 60))
+        # past max_iter, records leave every stretch to end on a window boundary
+        record_every = draw(st.integers(1, 60) | st.just(window or 1) | st.just(400))
+        # max_iter at a multiple of the window or of record_every, or anywhere
+        cap = 60 if plant == "distflow" else 400
+        max_iter = draw(st.integers(1, cap) | st.integers(1, 6).map(
+            lambda k: min(k * (window or record_every), cap)))
+        kw = dict(plant=plant, q0=q0, tol=tol, max_iter=max_iter, record_every=record_every,
+                  track_objective=draw(st.booleans()), oscillation_window=window,
+                  mats=sce42_mats)
+        assert_same_trajectory(vv.simulate(sce42, cfg, **kw),
+                               reference_simulate(sce42, cfg, **kw))
+
+    @pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
+    def test_array_kernel_reaches_the_same_states_at_its_events(self, sce42_mats, kind):
+        # from zero, d2's residuals rise again at step 3: a low that ran on
+        # from the stretch before would read the smaller residual of step 2
+        args, _ = kernel_inputs(sce42_mats, 5, kind, "zero", False, "table")
+        _, x_aa, base_err, bundle, _, qa0, lo_box, hi_box, gamma2, gamma3 = args
+
+        def verr_of(qa):
+            return x_aa @ qa + base_err, None
+
+        def f_active(qa):
+            return float(bundle.cost(qa).sum() + 0.5 * qa @ (x_aa @ qa))
+
+        law = (kind, verr_of, qa0, bundle, lo_box, hi_box, gamma2, gamma3, f_active)
+        sums, cum, ref = np.zeros(5), 0.0, []
+        for _, (q, res, _, obj) in zip(range(200), reference_array_kernel(*law, sums)):
+            ref.append((q, res, obj, sums.copy(), cum))
+            cum += obj
+        assert len({res for _, res, *_ in ref}) > 10  # the states moved
+        q_sum, events = np.zeros(5), (1, 2, 3, 9, 60, 61, 199)
+        kernel = dynamics._array_kernel(*law, q_sum, 0.0)
+        got = [(next(kernel), q_sum.copy())]
+        got += [(kernel.send(target), q_sum.copy()) for target in events]
+        kernel.close()
+        last = 0
+        for (t, q, res, v, obj, low, cum), q_sum in got:
+            q_ref, res_ref, obj_ref, sums_ref, cum_ref = ref[t]
+            assert (q.tobytes(), res, obj, cum) == (q_ref.tobytes(), res_ref, obj_ref, cum_ref)
+            assert v is None and q_sum.tobytes() == sums_ref.tobytes()
+            if t:
+                assert low == min(r for _, r, *_ in ref[last + 1:t + 1])
+            last = t
+        assert [state[0] for state, _ in got] == [0, *events]
+
+    def test_window_minimum_reads_every_step_of_the_window(self, sce42, sce42_mats):
+        # with no record before max_iter each stretch ends on a window
+        # boundary, and this run's window minima lie inside the windows: read
+        # at the boundaries alone, they kept falling until max_iter
+        cfg = sce42_config(sce42, "d3", 150.0)
+        kw = dict(mats=sce42_mats, q0=np.random.default_rng(0).uniform(cfg.q_min, cfg.q_max),
+                  tol=0.0, max_iter=400, record_every=1000, oscillation_window=20)
+        got = vv.simulate(sce42, cfg, **kw)
+        assert (got.verdict, got.steps) == ("oscillating", 40)
+        assert_same_trajectory(got, reference_simulate(sce42, cfg, **kw))
+
+    @pytest.mark.parametrize("curve", ["droop", "table"])
+    @pytest.mark.parametrize("kind", ["d1", "d3"])
+    def test_convergence_on_a_decision_step(self, sce42, sce42_mats, kind, curve):
+        # the run converges at step c; let c be a window boundary, a record,
+        # max_iter, or one step past max_iter
+        cfg = sce42_config(sce42, kind, 10.0, curve)
+        c = vv.simulate(sce42, cfg, mats=sce42_mats, oscillation_window=None).converged_at
+        assert c is not None and c > 4
+        divisor = max(k for k in range(1, c) if c % k == 0)
+        seen = set()
+        for max_iter, window, record_every in itertools.product(
+                (c - 1, c, c + 1, 2 * c), (None, 1, divisor, c, c + 1), (1, divisor, c, 7)):
+            kw = dict(max_iter=max_iter, oscillation_window=window, record_every=record_every,
+                      track_objective=True, mats=sce42_mats)
+            got = vv.simulate(sce42, cfg, **kw)
+            assert_same_trajectory(got, reference_simulate(sce42, cfg, **kw))
+            seen.add(got.verdict)
+        assert "converged" in seen and "max_iterations" in seen
 
 
 class TestConditionChecks:

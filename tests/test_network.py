@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -116,6 +117,24 @@ def test_disconnected_rejected():
 def test_malformed_records_rejected(buses, lines, kw, error):
     with pytest.raises(error):
         vv.build_feeder(buses, lines, **kw)
+
+
+@pytest.mark.parametrize("name", ["inverters", "curve_specs", "meta"])
+@pytest.mark.parametrize("value", [[1, 2], "ab", [], 5, {1, 2}],
+                         ids=["list", "str", "empty-list", "int", "set"])
+def test_non_mapping_arguments_rejected(name, value):
+    # these once raised a bare TypeError or ValueError from a dict(...) copy,
+    # and an empty list passed as no mapping at all
+    with pytest.raises(vv.InvalidRecord, match=f"^{name} must be a mapping"):
+        vv.build_feeder([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)], **{name: value})
+
+
+def test_mapping_arguments_may_be_read_only():
+    inv = types.MappingProxyType({1: vv.Inverter(1.0, 0.5)})
+    spec = types.MappingProxyType({1: {"type": "droop", "alpha": 1.0}})
+    f = vv.build_feeder([Bus(0), Bus(1)], [Line(0, 1, 0.1, 0.5)], inverters=inv,
+                        curve_specs=spec, meta=types.MappingProxyType({"a": 1}))
+    assert (list(f.inverters), f.curve_specs[0]["alpha"], f.meta["a"]) == ([0], 1.0, 1)
 
 
 def test_specs_and_meta_are_read_only_copies():
